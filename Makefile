@@ -6,9 +6,16 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet test test-race test-race-service bench bench-core bench-diff bench-grid bench-serve bench-smoke build serve smoke smoke-cluster plan-validate lint-metrics calibrate-smoke
+.PHONY: ci fmt vet test test-race test-race-service bench bench-core bench-diff bench-grid bench-serve bench-smoke bench-e2e-test build serve smoke smoke-cluster plan-validate lint-metrics calibrate-smoke
 
-ci: fmt vet plan-validate lint-metrics calibrate-smoke test-race bench-smoke smoke smoke-cluster
+ci: fmt vet plan-validate lint-metrics calibrate-smoke test-race bench-e2e-test bench-smoke smoke smoke-cluster
+
+# The end-to-end benchmark driver is its own Go module (e2ebench/), which
+# the root `go test ./...` skips: vet and test it here, so a change to
+# eval, imgcmp, llm or pvpython that breaks the driver fails CI instead
+# of the benchmark run.
+bench-e2e-test:
+	$(GO) -C e2ebench vet ./... && $(GO) -C e2ebench test ./...
 
 # Metrics contract gate: scrape a fully-attached in-memory daemon and
 # fail on any chatvis_* name that is not snake_case, lacks HELP/TYPE

@@ -9,10 +9,12 @@
 //	chatvisd -addr :8080 -data ./data -out ./out -workers 4 \
 //	         -compute-workers 8 -dataset-cache-mb 256
 //
-// -workers sizes the job queue's worker pool; -compute-workers sizes the
-// parallel compute substrate each job executes on (filters, rasterizer,
-// pipeline DAG); -dataset-cache-mb bounds the process-wide content-hash
-// dataset cache shared across jobs. All three surface in /metrics.
+// -workers sizes the job queue's worker pool, which runs jobs and session
+// turns alike (-queue-cap bounds how many of either wait);
+// -compute-workers sizes the parallel compute substrate each job
+// executes on (filters, rasterizer, pipeline DAG); -dataset-cache-mb
+// bounds the process-wide content-hash dataset cache shared across jobs.
+// All three surface in /metrics.
 //
 // Endpoints: POST /v1/jobs, GET /v1/jobs/{id}, POST /v1/sessions,
 // POST /v1/sessions/{id}/turns, GET /v1/sessions/{id},
@@ -129,22 +131,20 @@ type daemonConfig struct {
 // daemon is one wired chatvisd instance: every subsystem main (and the
 // smoke tests) needs a handle on.
 type daemon struct {
-	queue    *service.Queue
-	server   *service.Server
-	sessions *service.Sessions
-	metrics  *llm.Metrics
-	tracer   *obs.Tracer
-	cluster  *cluster.Cluster // nil outside cluster mode
-	wal      *cluster.WAL     // nil when durability is disabled
-	// replayedJobs/replayedTurns count the WAL re-submissions performed
-	// at boot.
-	replayedJobs  int
-	replayedTurns int
+	queue   *service.Queue
+	server  *service.Server
+	metrics *llm.Metrics
+	tracer  *obs.Tracer
+	cluster *cluster.Cluster // nil outside cluster mode
+	wal     *cluster.WAL     // nil when durability is disabled
+	// replayed counts the jobs and turns the WAL replay re-submitted at
+	// boot.
+	replayed int
 }
 
 // close releases background resources (probe loop, WAL segment); the
-// queue and sessions are drained separately so callers control the
-// budget.
+// queue, which runs jobs and session turns alike, is drained separately
+// so callers control the budget.
 func (d *daemon) close() {
 	if d.cluster != nil {
 		d.cluster.Stop()
@@ -246,10 +246,7 @@ func buildDaemon(cfg daemonConfig) (*daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	sessions := service.NewSessions(store, factory)
-	if wal != nil {
-		sessions.WithWAL(wal)
-	}
+	sessions := service.NewSessions(queue, factory)
 	if cl != nil {
 		sessions.WithOwnership(func(id string) bool {
 			owner, ok := cl.Owner(id)
@@ -267,12 +264,11 @@ func buildDaemon(cfg daemonConfig) (*daemon, error) {
 	}
 
 	d := &daemon{
-		queue: queue, sessions: sessions, metrics: metrics,
+		queue: queue, metrics: metrics,
 		tracer: tracer, cluster: cl, wal: wal,
 	}
 	sessions.Restore()
-	d.replayedJobs = queue.ReplayWAL()
-	d.replayedTurns = sessions.ReplayWAL()
+	d.replayed = queue.ReplayWAL()
 	server := service.NewServer(queue, store, metrics).
 		WithDatasetCache(dsCache).
 		WithSessions(sessions).
@@ -344,8 +340,8 @@ func main() {
 		dataDir  = flag.String("data", "data", "directory for input datasets (generated on demand)")
 		outDir   = flag.String("out", "out", "root directory for job outputs and the artifact store")
 		storeDir = flag.String("store", "", "artifact store directory (default <out>/store)")
-		workers  = flag.Int("workers", runtime.NumCPU(), "pipeline worker pool size")
-		queueCap = flag.Int("queue-cap", 256, "max queued (not yet running) jobs")
+		workers  = flag.Int("workers", runtime.NumCPU(), "worker pool size shared by jobs and session turns")
+		queueCap = flag.Int("queue-cap", 256, "max queued (not yet running) jobs and session turns")
 		retries  = flag.Int("retries", 1, "LLM call attempts per stage")
 		full     = flag.Bool("full", false, "paper-scale datasets")
 		noCache  = flag.Bool("no-cache", false, "disable the shared LLM response cache")
@@ -443,9 +439,8 @@ func main() {
 		os.Exit(1)
 	}
 	defer d.close()
-	if d.replayedJobs+d.replayedTurns > 0 {
-		logger.Info("wal replay re-submitted accepted work",
-			"jobs", d.replayedJobs, "turns", d.replayedTurns)
+	if d.replayed > 0 {
+		logger.Info("wal replay re-submitted accepted work", "jobs_and_turns", d.replayed)
 	}
 	if d.cluster != nil {
 		d.cluster.Start()
@@ -476,19 +471,14 @@ func main() {
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		logger.Warn("http shutdown", "err", err)
 	}
-	drainErr := false
-	if err := d.queue.Shutdown(shutdownCtx); err != nil {
-		logger.Warn("queue drain incomplete", "err", err)
-		drainErr = true
+	drainErr := d.queue.Shutdown(shutdownCtx)
+	if drainErr != nil {
+		logger.Warn("queue drain incomplete", "err", drainErr)
 	}
-	if err := d.sessions.Shutdown(shutdownCtx); err != nil {
-		logger.Warn("session drain incomplete", "err", err)
-		drainErr = true
-	}
-	// Close the WAL last: the drains above flushed every terminal
+	// Close the WAL last: the drain above flushed every terminal
 	// transition, so a clean exit replays nothing on the next boot.
 	d.close()
-	if drainErr {
+	if drainErr != nil {
 		os.Exit(1)
 	}
 	fmt.Println("chatvisd: drained cleanly")

@@ -297,7 +297,7 @@ func TestDaemonSessionTwoTurns(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.close()
-	queue, server, sessions := d.queue, d.server, d.sessions
+	queue, server := d.queue, d.server
 	srv := httptest.NewServer(server.Handler())
 	defer srv.Close()
 
@@ -416,9 +416,6 @@ func TestDaemonSessionTwoTurns(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := sessions.Shutdown(ctx); err != nil {
-		t.Fatalf("session drain: %v", err)
-	}
 	if err := queue.Shutdown(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
@@ -565,7 +562,6 @@ func TestClusterSmoke3Nodes(t *testing.T) {
 		for i, d := range daemons {
 			listeners[i].Close()
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			_ = d.sessions.Shutdown(ctx)
 			_ = d.queue.Shutdown(ctx)
 			cancel()
 			d.close()
@@ -769,7 +765,6 @@ func TestClusterTracePropagation(t *testing.T) {
 		for i, d := range daemons {
 			listeners[i].Close()
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			_ = d.sessions.Shutdown(ctx)
 			_ = d.queue.Shutdown(ctx)
 			cancel()
 			d.close()

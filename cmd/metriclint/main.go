@@ -103,7 +103,7 @@ func scrape() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	sessions := service.NewSessions(store, factory)
+	sessions := service.NewSessions(queue, factory)
 
 	// A synthetic two-rung profile set stands in for a calibrated store:
 	// the lint checks exposition shape, not measurement.

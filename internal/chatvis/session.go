@@ -487,37 +487,17 @@ func (s *Session) runAssisted(ctx context.Context, idx int, userPrompt string) (
 func (s *Session) runUnassisted(ctx context.Context, idx int, userPrompt string) (*Artifact, error) {
 	art := &Artifact{UserPrompt: userPrompt, GeneratedPrompt: userPrompt}
 	art.Trace.OnAdd = s.stageObserver(ctx, idx)
-	_, llmSpan := obs.Start(ctx, "llm."+StageGenerate)
-	start := time.Now()
-	req := llm.Request{
+	// No assistant post-processing: the raw response runs as-is, which is
+	// how markdown fences become syntax errors.
+	script, err := s.complete(ctx, &art.Trace, StageGenerate, llm.Request{
 		System: "Generate a ParaView Python script for the user's request.",
 		User:   userPrompt,
 		Task:   llm.TaskWrite,
-	}
-	resp, err := s.model.Complete(ctx, req)
+	})
 	if err != nil {
-		llmSpan.SetError(err)
-		llmSpan.End()
 		return nil, err
 	}
-	llmSpan.SetAttr("model", resp.Model)
-	llmSpan.SetAttr("prompt_tokens", resp.Usage.PromptTokens)
-	llmSpan.SetAttr("completion_tokens", resp.Usage.CompletionTokens)
-	llmSpan.SetAttr("cache_hit", resp.CacheHit)
-	llmSpan.SetAttr("attempts", resp.Attempts)
-	llmSpan.End()
-	art.Trace.addLLM(StageGenerate, req, resp, time.Since(start))
-	// No assistant post-processing: the raw response runs as-is, which is
-	// how markdown fences become syntax errors.
-	script := resp.Text
-	execCtx, execSpan := obs.Start(ctx, "script.exec")
-	execStart := time.Now()
-	res := s.runner.ExecContext(execCtx, script)
-	if !res.OK() {
-		execSpan.Fail("script execution failed")
-	}
-	execSpan.End()
-	art.Trace.add(StageTrace{Stage: StageExec + "-1", Duration: time.Since(execStart), PlanHash: res.PlanHash()})
+	res := s.exec(ctx, &art.Trace, 1, script)
 	reports := errext.Extract(res.Output)
 	art.Iterations = []Iteration{{Script: script, Output: res.Output, Errors: reports, PlanHash: res.PlanHash()}}
 	art.FinalScript = script

@@ -2,6 +2,7 @@ package chatvis
 
 import (
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -268,4 +269,51 @@ func TestRunWrapperStaysSingleTurn(t *testing.T) {
 	if art.TurnIndex != 1 {
 		t.Errorf("TurnIndex = %d, want 1", art.TurnIndex)
 	}
+}
+
+// TestColorEditNamingContourKeepsFilters: "Color the contour red." on an
+// isosurface session must not reset the isovalue (0.3) to the default
+// 0.5, and on a clip session
+// must not add a Contour stage: the filter stages stay as they were and
+// nothing re-executes.
+func TestColorEditNamingContourKeepsFilters(t *testing.T) {
+	for name, first := range map[string]string{
+		"iso":  strings.Replace(testPrompts()["isosurface"], "at value 0.5.", "at value 0.3.", 1),
+		"clip": `Please generate a ParaView Python script for the following operations. Read in the file named 'ml-100.vtk'. Clip the data with a y-z plane at x=0, keeping the -x half of the data and removing the +x half. Color the result by the var0 data array. Rotate the view to an isometric direction. Save a screenshot of the result in the filename 'ml-clip-screenshot.png'. The rendered view and saved screenshot should be 320 x 180 pixels.`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := newSession(t, "gpt-4")
+			t1, err := s.Turn(context.Background(), first)
+			if err != nil || !t1.Artifact.Success {
+				t.Fatalf("first turn: err=%v success=%v", err, t1 != nil && t1.Artifact.Success)
+			}
+			before := filterStages(t, s.CurrentPlan())
+			t2, err := s.Turn(context.Background(), "Color the contour red.")
+			if err != nil || !t2.Artifact.Success {
+				t.Fatalf("colour turn: err=%v", err)
+			}
+			if after := filterStages(t, s.CurrentPlan()); after != before {
+				t.Errorf("filter stages changed:\nbefore %s\nafter  %s", before, after)
+			}
+			if t2.ExecutionsDelta != 0 {
+				t.Errorf("colour edit executed %d stages, want 0", t2.ExecutionsDelta)
+			}
+		})
+	}
+}
+
+// filterStages renders a plan's filter stages for comparison.
+func filterStages(t *testing.T, p *plan.Plan) string {
+	t.Helper()
+	var out []string
+	for _, st := range p.Stages {
+		if st.Kind == plan.StageFilter {
+			blob, err := json.Marshal(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, string(blob))
+		}
+	}
+	return strings.Join(out, "\n")
 }

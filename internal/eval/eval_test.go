@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"chatvis/internal/pvpython"
 )
 
 func testConfig(t *testing.T) Config {
@@ -325,5 +327,54 @@ func TestScriptScoreRanksModels(t *testing.T) {
 	if cv.ScriptScore.Overall < 0.8 {
 		t.Errorf("ChatVis stream script score %.2f suspiciously low: %s",
 			cv.ScriptScore.Overall, cv.ScriptScore)
+	}
+}
+
+// TestFaceOnPlanesRenderNonBlank: planar results seen face-on along
+// their normal, at offsets whose degenerate depth extent once let
+// rounding clip the whole plane away.
+func TestFaceOnPlanesRenderNonBlank(t *testing.T) {
+	for _, tc := range []struct {
+		scenario string
+		edits    [][2]string // old, new script lines
+	}{
+		{"sliceclip", [][2]string{
+			{"clip1.ClipType.Origin = [0.0, 0.0, 0.0]", "clip1.ClipType.Origin = [-0.054, 0.0, 0.0]"},
+			{"slice1.SliceType.Origin = [0.0, 0.0, 0.0]", "slice1.SliceType.Origin = [0.0, 0.0, -0.246]"},
+		}},
+		{"slice", [][2]string{
+			{"slice1.SliceType.Origin = [0.0, 0.0, 0.0]", "slice1.SliceType.Origin = [0.206, 0.0, 0.0]"},
+			{"contour1.Isosurfaces = [0.5]", "contour1.Isosurfaces = [0.41]"},
+		}},
+	} {
+		t.Run(tc.scenario, func(t *testing.T) {
+			c := testConfig(t)
+			if err := EnsureData(c.DataDir, c.DataSize); err != nil {
+				t.Fatal(err)
+			}
+			scn, _ := ScenarioByID(tc.scenario)
+			script := scn.GroundTruthScript(c.Width, c.Height)
+			for _, e := range tc.edits {
+				if !strings.Contains(script, e[0]) {
+					t.Fatalf("ground truth lacks %q", e[0])
+				}
+				script = strings.Replace(script, e[0], e[1], 1)
+			}
+			res := (&pvpython.Runner{DataDir: c.DataDir, OutDir: c.OutDir}).Exec(script)
+			if !res.OK() || len(res.Screenshots) == 0 {
+				t.Fatalf("script failed:\n%s", res.Output)
+			}
+			img := res.Engine.Rendered[res.Screenshots[0]]
+			if img == nil {
+				t.Fatal("no rendered screenshot")
+			}
+			bg := img.RGBAAt(0, 0)
+			for i := 0; i < len(img.Pix); i += 4 {
+				if img.Pix[i] != bg.R || img.Pix[i+1] != bg.G || img.Pix[i+2] != bg.B {
+					return
+				}
+			}
+			t.Fatal("plane rendered blank: every pixel is background")
+		})
 	}
 }

@@ -165,7 +165,20 @@ var (
 	threshEditRe = regexp.MustCompile(`(?i)(?:change|set)\s+the\s+threshold\s+(?:range\s+)?to\s+(?:between\s+)?` + numPat + `\s+and\s+` + numPat)
 	saveAsRe     = regexp.MustCompile(`(?i)save\s+(?:the\s+)?screenshot\s+(?:[\w\s]{0,24}?)?(?:as|to|in)\s+(?:the\s+filename\s+)?['"]?([\w\-.]+?\.png)['"]?`)
 	surfaceRe    = regexp.MustCompile(`(?i)(?:render|show|display)\s+(?:the\s+)?[\w\s]*?as\s+a?\s*surface`)
+	classWordRe  = regexp.MustCompile(`(?i)\b` + classWordPat + `\b`)
 )
+
+// neutralizeColorObjects rewrites the class words inside colour phrases
+// ("Color the contour red", "color the slice by the var0 array"): there
+// they name what to paint, not a filter to add or set.
+func neutralizeColorObjects(text string) string {
+	for _, re := range []*regexp.Regexp{solidRe, colorRe} {
+		text = re.ReplaceAllStringFunc(text, func(phrase string) string {
+			return classWordRe.ReplaceAllString(phrase, "result")
+		})
+	}
+	return text
+}
 
 // pastParticipleClass maps "clipped"-style references to the class named.
 var pastParticipleClass = map[string]string{
@@ -246,7 +259,7 @@ func ParseEditIntent(text string) EditIntent {
 	// The one-shot grammar covers ordinary "slice the data in a plane…"
 	// phrasings; everything it extracts that is not suppressed becomes an
 	// add-or-set edit.
-	spec := ParseIntent(sanitized)
+	spec := ParseIntent(neutralizeColorObjects(sanitized))
 	for _, op := range spec.Ops {
 		if op.Kind == OpRead {
 			continue

@@ -256,3 +256,22 @@ func TestRepairPlanDocDropsOffendingProps(t *testing.T) {
 }
 
 func mustScript(p *plan.Plan) string { return p.Script() }
+
+// TestParseEditIntentColorPhraseNamesNoFilter: a class word inside a
+// colour phrase names what to paint; it must not add or set a filter.
+func TestParseEditIntentColorPhraseNamesNoFilter(t *testing.T) {
+	for _, tc := range []struct {
+		utterance string
+		want      PlanEdit
+	}{
+		{"Color the contour red.", PlanEdit{Kind: EditSolidColor, Str: "red"}},
+		{"Color the isosurface blue.", PlanEdit{Kind: EditSolidColor, Str: "blue"}},
+		{"Color the slice by the var0 data array.", PlanEdit{Kind: EditColorBy, Array: "var0"}},
+	} {
+		in := ParseEditIntent(tc.utterance)
+		if len(in.Edits) != 1 || in.Edits[0].Kind != tc.want.Kind ||
+			in.Edits[0].Str != tc.want.Str || in.Edits[0].Array != tc.want.Array {
+			t.Errorf("%q: edits = %+v, want only %+v", tc.utterance, in.Edits, tc.want)
+		}
+	}
+}

@@ -178,6 +178,12 @@ func (c *Camera) clippingRange(b vmath.AABB) (near, far float64) {
 		far = math.Max(far, d)
 	}
 	pad := (far - near) * 0.05
+	if scale := math.Max(b.Diagonal(), math.Abs(far)); far-near <= 1e-9*scale {
+		// A plane seen face-on has no depth extent, so the pad above is
+		// none and rounding decides whether the whole plane falls outside
+		// [near, far]. Pad such scenes by a sliver of their size instead.
+		pad = 1e-3 * scale
+	}
 	near -= pad
 	far += pad
 	minNear := far * 1e-4

@@ -2,6 +2,7 @@ package render
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"chatvis/internal/data"
@@ -421,4 +422,32 @@ func TestFramebufferPrimitives(t *testing.T) {
 	fb.set(-1, -1, 0, White)
 	fb.set(100, 100, 0, White)
 	fb.blend(-5, 2, 0, White, 0.5)
+}
+
+// TestRenderFaceOnPlaneNotClipped: a planar quad seen face-on has no
+// depth extent; the clipping range must still enclose it, whatever its
+// offset along the view axis.
+func TestRenderFaceOnPlaneNotClipped(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 500; i++ {
+		z := rng.Float64()*2 - 1
+		x0, x1 := -0.1-rng.Float64(), 0.1+rng.Float64()
+		y0, y1 := -0.1-rng.Float64(), 0.1+rng.Float64()
+		pd := data.NewPolyData()
+		pd.AddPoint(vmath.V(x0, y0, z))
+		pd.AddPoint(vmath.V(x1, y0, z))
+		pd.AddPoint(vmath.V(x1, y1, z))
+		pd.AddPoint(vmath.V(x0, y1, z))
+		pd.AddTriangle(0, 1, 2)
+		pd.AddTriangle(0, 2, 3)
+		r := NewRenderer()
+		r.Background = White
+		r.AddActor(NewActor(pd)).SolidColor = Red
+		dir := float64(1 - 2*(i%2)) // alternate +z and -z
+		r.Camera.LookFrom(vmath.V(0, 0, dir), vmath.V(0, 1, 0), r.VisibleBounds())
+		if n := countColored(r.RenderFB(64, 48), White); n == 0 {
+			t.Fatalf("face-on quad at z=%v, x=[%v,%v], y=[%v,%v], view %+v rendered blank",
+				z, x0, x1, y0, y1, dir)
+		}
+	}
 }

@@ -486,14 +486,9 @@ func TestClusterSessionTurnForwarding(t *testing.T) {
 		factory := NewSessionFactory(PipelineConfig{DataDir: t.TempDir(), OutDir: t.TempDir()})
 		store := node.q.store
 		cl := node.cl
-		sessions := NewSessions(store, factory).WithOwnership(func(id string) bool {
+		sessions := NewSessions(node.q, factory).WithOwnership(func(id string) bool {
 			owner, ok := cl.Owner(id)
 			return ok && cl.IsSelf(owner)
-		})
-		t.Cleanup(func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			_ = sessions.Shutdown(ctx)
 		})
 		srv := NewServer(node.q, store, &llm.Metrics{}).WithCluster(cl).WithSessions(sessions)
 		node.srv.Config.Handler = srv.Handler()

@@ -1,24 +1,31 @@
-// Package service is the chatvisd serving subsystem: an asynchronous
-// job queue running ChatVis pipelines on a worker pool, request
-// coalescing keyed by a content hash of the full pipeline input, and a
-// content-addressed artifact store holding generated scripts,
-// screenshots and session traces.
+// Package service is the chatvisd serving subsystem: one job queue
+// running ChatVis pipelines for jobs and conversational session turns on
+// a worker pool, request coalescing keyed by a content hash of the full
+// pipeline input, and a content-addressed artifact store holding
+// generated scripts, screenshots and session traces.
 //
 // The flow:
 //
-//	POST /v1/jobs ── Key(req) ──┬─ store hit ────────→ finished Job
-//	                            ├─ in-flight match ──→ shared Job (singleflight)
-//	                            └─ miss ──→ Queue ──→ worker ──→ pipeline
-//	                                                     │
+//	POST /v1/jobs ─── Key(req) ────┬─ store hit ───────→ finished Job
+//	                               ├─ in-flight match ─→ shared Job (singleflight)
+//	                               └─ miss ────────────┐
+//	POST /v1/sessions/{id}/turns                       │
+//	  └─ TurnKey ─┬─ match ───→ shared turn            │
+//	              └─ new ──────────────────────────────┤
+//	                                                   ▼
+//	             Queue (backlog bound, WAL, drain) ──→ worker ──→ pipeline
+//	                                                                 │
 //	                                    Store ←── script/screens/trace
 //
 // so N identical concurrent submissions share one pipeline execution,
-// and repeat submissions are served from the store without touching an
-// LLM at all.
+// repeat submissions are served from the store without touching an LLM
+// at all, and a turn runs on the same queue as a job: a job is a fresh
+// one-turn session, a turn the next turn of its session. Turns of one
+// session run in submission order; one waiting behind its predecessor
+// holds no worker.
 package service
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -30,7 +37,6 @@ import (
 
 	"chatvis/internal/chatvis"
 	"chatvis/internal/llm"
-	"chatvis/internal/obs"
 	"chatvis/internal/plan"
 	"chatvis/internal/pvsim"
 )
@@ -170,12 +176,10 @@ type Job struct {
 	// the submitter was untraced, e.g. WAL replay).
 	TraceID string
 
-	// traceCtx carries the submitter's observability state (tracer +
-	// span identity) with no cancellation, so worker spans land in the
-	// originating request's trace after the HTTP handler returns.
-	traceCtx context.Context
-	// waitSpan times queue wait: started at enqueue, ended at pickup.
-	waitSpan *obs.Span
+	// admission carries the submitter's trace, so worker spans land in
+	// the originating request's trace after the HTTP handler returns, and
+	// the queue.wait span.
+	admission
 
 	mu       sync.Mutex
 	status   JobStatus

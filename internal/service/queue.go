@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -22,10 +23,11 @@ type PipelineFunc func(ctx context.Context, req JobRequest, jobID string) (*chat
 
 // QueueOptions configures a Queue.
 type QueueOptions struct {
-	// Workers is the pipeline concurrency (default 2).
+	// Workers is the pipeline concurrency, shared by jobs and session
+	// turns (default 2).
 	Workers int
-	// Capacity bounds the backlog of queued jobs; Submit returns
-	// ErrQueueFull beyond it (default 256).
+	// Capacity bounds the backlog of queued jobs and turns; submissions
+	// beyond it get ErrQueueFull (default 256).
 	Capacity int
 	// Pipeline executes jobs (required).
 	Pipeline PipelineFunc
@@ -75,13 +77,20 @@ const (
 	SubmissionStoreHit Submission = "store"
 )
 
-// Queue runs ChatVis pipelines asynchronously on a worker pool with
-// request coalescing: identical concurrent submissions (same content
-// key) share one execution, and keys already in the store never execute
-// at all. Shutdown drains in-flight work before returning.
+// Queue is the daemon's one executor. Jobs (each a fresh one-turn
+// ChatVis session) and conversational session turns run on one worker
+// pool, under one backlog bound, one WAL and one drain. Identical
+// concurrent job submissions (same content key) share one execution,
+// and keys already in the store never execute at all. Turns of one
+// session run one at a time, in submission order; a turn waiting behind
+// its predecessor holds no worker. Shutdown drains in-flight work before
+// returning.
 type Queue struct {
 	opts  QueueOptions
 	store *Store
+	// sessions is the registry built over this queue (NewSessions); the
+	// WAL replay routes turn records back through it.
+	sessions *Sessions
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -93,8 +102,13 @@ type Queue struct {
 	order  []string        // job IDs in submission order, for listing
 	seq    int64
 
-	work chan *Job
-	wg   sync.WaitGroup
+	// work carries jobs and sessions with pending turns to the workers;
+	// backlog counts the accepted jobs and turns not yet picked up. Every
+	// item on work stands for at least one unit of backlog, and backlog
+	// only grows under mu up to Capacity, so a send never blocks.
+	work    chan func()
+	backlog atomic.Int64
+	wg      sync.WaitGroup
 
 	m queueMetrics
 }
@@ -198,7 +212,7 @@ func NewQueue(opts QueueOptions) (*Queue, error) {
 		baseCancel: cancel,
 		jobs:       map[string]*Job{},
 		byKey:      map[string]*Job{},
-		work:       make(chan *Job, opts.Capacity),
+		work:       make(chan func(), opts.Capacity),
 	}
 	for i := 0; i < opts.Workers; i++ {
 		q.wg.Add(1)
@@ -262,41 +276,76 @@ func (q *Queue) SubmitCtx(ctx context.Context, req JobRequest) (*Job, Submission
 	}
 
 	job := q.newJobLocked(key, req)
-	// Capture the submitter's trace (without its cancellation) and start
-	// the queue-wait span: it ends when a worker picks the job up.
-	job.traceCtx = obs.Detach(ctx)
 	job.TraceID = obs.TraceID(ctx)
-	_, job.waitSpan = obs.Start(job.traceCtx, "queue.wait")
-	job.waitSpan.SetAttr("job_id", job.ID)
-	// Durability before enqueue: once the WAL has the accepted record a
-	// crash cannot lose the work, so only now may the client see an ack.
+	err := q.admitLocked(ctx, &job.admission, cluster.KindJob, "", job.ID, key, req, func() { q.run(job) })
+	if err != nil {
+		q.unregisterLocked(job)
+		return nil, "", err
+	}
+	return job, SubmissionNew, nil
+}
+
+// admission is what the queue keeps of an accepted job or turn until a
+// worker picks it up: the submitter's trace, detached from its
+// cancellation so the run outlives the request, and the queue.wait span.
+type admission struct {
+	traceCtx context.Context
+	waitSpan *obs.Span
+}
+
+// admitLocked is the one admission path of jobs and turns. It checks
+// that the queue is open and has room, makes the accepted record durable
+// before the client can hear an ack, fills adm (opening the queue.wait
+// span) and puts run on the work channel (a turn queued behind its
+// session's running turn passes nil: the session's worker picks it up).
+// Callers hold q.mu.
+func (q *Queue) admitLocked(ctx context.Context, adm *admission, kind cluster.RecordKind, session, id, key string, req any, run func()) error {
+	if q.closed {
+		return ErrQueueClosed
+	}
+	if q.backlog.Load() >= int64(q.opts.Capacity) {
+		return ErrQueueFull
+	}
 	if w := q.opts.WAL; w != nil {
 		_, wsp := obs.Start(ctx, "wal.append")
-		wsp.SetAttr("kind", "job")
-		err := w.Accepted(cluster.KindJob, "", job.ID, key, req)
+		wsp.SetAttr("kind", string(kind))
+		err := w.Accepted(kind, session, id, key, req)
 		wsp.SetError(err)
 		wsp.End()
 		if err != nil {
-			job.waitSpan.Fail("never enqueued: wal append failed")
-			job.waitSpan.End()
-			q.unregisterLocked(job)
-			return nil, "", fmt.Errorf("service: logging accepted job: %w", err)
+			return fmt.Errorf("service: logging accepted %s: %w", kind, err)
 		}
 	}
-	select {
-	case q.work <- job:
-	default:
-		// Backlog full: unregister the stillborn job and retire its WAL
-		// record so it never replays.
-		job.waitSpan.Fail("queue full")
-		job.waitSpan.End()
-		q.unregisterLocked(job)
-		if w := q.opts.WAL; w != nil {
-			_ = w.Failed(cluster.KindJob, "", job.ID, ErrQueueFull.Error())
-		}
-		return nil, "", ErrQueueFull
+	adm.traceCtx = obs.Detach(ctx)
+	_, adm.waitSpan = obs.Start(adm.traceCtx, "queue.wait")
+	if session == "" {
+		adm.waitSpan.SetAttr("job_id", id)
+	} else {
+		adm.waitSpan.SetAttr("session", session)
+		adm.waitSpan.SetAttr("turn", id)
 	}
-	return job, SubmissionNew, nil
+	q.backlog.Add(1)
+	if run != nil {
+		q.work <- run
+	}
+	return nil
+}
+
+// pickup moves an admitted job or turn from the backlog to a worker.
+func (q *Queue) pickup(adm admission) {
+	q.backlog.Add(-1)
+	adm.waitSpan.End()
+}
+
+// runContext is the context a job or turn runs under: the queue's
+// lifecycle (a forced drain cancels it) carrying the submitter's trace,
+// so the run's spans land in the trace of the request that submitted it.
+func (q *Queue) runContext(traceCtx context.Context) (context.Context, context.CancelFunc) {
+	ctx, cancel := context.WithCancel(q.baseCtx)
+	if traceCtx != nil {
+		ctx = obs.Graft(ctx, traceCtx)
+	}
+	return ctx, cancel
 }
 
 // unregisterLocked removes a just-created job that never entered the
@@ -374,27 +423,24 @@ func (q *Queue) Jobs() []*Job {
 // worker drains the work channel until Shutdown closes it.
 func (q *Queue) worker() {
 	defer q.wg.Done()
-	for job := range q.work {
-		q.run(job)
+	for run := range q.work {
+		run()
 	}
 }
 
-// run executes one job through the pipeline and stores its artifacts.
+// run executes one job: a fresh one-turn session through the pipeline.
 func (q *Queue) run(job *Job) {
-	job.waitSpan.End() // queue wait is over, whatever happens next
+	q.pickup(job.admission)
 	job.mu.Lock()
 	if job.status.Terminal() { // canceled while queued
 		job.mu.Unlock()
 		q.m.canceled.Add(1)
-		q.walTerminal(job.ID, StatusCanceled, false)
+		if w := q.opts.WAL; w != nil {
+			_ = w.Failed(cluster.KindJob, "", job.ID, "canceled by client")
+		}
 		return
 	}
-	ctx, cancel := context.WithCancel(q.baseCtx)
-	if job.traceCtx != nil {
-		// Worker lifecycle context, submitter's trace: spans below land
-		// in the originating request's trace.
-		ctx = obs.Graft(ctx, job.traceCtx)
-	}
+	ctx, cancel := q.runContext(job.traceCtx)
 	job.cancelFn = cancel
 	job.status = StatusRunning
 	job.startedAt = time.Now()
@@ -412,93 +458,105 @@ func (q *Queue) run(job *Job) {
 	if rl := q.opts.RemoteLookup; rl != nil {
 		if res, ok := rl(ctx, job.Key); ok && res != nil {
 			_ = q.store.PutResult(res)
+			execSpan.SetAttr("outcome", "remote-hit")
+			q.m.remoteHits.Add(1)
+			q.m.succeeded.Add(1)
+			q.retire(cluster.KindJob, "", job.ID, StatusSucceeded, "")
 			job.mu.Lock()
 			job.result = res
 			job.finishTerminalLocked(StatusSucceeded, "")
 			job.mu.Unlock()
-			execSpan.SetAttr("outcome", "remote-hit")
-			q.m.remoteHits.Add(1)
-			q.m.succeeded.Add(1)
-			q.walTerminal(job.ID, StatusSucceeded, false)
 			return
 		}
 	}
 
-	if w := q.opts.WAL; w != nil {
-		_ = w.Started(cluster.KindJob, "", job.ID)
-	}
 	q.m.running.Add(1)
 	q.m.executed.Add(1)
-	start := time.Now()
-	art, err := q.opts.Pipeline(ctx, job.Req, job.ID)
-	q.recordLatency(time.Since(start), obs.TraceID(ctx))
+	res := &Result{Key: job.Key, Model: job.Req.Model, TraceID: job.TraceID}
+	err := q.execute(ctx, cluster.KindJob, "", job.ID, res, func(ctx context.Context) (*chatvis.Artifact, error) {
+		return q.opts.Pipeline(ctx, job.Req, job.ID)
+	})
 	q.m.running.Add(-1)
-
-	if err != nil {
-		execSpan.SetError(err)
-		job.mu.Lock()
-		if ctx.Err() != nil {
-			job.finishTerminalLocked(StatusCanceled, err.Error())
-			job.mu.Unlock()
-			q.m.canceled.Add(1)
-			// A shutdown cancellation keeps the WAL entry pending so the
-			// accepted work replays after restart; a client withdrawing
-			// retires it.
-			q.walTerminal(job.ID, StatusCanceled, q.baseCtx.Err() != nil)
-			return
-		}
-		job.finishTerminalLocked(StatusFailed, err.Error())
-		job.mu.Unlock()
-		q.m.failed.Add(1)
-		q.walTerminal(job.ID, StatusFailed, false)
-		return
-	}
-
-	_, storeSpan := obs.Start(ctx, "store.write")
-	res, err := q.storeArtifact(job, art)
-	storeSpan.SetError(err)
-	storeSpan.End()
-	job.mu.Lock()
-	if err != nil {
-		execSpan.SetError(err)
-		job.finishTerminalLocked(StatusFailed, err.Error())
-		job.mu.Unlock()
-		q.m.failed.Add(1)
-		q.walTerminal(job.ID, StatusFailed, false)
-		return
-	}
-	job.result = res
-	job.finishTerminalLocked(StatusSucceeded, "")
-	job.mu.Unlock()
-	q.m.succeeded.Add(1)
-	q.walTerminal(job.ID, StatusSucceeded, false)
-}
-
-// walTerminal retires a job's WAL entry. shutdownCancel keeps the entry
-// pending instead: work canceled by a daemon shutdown was accepted but
-// never delivered, and MUST replay when the node comes back.
-func (q *Queue) walTerminal(jobID string, status JobStatus, shutdownCancel bool) {
-	w := q.opts.WAL
-	if w == nil || shutdownCancel {
-		return
-	}
+	execSpan.SetError(err)
+	status, errMsg := q.outcome(ctx, err)
 	switch status {
 	case StatusSucceeded:
-		_ = w.Completed(cluster.KindJob, "", jobID)
+		q.m.succeeded.Add(1)
 	case StatusFailed:
-		_ = w.Failed(cluster.KindJob, "", jobID, "pipeline failed")
+		q.m.failed.Add(1)
 	case StatusCanceled:
-		_ = w.Failed(cluster.KindJob, "", jobID, "canceled by client")
+		q.m.canceled.Add(1)
+	}
+	q.retire(cluster.KindJob, "", job.ID, status, errMsg)
+	job.mu.Lock()
+	if status == StatusSucceeded {
+		job.result = res
+	}
+	job.finishTerminalLocked(status, errMsg)
+	job.mu.Unlock()
+}
+
+// execute is the one execution path of jobs and turns: it marks the WAL
+// record started, runs the pipeline, records the run in the
+// chatvis_job_duration_seconds histogram and stores the artifact,
+// filling res with its hashes.
+func (q *Queue) execute(ctx context.Context, kind cluster.RecordKind, session, id string, res *Result, run func(context.Context) (*chatvis.Artifact, error)) error {
+	if err := ctx.Err(); err != nil {
+		return err // a forced drain reached the run before it started
+	}
+	if w := q.opts.WAL; w != nil {
+		_ = w.Started(kind, session, id)
+	}
+	start := time.Now()
+	art, err := run(ctx)
+	q.recordLatency(time.Since(start), obs.TraceID(ctx))
+	if err != nil {
+		return err
+	}
+	return q.storeArtifact(ctx, art, res)
+}
+
+// outcome classifies how a run ended: an error under a canceled context
+// is a cancellation (client withdrawal or forced drain), any other error
+// a failure.
+func (q *Queue) outcome(ctx context.Context, err error) (JobStatus, string) {
+	switch {
+	case err == nil:
+		return StatusSucceeded, ""
+	case ctx.Err() != nil:
+		return StatusCanceled, err.Error()
+	default:
+		return StatusFailed, err.Error()
+	}
+}
+
+// retire writes a finished run's terminal WAL record; callers retire
+// before they publish the terminal status. A run canceled by a forced
+// drain keeps its entry pending instead: the work was accepted but never
+// delivered, and MUST replay when the node comes back.
+func (q *Queue) retire(kind cluster.RecordKind, session, id string, status JobStatus, errMsg string) {
+	w := q.opts.WAL
+	if w == nil {
+		return
+	}
+	switch {
+	case status == StatusSucceeded:
+		_ = w.Completed(kind, session, id)
+	case status == StatusFailed || q.baseCtx.Err() == nil:
+		_ = w.Failed(kind, session, id, errMsg)
 	}
 }
 
 // ReplayWAL re-submits the unfinished work a crash left in the WAL:
-// every recovered job record becomes a fresh submission (new job ID,
-// same request), and the recovered record is retired as superseded.
-// Completed entries were already dropped by the WAL replay, so nothing
-// is executed twice; if the process dies between the re-submission and
-// the retirement, the next replay's duplicate coalesces by key. Returns
-// how many jobs were re-queued.
+// every recovered job or turn record becomes a fresh submission (new ID,
+// same request) and the recovered record is retired as superseded. Turn
+// records go back through their session, rehydrated from the store if
+// needed; call after Sessions.Restore. Completed entries were already
+// dropped by the WAL replay, so nothing is executed twice; if the process
+// dies between the re-submission and the retirement, the next replay's
+// duplicate coalesces by key. Records that cannot run again (unreadable,
+// or their session is gone) are failed terminally so they stop
+// replaying. Returns how many jobs and turns were re-queued.
 func (q *Queue) ReplayWAL() int {
 	w := q.opts.WAL
 	if w == nil {
@@ -506,23 +564,51 @@ func (q *Queue) ReplayWAL() int {
 	}
 	n := 0
 	for _, rec := range w.Recovered() {
-		if rec.Kind != cluster.KindJob {
-			continue
-		}
-		var req JobRequest
-		if err := json.Unmarshal(rec.Request, &req); err != nil || req.Validate() != nil {
-			_ = w.Failed(rec.Kind, rec.Session, rec.ID, "unreplayable record")
-			continue
-		}
-		job, _, err := q.Submit(req)
-		if err != nil {
-			continue // queue full/closed: leave the record for next boot
-		}
-		_ = w.Superseded(rec, job.ID)
-		n++
+		id, err := q.resubmit(rec)
+		var lost errUnreplayable
+		switch {
+		case errors.As(err, &lost):
+			_ = w.Failed(rec.Kind, rec.Session, rec.ID, string(lost))
+		case err == nil:
+			_ = w.Superseded(rec, id)
+			n++
+		} // queue full or closed, or no session registry: leave the record for the next boot
 	}
 	q.m.replayed.Add(int64(n))
 	return n
+}
+
+// errUnreplayable marks a recovered WAL record that can never run again.
+type errUnreplayable string
+
+func (e errUnreplayable) Error() string { return string(e) }
+
+// resubmit submits one recovered record afresh and returns its new ID.
+func (q *Queue) resubmit(rec cluster.Record) (string, error) {
+	if rec.Kind == cluster.KindJob {
+		var req JobRequest
+		if err := json.Unmarshal(rec.Request, &req); err != nil || req.Validate() != nil {
+			return "", errUnreplayable("unreplayable record")
+		}
+		job, _, err := q.Submit(req)
+		if err != nil {
+			return "", err
+		}
+		return job.ID, nil
+	}
+	if q.sessions == nil {
+		return "", fmt.Errorf("service: no session registry to replay turn %s", rec.ID)
+	}
+	var req TurnRequest
+	if err := json.Unmarshal(rec.Request, &req); err != nil || req.Validate() != nil {
+		return "", errUnreplayable("unreplayable record")
+	}
+	s, ok := q.sessions.GetOrRestore(rec.Session)
+	if !ok {
+		return "", errUnreplayable("session record lost")
+	}
+	view, _, err := s.SubmitTurn(req)
+	return view.ID, err
 }
 
 // InFlight returns the live (queued or running) job for a key, if any —
@@ -537,55 +623,54 @@ func (q *Queue) InFlight(key string) (*Job, bool) {
 	return job, true
 }
 
-// storeArtifact persists a finished session into the content-addressed
-// store and builds the job's Result.
-func (q *Queue) storeArtifact(job *Job, art *chatvis.Artifact) (*Result, error) {
-	scriptHash, err := q.store.Put([]byte(art.FinalScript), "text/x-python")
-	if err != nil {
-		return nil, err
+// storeArtifact is the one writer of artifact objects, shared by jobs and
+// turns: under a store.write span it puts the run's script, screenshots
+// and serialized artifact into the content-addressed store and fills
+// their hashes, with the run's outcome and trace, into res. A job's
+// result carries its key and is then indexed under it, plan inlined, so
+// repeat submissions are answered from the store; a turn copies the
+// hashes into its TurnView instead.
+func (q *Queue) storeArtifact(ctx context.Context, art *chatvis.Artifact, res *Result) (err error) {
+	_, span := obs.Start(ctx, "store.write")
+	defer func() {
+		span.SetError(err)
+		span.End()
+	}()
+	if res.ScriptHash, err = q.store.Put([]byte(art.FinalScript), "text/x-python"); err != nil {
+		return err
 	}
-	var shots []string
 	for _, path := range art.Screenshots {
 		png, err := os.ReadFile(path)
 		if err != nil {
-			return nil, fmt.Errorf("service: reading screenshot %s: %w", path, err)
+			return fmt.Errorf("service: reading screenshot %s: %w", path, err)
 		}
 		h, err := q.store.Put(png, "image/png")
 		if err != nil {
-			return nil, err
+			return err
 		}
-		shots = append(shots, h)
+		res.ScreenshotHashes = append(res.ScreenshotHashes, h)
 	}
 	encoded, err := chatvis.EncodeArtifact(art)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	artHash, err := q.store.Put(encoded, "application/json")
-	if err != nil {
-		return nil, err
+	if res.ArtifactHash, err = q.store.Put(encoded, "application/json"); err != nil {
+		return err
 	}
-	res := &Result{
-		Key:              job.Key,
-		TraceID:          job.TraceID,
-		Model:            job.Req.Model,
-		Success:          art.Success,
-		Iterations:       art.NumIterations(),
-		ScriptHash:       scriptHash,
-		ScreenshotHashes: shots,
-		ArtifactHash:     artHash,
-		PlanHash:         art.PlanHash(),
-		Trace:            art.Trace,
-		CreatedAt:        time.Now(),
+	res.Success = art.Success
+	res.Iterations = art.NumIterations()
+	res.PlanHash = art.PlanHash()
+	res.Trace = art.Trace
+	res.CreatedAt = time.Now()
+	if res.Key == "" {
+		return nil
 	}
 	if art.Plan != nil {
 		if blob, err := art.Plan.Encode(); err == nil {
 			res.Plan = blob
 		}
 	}
-	if err := q.store.PutResult(res); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return q.store.PutResult(res)
 }
 
 // recordLatency updates the duration histogram and, when the job was
@@ -609,9 +694,6 @@ func (q *Queue) recordLatency(d time.Duration, traceID string) {
 	}
 }
 
-// Depth is the current backlog (queued, not yet picked up).
-func (q *Queue) Depth() int { return len(q.work) }
-
 // Snapshot returns the queue counters.
 func (q *Queue) Snapshot() QueueSnapshot {
 	s := QueueSnapshot{
@@ -623,7 +705,7 @@ func (q *Queue) Snapshot() QueueSnapshot {
 		Failed:       q.m.failed.Load(),
 		Canceled:     q.m.canceled.Load(),
 		Running:      q.m.running.Load(),
-		Depth:        int64(len(q.work)),
+		Depth:        q.backlog.Load(),
 		RemoteHits:   q.m.remoteHits.Load(),
 		Replayed:     q.m.replayed.Load(),
 		LatencyTotal: time.Duration(q.m.latencyNanos.Load()),
@@ -641,9 +723,9 @@ func (q *Queue) Snapshot() QueueSnapshot {
 }
 
 // Shutdown stops accepting submissions and drains the queue: workers
-// finish queued and in-flight jobs. If ctx expires first, in-flight
-// pipelines are canceled and Shutdown returns ctx.Err after they
-// unwind.
+// finish queued and in-flight jobs and session turns. If ctx expires
+// first, in-flight pipelines are canceled, the rest are canceled without
+// running, and Shutdown returns ctx.Err after they unwind.
 func (q *Queue) Shutdown(ctx context.Context) error {
 	q.mu.Lock()
 	if q.closed {

@@ -191,6 +191,16 @@ func writeError(w http.ResponseWriter, r *http.Request, code int, format string,
 	})
 }
 
+// writeSubmitError answers a rejected job or turn submission: 503 while
+// the queue is full or draining, 400 for anything else.
+func writeSubmitError(w http.ResponseWriter, r *http.Request, err error) {
+	code := http.StatusBadRequest
+	if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrQueueClosed) {
+		code = http.StatusServiceUnavailable
+	}
+	writeError(w, r, code, "%v", err)
+}
+
 // submitResponse is the POST /v1/jobs body: the job view plus how the
 // submission was satisfied.
 type submitResponse struct {
@@ -242,18 +252,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	job, outcome, err := s.queue.SubmitCtx(r.Context(), req)
-	switch {
-	case errors.Is(err, ErrQueueFull):
+	if err != nil {
 		release()
-		writeError(w, r, http.StatusServiceUnavailable, "%v", err)
-		return
-	case errors.Is(err, ErrQueueClosed):
-		release()
-		writeError(w, r, http.StatusServiceUnavailable, "%v", err)
-		return
-	case err != nil:
-		release()
-		writeError(w, r, http.StatusBadRequest, "%v", err)
+		writeSubmitError(w, r, err)
 		return
 	}
 	if outcome == SubmissionNew {
@@ -415,14 +416,9 @@ func (s *Server) handleSubmitTurn(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	view, outcome, err := sess.SubmitTurnCtx(r.Context(), req)
-	switch {
-	case errors.Is(err, ErrQueueClosed):
+	if err != nil {
 		release()
-		writeError(w, r, http.StatusServiceUnavailable, "%v", err)
-		return
-	case err != nil:
-		release()
-		writeError(w, r, http.StatusBadRequest, "%v", err)
+		writeSubmitError(w, r, err)
 		return
 	}
 	if done, found := sess.TurnDone(view.ID); outcome == SubmissionNew && found {
@@ -626,8 +622,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	emit("chatvis_jobs_succeeded_total", "Jobs that finished successfully.", q.Succeeded)
 	emit("chatvis_jobs_failed_total", "Jobs that failed.", q.Failed)
 	emit("chatvis_jobs_canceled_total", "Jobs canceled before or during execution.", q.Canceled)
-	emit("chatvis_queue_depth", "Jobs queued and not yet picked up.", q.Depth)
-	emit("chatvis_jobs_running", "Pipelines executing right now.", q.Running)
+	emit("chatvis_queue_depth", "Jobs and session turns queued and not yet picked up.", q.Depth)
+	emit("chatvis_jobs_running", "Jobs (not session turns) executing right now.", q.Running)
 
 	// Job duration histogram (Prometheus cumulative buckets). Under the
 	// OpenMetrics exposition each bucket carries an exemplar linking it
@@ -640,7 +636,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		ex := q.BucketExemplars[i]
 		return fmt.Sprintf(" # {trace_id=\"%s\"} %g", ex.TraceID, ex.Value)
 	}
-	fmt.Fprintf(&b, "# HELP chatvis_job_duration_seconds Pipeline execution latency.\n")
+	fmt.Fprintf(&b, "# HELP chatvis_job_duration_seconds Pipeline execution latency of jobs and session turns.\n")
 	fmt.Fprintf(&b, "# TYPE chatvis_job_duration_seconds histogram\n")
 	var cum int64
 	for i, ub := range latencyBuckets {
@@ -673,11 +669,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		emit("chatvis_cluster_remote_coalesce_hits_total", "Executions avoided via a peer's stored or in-flight result.", q.RemoteHits)
 	}
 	if s.wal != nil {
-		replayed := q.Replayed
-		if s.sessions != nil {
-			replayed += s.sessions.Snapshot().Replayed
-		}
-		emit("chatvis_wal_replayed_total", "Jobs and turns re-submitted from the WAL after a restart.", replayed)
+		emit("chatvis_wal_replayed_total", "Jobs and session turns re-submitted by the queue's one WAL replay after a restart.", q.Replayed)
 		emit("chatvis_wal_backlog", "WAL entries accepted but not yet finished.", s.wal.Backlog())
 	}
 	if s.quotas.Enabled() {

@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -150,10 +149,9 @@ type TurnView struct {
 type turnRec struct {
 	view TurnView
 	done chan struct{}
-	// traceCtx carries the submitter's observability state (no
-	// cancellation); waitSpan times submit→pickup.
-	traceCtx context.Context
-	waitSpan *obs.Span
+	// admission carries the submitter's trace and the queue.wait span,
+	// which runs from submission until the turn starts executing.
+	admission
 }
 
 // SessionRecord is the durable form of a session: what the store
@@ -178,9 +176,10 @@ type SessionView struct {
 	Created  time.Time       `json:"created_at"`
 }
 
-// SvcSession is one tracked conversational session. Turn execution is
-// serialized per session (edits are ordered by nature); submissions of
-// the same (parent plan, intended delta) coalesce onto one turn.
+// SvcSession is one tracked conversational session. Its turns run on the
+// job queue one at a time, in submission order (edits are ordered by
+// nature); submissions of the same (parent plan, intended delta)
+// coalesce onto one turn.
 type SvcSession struct {
 	ID      string
 	Req     SessionRequest
@@ -197,41 +196,30 @@ type SvcSession struct {
 	byKey    map[string]*turnRec
 	seq      int
 	subs     map[chan []byte]struct{}
-
-	execMu sync.Mutex // serializes turn execution
+	// pending holds accepted turns not yet started, oldest first. active
+	// is set while the session is on the queue's work channel or a
+	// worker is running its turns; that worker drains pending.
+	pending []*turnRec
+	active  bool
 }
 
-// Sessions is the conversational-session registry and executor.
+// Sessions is the conversational-session registry. Turns execute on the
+// job queue it is built over.
 type Sessions struct {
-	store   *Store
+	q       *Queue
 	factory SessionFactory
 
-	baseCtx context.Context
-	cancel  context.CancelFunc
-	wg      sync.WaitGroup
-
-	// wal, when set, makes accepted turns durable (crash replay), like
-	// the job queue's WAL.
-	wal *cluster.WAL
 	// ownsID, when set, steers new session IDs onto ones this node owns
 	// on the shard ring, so follow-up turns route straight back here.
 	ownsID func(string) bool
 
 	mu       sync.Mutex
-	closed   bool
 	sessions map[string]*SvcSession
 	order    []string
 	seq      int64
 
 	turnsTotal atomic.Int64
 	sseSubs    atomic.Int64
-	replayed   atomic.Int64
-}
-
-// WithWAL attaches the durable turn log; returns m for chaining.
-func (m *Sessions) WithWAL(w *cluster.WAL) *Sessions {
-	m.wal = w
-	return m
 }
 
 // WithOwnership sets the shard-ring ownership predicate used when
@@ -241,16 +229,17 @@ func (m *Sessions) WithOwnership(owns func(id string) bool) *Sessions {
 	return m
 }
 
-// NewSessions builds the registry over a store and a session factory.
-func NewSessions(store *Store, factory SessionFactory) *Sessions {
-	ctx, cancel := context.WithCancel(context.Background())
-	return &Sessions{
-		store:    store,
+// NewSessions builds the registry over the job queue, which runs the
+// turns, writes their artifacts and WAL records to its store and WAL, and
+// routes replayed turn records back to this registry.
+func NewSessions(q *Queue, factory SessionFactory) *Sessions {
+	m := &Sessions{
+		q:        q,
 		factory:  factory,
-		baseCtx:  ctx,
-		cancel:   cancel,
 		sessions: map[string]*SvcSession{},
 	}
+	q.sessions = m
+	return m
 }
 
 // Restore rehydrates persisted sessions from the store (called once at
@@ -258,10 +247,7 @@ func NewSessions(store *Store, factory SessionFactory) *Sessions {
 // engine) is rebuilt lazily on the next turn, seeded with the persisted
 // plan.
 func (m *Sessions) Restore() int {
-	if m.store == nil {
-		return 0
-	}
-	records := m.store.ListSessionRecords()
+	records := m.q.store.ListSessionRecords()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	restored := 0
@@ -328,10 +314,7 @@ func (m *Sessions) GetOrRestore(id string) (*SvcSession, bool) {
 	if s, ok := m.Get(id); ok {
 		return s, true
 	}
-	if m.store == nil {
-		return nil, false
-	}
-	r, ok := m.store.GetSessionRecord(id)
+	r, ok := m.q.store.GetSessionRecord(id)
 	if !ok {
 		return nil, false
 	}
@@ -345,11 +328,14 @@ func (m *Sessions) GetOrRestore(id string) (*SvcSession, bool) {
 // Create registers a new session.
 func (m *Sessions) Create(req SessionRequest) (*SvcSession, error) {
 	req = req.withDefaults()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
+	m.q.mu.Lock()
+	closed := m.q.closed
+	m.q.mu.Unlock()
+	if closed {
 		return nil, ErrQueueClosed
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.seq++
 	id := fmt.Sprintf("s-%d", m.seq)
 	if m.ownsID != nil && !m.ownsID(id) {
@@ -375,9 +361,7 @@ func (m *Sessions) Create(req SessionRequest) (*SvcSession, error) {
 	}
 	m.sessions[s.ID] = s
 	m.order = append(m.order, s.ID)
-	if m.store != nil {
-		_ = m.store.PutSessionRecord(s.recordLocked())
-	}
+	_ = m.q.store.PutSessionRecord(s.recordLocked())
 	return s, nil
 }
 
@@ -412,8 +396,6 @@ type SessionsSnapshot struct {
 	Turns int64
 	// SSESubscribers counts currently connected event streams.
 	SSESubscribers int64
-	// Replayed counts turns re-submitted from the WAL at daemon start.
-	Replayed int64
 }
 
 // Snapshot returns the current session metrics.
@@ -434,71 +416,7 @@ func (m *Sessions) Snapshot() SessionsSnapshot {
 		Tracked:        tracked,
 		Turns:          m.turnsTotal.Load(),
 		SSESubscribers: m.sseSubs.Load(),
-		Replayed:       m.replayed.Load(),
 	}
-}
-
-// Shutdown stops accepting turns and waits for in-flight ones; when ctx
-// expires first, running turns are canceled through the base context.
-func (m *Sessions) Shutdown(ctx context.Context) error {
-	m.mu.Lock()
-	m.closed = true
-	m.mu.Unlock()
-	done := make(chan struct{})
-	go func() {
-		m.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		if m.wal != nil {
-			_ = m.wal.Sync() // drained: every terminal transition is on disk
-		}
-		return nil
-	case <-ctx.Done():
-		m.cancel()
-		<-done
-		if m.wal != nil {
-			_ = m.wal.Sync()
-		}
-		return ctx.Err()
-	}
-}
-
-// ReplayWAL re-submits the session turns a crash left unfinished. Call
-// after Restore: each recovered turn record is routed back through its
-// session (rehydrated from the store if needed) and retired as
-// superseded once the fresh submission is durably accepted. Records
-// whose session no longer exists are failed terminally so they stop
-// replaying.
-func (m *Sessions) ReplayWAL() int {
-	if m.wal == nil {
-		return 0
-	}
-	n := 0
-	for _, rec := range m.wal.Recovered() {
-		if rec.Kind != cluster.KindTurn {
-			continue
-		}
-		var req TurnRequest
-		if err := json.Unmarshal(rec.Request, &req); err != nil || req.Validate() != nil {
-			_ = m.wal.Failed(cluster.KindTurn, rec.Session, rec.ID, "unreadable wal request")
-			continue
-		}
-		s, ok := m.GetOrRestore(rec.Session)
-		if !ok {
-			_ = m.wal.Failed(cluster.KindTurn, rec.Session, rec.ID, "session record lost")
-			continue
-		}
-		view, _, err := s.SubmitTurn(req)
-		if err != nil {
-			continue // closed registry or WAL failure: leave pending
-		}
-		_ = m.wal.Superseded(rec, view.ID)
-		n++
-	}
-	m.replayed.Add(int64(n))
-	return n
 }
 
 // SubmitTurn registers a turn with no caller context (WAL replay,
@@ -509,76 +427,50 @@ func (s *SvcSession) SubmitTurn(req TurnRequest) (TurnView, Submission, error) {
 
 // SubmitTurnCtx registers a turn: identical in-meaning submissions
 // against the same parent plan coalesce onto the existing turn;
-// otherwise the turn queues behind the session's in-flight work. The
-// context's trace identity is captured on the turn (its cancellation is
-// not — an accepted turn outlives the request).
+// otherwise the turn is admitted to the job queue, behind the session's
+// in-flight turns. The context's trace identity is captured on the turn
+// (its cancellation is not — an accepted turn outlives the request).
 func (s *SvcSession) SubmitTurnCtx(ctx context.Context, req TurnRequest) (TurnView, Submission, error) {
 	if err := req.Validate(); err != nil {
 		return TurnView{}, "", err
 	}
-	// The closed check, turn registration and wg.Add must be one atomic
-	// step under m.mu (lock order m.mu → s.mu, matching Snapshot):
-	// otherwise a turn accepted between Shutdown's closed=true and its
-	// wg.Wait would be silently killed by daemon exit.
-	s.m.mu.Lock()
-	if s.m.closed {
-		s.m.mu.Unlock()
-		return TurnView{}, "", ErrQueueClosed
-	}
-
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	key := TurnKey(s.planHash, req.Prompt)
 	if tr, ok := s.byKey[key]; ok {
 		tr.view.Coalesced++
-		view := tr.view
-		s.mu.Unlock()
-		s.m.mu.Unlock()
-		return view, SubmissionCoalesced, nil
+		return tr.view, SubmissionCoalesced, nil
 	}
-	s.seq++
 	tr := &turnRec{
 		view: TurnView{
-			ID:      fmt.Sprintf("turn-%d", s.seq),
-			Index:   s.seq,
+			ID:      fmt.Sprintf("turn-%d", s.seq+1),
+			Index:   s.seq + 1,
 			Key:     key,
 			Prompt:  req.Prompt,
 			TraceID: obs.TraceID(ctx),
 			Status:  StatusQueued, Submitted: time.Now(),
 		},
-		done:     make(chan struct{}),
-		traceCtx: obs.Detach(ctx),
+		done: make(chan struct{}),
 	}
-	_, tr.waitSpan = obs.Start(tr.traceCtx, "turn.wait")
-	tr.waitSpan.SetAttr("session", s.ID)
-	tr.waitSpan.SetAttr("turn", tr.view.ID)
+	// An idle session goes onto the work channel; a busy one's worker
+	// picks the new turn up from s.pending when it gets there.
+	var run func()
+	if !s.active {
+		run = s.runTurns
+	}
+	q := s.m.q
+	q.mu.Lock() // lock order: s.mu, then q.mu
+	err := q.admitLocked(ctx, &tr.admission, cluster.KindTurn, s.ID, tr.view.ID, key, req, run)
+	q.mu.Unlock()
+	if err != nil {
+		return TurnView{}, "", err
+	}
+	s.active = true
+	s.seq++
 	s.turns = append(s.turns, tr)
 	s.byKey[key] = tr
-	if w := s.m.wal; w != nil {
-		// Durable before acknowledged, like the job queue: the accepted
-		// record must hit disk before the client hears "queued".
-		_, wsp := obs.Start(ctx, "wal.append")
-		wsp.SetAttr("kind", "turn")
-		err := w.Accepted(cluster.KindTurn, s.ID, tr.view.ID, key, req)
-		wsp.SetError(err)
-		wsp.End()
-		if err != nil {
-			tr.waitSpan.Fail("never started: wal append failed")
-			tr.waitSpan.End()
-			s.turns = s.turns[:len(s.turns)-1]
-			delete(s.byKey, key)
-			s.seq--
-			s.mu.Unlock()
-			s.m.mu.Unlock()
-			return TurnView{}, "", err
-		}
-	}
-	view := tr.view
-	s.m.wg.Add(1)
-	s.mu.Unlock()
-	s.m.mu.Unlock()
-
-	go s.run(tr)
-	return view, SubmissionNew, nil
+	s.pending = append(s.pending, tr)
+	return tr.view, SubmissionNew, nil
 }
 
 // TurnDone returns the completion channel of a turn by id.
@@ -593,158 +485,151 @@ func (s *SvcSession) TurnDone(turnID string) (<-chan struct{}, bool) {
 	return nil, false
 }
 
-// hydrate lazily builds the chatvis session (seeded from the persisted
-// plan after a restart). Callers hold s.mu.
-func (s *SvcSession) hydrateLocked() error {
-	if s.sess != nil {
-		return nil
+// runTurns is a session's work item on the queue: the worker runs the
+// session's pending turns one at a time, in submission order, until none
+// is left, so a turn waiting behind its predecessor holds no worker.
+func (s *SvcSession) runTurns() {
+	for tr := s.nextTurn(); tr != nil; tr = s.nextTurn() {
+		s.runTurn(tr)
 	}
-	var seed *plan.Plan
-	if len(s.seedPlan) > 0 {
-		if p, err := plan.Decode(s.seedPlan); err == nil {
-			seed = p
-		}
-	}
-	sess, err := s.m.factory(s.Req, s.ID, seed, s.broadcastEvent)
-	if err != nil {
-		return err
-	}
-	s.sess = sess
-	return nil
 }
 
-// run executes one turn. Turns of a session serialize on execMu; the
-// daemon-wide WaitGroup covers drain.
-func (s *SvcSession) run(tr *turnRec) {
-	defer s.m.wg.Done()
-	s.execMu.Lock()
-	defer s.execMu.Unlock()
-	tr.waitSpan.End() // per-session serialization wait is over
-
+// nextTurn pops the oldest pending turn, or marks the session idle when
+// none is left.
+func (s *SvcSession) nextTurn() *turnRec {
 	s.mu.Lock()
-	if err := s.hydrateLocked(); err != nil {
-		s.finishLocked(tr, StatusFailed, err.Error())
-		s.mu.Unlock()
-		return
+	defer s.mu.Unlock()
+	if len(s.pending) == 0 {
+		s.active = false
+		return nil
 	}
-	sess := s.sess
+	tr := s.pending[0]
+	s.pending = s.pending[1:]
+	return tr
+}
+
+// runTurn executes one turn on the queue's shared execution path.
+func (s *SvcSession) runTurn(tr *turnRec) {
+	q := s.m.q
+	q.pickup(tr.admission)
+	ctx, cancel := q.runContext(tr.traceCtx)
+	defer cancel()
+	id, prompt := tr.view.ID, tr.view.Prompt // fixed at submission
+	ctx, span := obs.Start(ctx, "job.execute")
+	span.SetAttr("session", s.ID)
+	span.SetAttr("turn", id)
+	defer span.End()
+
+	sess, err := s.start(tr)
+	var turn *chatvis.Turn
+	res := &Result{}
+	if err == nil {
+		err = q.execute(ctx, cluster.KindTurn, s.ID, id, res, func(ctx context.Context) (*chatvis.Artifact, error) {
+			t, err := sess.Turn(ctx, prompt)
+			if err != nil {
+				return nil, err
+			}
+			turn = t
+			return t.Artifact, nil
+		})
+	}
+	span.SetError(err)
+	status, errMsg := q.outcome(ctx, err)
+	s.finish(tr, sess, turn, res, status, errMsg)
+}
+
+// start marks a turn running and returns the session's chatvis session,
+// building it on the first turn (seeded from the persisted plan after a
+// restart). Only the worker running the session's turns touches s.sess
+// outside s.mu, so the factory runs unlocked.
+func (s *SvcSession) start(tr *turnRec) (*chatvis.Session, error) {
+	s.mu.Lock()
+	sess, seedPlan := s.sess, s.seedPlan
+	s.mu.Unlock()
+	if sess == nil {
+		var seed *plan.Plan
+		if len(seedPlan) > 0 {
+			if p, err := plan.Decode(seedPlan); err == nil {
+				seed = p
+			}
+		}
+		var err error
+		if sess, err = s.m.factory(s.Req, s.ID, seed, s.broadcastEvent); err != nil {
+			return nil, err
+		}
+	}
+	s.mu.Lock()
+	s.sess = sess
 	tr.view.Status = StatusRunning
 	now := time.Now()
 	tr.view.Started = &now
 	s.mu.Unlock()
+	return sess, nil
+}
 
-	// Session lifecycle context, submitter's trace: the chatvis session's
-	// LLM/exec spans land in the trace of the request that submitted the
-	// turn, even though it returned 202 long ago.
-	ctx := s.m.baseCtx
-	if tr.traceCtx != nil {
-		ctx = obs.Graft(ctx, tr.traceCtx)
+// finish publishes a turn's outcome. Its artifacts are already stored;
+// the session record and the WAL's terminal record are written next,
+// outside s.mu, and only then does the turn turn terminal for pollers.
+func (s *SvcSession) finish(tr *turnRec, sess *chatvis.Session, turn *chatvis.Turn, res *Result, status JobStatus, errMsg string) {
+	var planHash string
+	var planJSON json.RawMessage
+	if status == StatusSucceeded {
+		planHash = sess.PlanHash()
+		if p := sess.CurrentPlan(); p != nil {
+			planJSON, _ = p.Encode()
+		}
 	}
-	ctx, execSpan := obs.Start(ctx, "turn.execute")
-	execSpan.SetAttr("session", s.ID)
-	execSpan.SetAttr("turn", tr.view.ID)
 
-	if w := s.m.wal; w != nil {
-		_ = w.Started(cluster.KindTurn, s.ID, tr.view.ID)
+	s.mu.Lock()
+	v := tr.view
+	v.Status, v.Error = status, errMsg
+	now := time.Now()
+	v.Finished = &now
+	if turn != nil {
+		art := turn.Artifact
+		v.Success = art.Success
+		v.ParentPlanHash = turn.ParentPlanHash
+		v.PlanHash = art.PlanHash()
+		v.DeltaSummary = turn.DeltaSummary
+		v.ChangedStages = turn.ChangedStages
+		v.ExecutionsDelta = turn.ExecutionsDelta
+		v.Incremental = turn.Incremental
+		v.Iterations = art.NumIterations()
 	}
-	turn, err := sess.Turn(ctx, tr.view.Prompt)
-	execSpan.SetError(err)
-	execSpan.End()
+	if status == StatusSucceeded {
+		v.ScriptHash = res.ScriptHash
+		v.ScreenshotHashes = res.ScreenshotHashes
+		v.ArtifactHash = res.ArtifactHash
+	}
+	rec := s.recordLocked()
+	for i, t := range s.turns {
+		if t == tr {
+			rec.Turns[i] = v
+		}
+	}
+	if status == StatusSucceeded {
+		rec.PlanHash = planHash
+		if planJSON != nil {
+			rec.Plan = planJSON
+		}
+	}
+	s.mu.Unlock()
+
+	_ = s.m.q.store.PutSessionRecord(rec)
+	s.m.q.retire(cluster.KindTurn, s.ID, v.ID, status, errMsg)
+	s.m.turnsTotal.Add(1)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err != nil {
-		status := StatusFailed
-		if s.m.baseCtx.Err() != nil {
-			status = StatusCanceled
-		}
-		s.finishLocked(tr, status, err.Error())
-		return
-	}
-	art := turn.Artifact
-	tr.view.Success = art.Success
-	tr.view.ParentPlanHash = turn.ParentPlanHash
-	tr.view.PlanHash = art.PlanHash()
-	tr.view.DeltaSummary = turn.DeltaSummary
-	tr.view.ChangedStages = turn.ChangedStages
-	tr.view.ExecutionsDelta = turn.ExecutionsDelta
-	tr.view.Incremental = turn.Incremental
-	tr.view.Iterations = art.NumIterations()
-	if s.m.store != nil {
-		if err := s.storeTurnLocked(tr, art); err != nil {
-			s.finishLocked(tr, StatusFailed, err.Error())
-			return
-		}
-	}
-	s.planHash = sess.PlanHash()
-	if p := sess.CurrentPlan(); p != nil {
-		if blob, err := p.Encode(); err == nil {
-			s.planJSON = blob
-		}
-	}
-	s.finishLocked(tr, StatusSucceeded, "")
-}
-
-// storeTurnLocked persists the turn's artifacts into the object store.
-// Callers hold s.mu.
-func (s *SvcSession) storeTurnLocked(tr *turnRec, art *chatvis.Artifact) error {
-	store := s.m.store
-	scriptHash, err := store.Put([]byte(art.FinalScript), "text/x-python")
-	if err != nil {
-		return err
-	}
-	tr.view.ScriptHash = scriptHash
-	for _, path := range art.Screenshots {
-		png, err := os.ReadFile(path)
-		if err != nil {
-			return fmt.Errorf("service: reading screenshot %s: %w", path, err)
-		}
-		h, err := store.Put(png, "image/png")
-		if err != nil {
-			return err
-		}
-		tr.view.ScreenshotHashes = append(tr.view.ScreenshotHashes, h)
-	}
-	encoded, err := chatvis.EncodeArtifact(art)
-	if err != nil {
-		return err
-	}
-	artHash, err := store.Put(encoded, "application/json")
-	if err != nil {
-		return err
-	}
-	tr.view.ArtifactHash = artHash
-	return nil
-}
-
-// finishLocked moves a turn to a terminal state, persists the session
-// record and emits the stored event. Callers hold s.mu.
-func (s *SvcSession) finishLocked(tr *turnRec, status JobStatus, errMsg string) {
-	tr.view.Status = status
-	tr.view.Error = errMsg
-	now := time.Now()
-	tr.view.Finished = &now
+	v.Coalesced = tr.view.Coalesced // submissions may have joined meanwhile
+	tr.view = v
+	s.planHash, s.planJSON = rec.PlanHash, rec.Plan
 	close(tr.done)
-	s.m.turnsTotal.Add(1)
-	if w := s.m.wal; w != nil {
-		switch status {
-		case StatusCanceled:
-			// Shutdown cancellation: the result was never delivered, so
-			// the WAL entry stays pending and replays on the next boot.
-		case StatusFailed:
-			_ = w.Failed(cluster.KindTurn, s.ID, tr.view.ID, errMsg)
-		default:
-			_ = w.Completed(cluster.KindTurn, s.ID, tr.view.ID)
-		}
-	}
-	if s.m.store != nil {
-		_ = s.m.store.PutSessionRecord(s.recordLocked())
-	}
 	s.broadcastLocked(map[string]any{
-		"type": "turn-stored", "turn": tr.view.Index, "status": status,
-		"plan_hash": tr.view.PlanHash, "artifact_hash": tr.view.ArtifactHash,
-		"executions_delta": tr.view.ExecutionsDelta,
-		"trace_id":         tr.view.TraceID,
+		"type": "turn-stored", "turn": v.Index, "status": status,
+		"plan_hash": v.PlanHash, "artifact_hash": v.ArtifactHash,
+		"executions_delta": v.ExecutionsDelta,
+		"trace_id":         v.TraceID,
 	})
 }
 

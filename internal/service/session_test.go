@@ -16,8 +16,8 @@ import (
 
 const sessionIsoPrompt = "Please generate a ParaView Python script for the following operations. Read in the file named ml-100.vtk. Generate an isosurface of the variable var0 at value 0.5. Save a screenshot of the result in the filename iso.png. The rendered view and saved screenshot should be 320 x 180 pixels."
 
-// newTestSessions wires a real store + production session factory
-// against the stub "oracle" profile.
+// newTestSessions wires a real store, a job queue to run the turns and
+// the production session factory against the stub "oracle" profile.
 func newTestSessions(t *testing.T) (*Sessions, *Store) {
 	t.Helper()
 	store, err := NewStore(t.TempDir())
@@ -28,7 +28,7 @@ func newTestSessions(t *testing.T) (*Sessions, *Store) {
 		DataDir: t.TempDir(),
 		OutDir:  t.TempDir(),
 	})
-	return NewSessions(store, factory), store
+	return NewSessions(newTestQueueForSessions(t, store), factory), store
 }
 
 func waitTurn(t *testing.T, s *SvcSession, turnID string) TurnView {
@@ -121,7 +121,7 @@ func TestServiceSessionSurvivesRestart(t *testing.T) {
 	dataDir, outDir := t.TempDir(), t.TempDir()
 	factory := NewSessionFactory(PipelineConfig{DataDir: dataDir, OutDir: outDir})
 
-	m1 := NewSessions(store, factory)
+	m1 := NewSessions(newTestQueueForSessions(t, store), factory)
 	sess, err := m1.Create(SessionRequest{Model: "oracle", Width: 320, Height: 180})
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestServiceSessionSurvivesRestart(t *testing.T) {
 	planHash := sess.View().PlanHash
 
 	// "Restart": a fresh registry over the same store.
-	m2 := NewSessions(store, NewSessionFactory(PipelineConfig{DataDir: dataDir, OutDir: outDir}))
+	m2 := NewSessions(newTestQueueForSessions(t, store), NewSessionFactory(PipelineConfig{DataDir: dataDir, OutDir: outDir}))
 	if restored := m2.Restore(); restored != 1 {
 		t.Fatalf("restored %d sessions, want 1", restored)
 	}
@@ -184,9 +184,7 @@ func TestServiceSessionSurvivesRestart(t *testing.T) {
 // histogram).
 func TestSessionHTTPEndpointsAndMetrics(t *testing.T) {
 	m, store := newTestSessions(t)
-	queue := newTestQueueForSessions(t, store)
-	defer queue.Shutdown(context.Background())
-	srv := httptest.NewServer(NewServer(queue, store, nil).WithSessions(m).Handler())
+	srv := httptest.NewServer(NewServer(m.q, store, nil).WithSessions(m).Handler())
 	defer srv.Close()
 
 	// Create.
@@ -298,9 +296,7 @@ func TestSessionHTTPEndpointsAndMetrics(t *testing.T) {
 // edit turn runs and asserts stage events arrive.
 func TestSessionSSEStreamsEvents(t *testing.T) {
 	m, store := newTestSessions(t)
-	queue := newTestQueueForSessions(t, store)
-	defer queue.Shutdown(context.Background())
-	srv := httptest.NewServer(NewServer(queue, store, nil).WithSessions(m).Handler())
+	srv := httptest.NewServer(NewServer(m.q, store, nil).WithSessions(m).Handler())
 	defer srv.Close()
 
 	sess, err := m.Create(SessionRequest{Model: "oracle", Width: 320, Height: 180})
@@ -380,8 +376,9 @@ func TestTurnKeySemantics(t *testing.T) {
 	}
 }
 
-// newTestQueueForSessions builds a minimal queue (required by
-// NewServer) that never executes anything in these tests.
+// newTestQueueForSessions builds a queue that runs session turns; its
+// job pipeline is never called in these tests. The queue drains when
+// the test ends.
 func newTestQueueForSessions(t *testing.T, store *Store) *Queue {
 	t.Helper()
 	q, err := NewQueue(QueueOptions{
@@ -394,5 +391,10 @@ func newTestQueueForSessions(t *testing.T, store *Store) *Queue {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		defer cancel()
+		_ = q.Shutdown(ctx)
+	})
 	return q
 }

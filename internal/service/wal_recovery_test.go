@@ -193,7 +193,7 @@ func TestTurnWALReplay(t *testing.T) {
 	// before anything executes. Writing the records directly keeps the
 	// crash point deterministic.
 	factory := NewSessionFactory(PipelineConfig{DataDir: t.TempDir(), OutDir: t.TempDir()})
-	m1 := NewSessions(store, factory)
+	m1 := NewSessions(newTestQueueForSessions(t, store), factory)
 	sess, err := m1.Create(SessionRequest{Model: "oracle", Width: 320, Height: 180})
 	if err != nil {
 		t.Fatal(err)
@@ -219,17 +219,21 @@ func TestTurnWALReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2 := NewSessions(store2, factory).WithWAL(w2)
+	q2, err := NewQueue(QueueOptions{Workers: 1, Pipeline: (&stubPipeline{}).run, Store: store2, WAL: w2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2 := NewSessions(q2, factory)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 		defer cancel()
-		_ = m2.Shutdown(ctx)
+		_ = q2.Shutdown(ctx)
 		w2.Close()
 	})
 	if got := m2.Restore(); got != 1 {
 		t.Fatalf("restored %d sessions, want 1", got)
 	}
-	if n := m2.ReplayWAL(); n != 1 {
+	if n := q2.ReplayWAL(); n != 1 {
 		t.Fatalf("replayed %d turns, want 1", n)
 	}
 	s2, ok := m2.Get(sess.ID)
@@ -255,7 +259,7 @@ func TestTurnWALReplay(t *testing.T) {
 	if got := w2.Backlog(); got != 0 {
 		t.Errorf("wal backlog after turn replay = %d, want 0", got)
 	}
-	if got := m2.Snapshot().Replayed; got != 1 {
+	if got := q2.Snapshot().Replayed; got != 1 {
 		t.Errorf("sessions replayed counter = %d, want 1", got)
 	}
 
@@ -292,12 +296,7 @@ func TestRestoredDeadTurnDoesNotSwallowReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	factory := NewSessionFactory(PipelineConfig{DataDir: t.TempDir(), OutDir: t.TempDir()})
-	m := NewSessions(store, factory)
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-		defer cancel()
-		_ = m.Shutdown(ctx)
-	})
+	m := NewSessions(newTestQueueForSessions(t, store), factory)
 	if got := m.Restore(); got != 1 {
 		t.Fatal("restore failed")
 	}
