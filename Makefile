@@ -6,9 +6,16 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet test test-race test-race-service bench bench-core bench-diff bench-grid bench-serve bench-smoke bench-e2e-test build serve smoke smoke-cluster plan-validate lint-metrics calibrate-smoke
+.PHONY: ci fmt vet test test-race test-race-service bench bench-core bench-diff bench-grid bench-serve bench-smoke bench-e2e-test build serve smoke smoke-cluster plan-validate lint-metrics calibrate-smoke fuzz-smoke
 
-ci: fmt vet plan-validate lint-metrics calibrate-smoke test-race bench-e2e-test bench-smoke smoke smoke-cluster
+ci: fmt vet plan-validate lint-metrics calibrate-smoke test-race fuzz-smoke bench-e2e-test bench-smoke smoke smoke-cluster
+
+# Time-boxed native fuzzing of the property one execution per turn rests
+# on: whenever a script's plan runs successfully, the interpreter runs
+# the script successfully too. Seeded from every scenario corpus script;
+# fuzzed views are capped at 400 pixels a side.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzPlanPathImpliesInterpreter$$' -fuzztime 20s -parallel 2 ./internal/eval
 
 # The end-to-end benchmark driver is its own Go module (e2ebench/), which
 # the root `go test ./...` skips: vet and test it here, so a change to

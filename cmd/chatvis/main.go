@@ -112,14 +112,12 @@ func main() {
 	runner := &pvpython.Runner{DataDir: *dataDir, OutDir: *outDir}
 
 	// Both the one-shot and interactive paths drive the session API —
-	// the same surface chatvisd serves. One-shot runs skip the engine
-	// seeding (no later turn to make incremental).
+	// the same surface chatvisd serves.
 	sess, err := chatvis.NewSession(model, runner,
 		chatvis.WithMaxIterations(*maxIter),
 		chatvis.WithFewShot(*fewShot),
 		chatvis.WithRewrite(!*noRewrite),
-		chatvis.WithUnassisted(*unassist),
-		chatvis.WithIncremental(*interactive))
+		chatvis.WithUnassisted(*unassist))
 	if err != nil {
 		fatal(err)
 	}

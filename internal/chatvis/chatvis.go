@@ -147,9 +147,7 @@ corrected script.`
 // creates a fresh single-turn Session and returns the first turn's
 // artifact. Multi-turn callers use NewSession/Session.Turn directly.
 func (a *Assistant) Run(ctx context.Context, userPrompt string) (*Artifact, error) {
-	opt := a.opt
-	opt.noWarm = true // one-shot: no later turn to make incremental
-	s := &Session{model: a.model, runner: a.runner, opt: opt}
+	s := &Session{model: a.model, runner: a.runner, opt: a.opt}
 	turn, err := s.Turn(ctx, userPrompt)
 	if err != nil {
 		return nil, err
@@ -228,7 +226,6 @@ func ensureTrailingNewline(s string) string {
 func Unassisted(ctx context.Context, model llm.Client, runner *pvpython.Runner, userPrompt string) (*Artifact, error) {
 	opt := defaultOptions()
 	opt.unassisted = true
-	opt.noWarm = true
 	s := &Session{model: model, runner: runner, opt: opt}
 	turn, err := s.Turn(ctx, userPrompt)
 	if err != nil {

@@ -24,10 +24,6 @@ type options struct {
 	// no examples, no cleaning, no correction loop — the paper's
 	// comparison condition, expressed as a session mode.
 	unassisted bool
-	// noWarm skips materializing a first turn's plan on the session
-	// engine. The single-turn compatibility wrappers (Assistant.Run,
-	// Unassisted) set it — there is no later turn to make incremental.
-	noWarm bool
 	// observer receives session events (turn lifecycle, trace stages) as
 	// they happen; nil disables emission.
 	observer func(Event)
@@ -90,15 +86,6 @@ func WithPlanValidation(enabled bool) Option {
 // condition). Later turns still use the plan-edit path.
 func WithUnassisted(enabled bool) Option {
 	return func(o *options) { o.unassisted = enabled }
-}
-
-// WithIncremental controls whether the session keeps a persistent engine
-// warm with each successful plan, so a later turn that edits one stage
-// re-executes only that stage's downstream subtree. Enabled by default
-// for NewSession; disable it for one-shot use where the extra plan
-// materialization after the first turn buys nothing.
-func WithIncremental(enabled bool) Option {
-	return func(o *options) { o.noWarm = !enabled }
 }
 
 // WithObserver registers a callback receiving session events (turn

@@ -26,6 +26,11 @@ import (
 // hash so an edit touching one stage re-executes only that stage and its
 // downstream subtree.
 //
+// Every turn executes its pipeline once per round. A first turn's script
+// that compiles to a fully modelled plan runs as that plan on the session
+// engine, so the engine's memo is primed by the run itself; other
+// scripts run through the interpreter.
+//
 // Assistant.Run and Unassisted are thin single-turn wrappers over this
 // type; chatvisd's /v1/sessions endpoints and the chatvis -interactive
 // REPL drive it multi-turn.
@@ -63,8 +68,8 @@ type Turn struct {
 	// whole plan).
 	ExecutionsDelta int64 `json:"executions_delta"`
 	// Incremental reports whether the turn executed through the session
-	// engine's plan memo (false for classic first-turn script runs that
-	// could not be materialized as a plan).
+	// engine's plan memo (false for first-turn scripts that ran through
+	// the interpreter).
 	Incremental bool `json:"incremental"`
 	// Artifact is the full session artifact of the turn.
 	Artifact *Artifact `json:"artifact"`
@@ -94,7 +99,7 @@ type Event struct {
 
 // NewSession builds a conversational session over a model and a runner.
 // It accepts the same functional options as NewAssistant plus the
-// session-specific ones (WithUnassisted, WithIncremental, WithObserver).
+// session-specific ones (WithUnassisted, WithObserver).
 func NewSession(model llm.Client, runner *pvpython.Runner, opts ...Option) (*Session, error) {
 	if model == nil {
 		return nil, fmt.Errorf("chatvis: model is required")
@@ -248,24 +253,52 @@ func (s *Session) complete(ctx context.Context, trace *Trace, stage string, req 
 	return resp.Text, nil
 }
 
-// exec performs one traced script execution. The trace records the
-// normalized plan hash of what ran, so per-stage provenance survives in
-// the artifact.
-func (s *Session) exec(ctx context.Context, trace *Trace, round int, script string) *pvpython.Result {
+// exec executes one round's script once and records the round on the
+// artifact. A fully modelled plan runs through ExecPlan on the session
+// engine, whose memo later edit turns reuse; otherwise, or when ExecPlan
+// fails, the interpreter runs the script, so its traceback is what the
+// repair loop sees. compiled is the script's compile, if the caller has
+// it. exec reports whether the script ran cleanly, its screenshots, and
+// whether it ran on the session engine.
+func (s *Session) exec(ctx context.Context, art *Artifact, round int, script string, compiled *plan.Compiled) (ok bool, shots []string, onEngine bool) {
 	ctx, span := obs.Start(ctx, "script.exec")
 	span.SetAttr("round", round)
 	defer span.End()
 	start := time.Now()
-	res := s.runner.ExecContext(ctx, script)
-	if !res.OK() {
+	it := Iteration{Script: script}
+	art.Plan, art.FinalScript = nil, script
+	var err error
+	if compiled == nil {
+		compiled, err = plan.Compile(script, pvsim.PlanSchema())
+	}
+	if err == nil {
+		art.Plan = plan.Normalize(compiled.Plan, pvsim.PlanSchema())
+		it.PlanHash = art.Plan.Hash()
+		if plan.FullyModelled(compiled.Diags) {
+			if shots, err = s.engine().ExecPlan(ctx, art.Plan); err != nil {
+				span.SetAttr("plan_error", err.Error())
+			}
+			ok, onEngine = err == nil, err == nil
+		}
+	}
+	if onEngine {
+		span.SetAttr("path", "plan")
+	} else {
+		span.SetAttr("path", "interpreter")
+		run := s.runner.ExecContext(ctx, script)
+		it.Output, it.Errors, shots = run.Output, errext.Extract(run.Output), run.Screenshots
+		ok = run.OK() && len(it.Errors) == 0
+	}
+	if !ok {
 		span.Fail("script execution failed")
 	}
-	trace.add(StageTrace{
+	art.Iterations = append(art.Iterations, it)
+	art.Trace.add(StageTrace{
 		Stage:    fmt.Sprintf("%s-%d", StageExec, round),
 		Duration: time.Since(start),
-		PlanHash: res.PlanHash(),
+		PlanHash: it.PlanHash,
 	})
-	return res
+	return ok, shots, onEngine
 }
 
 // planRepair is the pre-execution validation loop: compile the candidate
@@ -274,17 +307,18 @@ func (s *Session) exec(ctx context.Context, trace *Trace, round int, script stri
 // an engine run. Bounded to two rounds; a model that cannot make
 // progress (or a script that does not even parse) falls through to the
 // ordinary execute-and-repair loop.
-func (s *Session) planRepair(ctx context.Context, trace *Trace, script string) (string, error) {
+// It also returns the compile of the script it returns, if it has one.
+func (s *Session) planRepair(ctx context.Context, trace *Trace, script string) (string, *plan.Compiled, error) {
 	for round := 1; round <= 2; round++ {
 		_, vspan := obs.Start(ctx, "plan.validate")
 		vspan.SetAttr("round", round)
 		start := time.Now()
-		compiled, err := s.runner.CompilePlan(script)
+		compiled, err := plan.Compile(script, pvsim.PlanSchema())
 		if err != nil {
 			// Unparsable: the execution loop's SyntaxError path owns it.
 			vspan.Fail("script does not compile to a plan")
 			vspan.End()
-			return script, nil
+			return script, nil, nil
 		}
 		diags := plan.Errors(compiled.Diags)
 		vspan.SetAttr("diagnostics", len(diags))
@@ -295,7 +329,7 @@ func (s *Session) planRepair(ctx context.Context, trace *Trace, script string) (
 			PlanHash: compiled.Plan.Hash(),
 		})
 		if len(diags) == 0 {
-			return script, nil
+			return script, compiled, nil
 		}
 		resp, err := s.complete(ctx, trace,
 			fmt.Sprintf("%s-%d", StagePlanRepair, round), llm.Request{
@@ -308,15 +342,15 @@ func (s *Session) planRepair(ctx context.Context, trace *Trace, script string) (
 				Escalation: round - 1,
 			})
 		if err != nil {
-			return "", fmt.Errorf("chatvis: plan repair: %w", err)
+			return "", nil, fmt.Errorf("chatvis: plan repair: %w", err)
 		}
 		revised := CleanScript(resp)
 		if strings.TrimSpace(revised) == strings.TrimSpace(script) {
-			return script, nil
+			return script, compiled, nil
 		}
 		script = revised
 	}
-	return script, nil
+	return script, nil, nil
 }
 
 // exampleBlock renders the (possibly truncated) example library. An empty
@@ -338,65 +372,45 @@ func (s *Session) exampleBlock() string {
 }
 
 // firstTurn runs the full generation flow (the paper's loop, or the
-// unassisted comparison condition) and, in incremental mode, adopts the
-// resulting plan as session state and materializes it on the session
-// engine so the next edit re-executes only what it changes.
+// unassisted comparison condition) and adopts the resulting plan as
+// session state. When the final script ran as a plan on the session
+// engine, the engine already holds its stages, so the next edit
+// re-executes only what it changes.
 func (s *Session) firstTurn(ctx context.Context, idx int, prompt string) (*Turn, error) {
-	var art *Artifact
-	var err error
+	run := s.runAssisted
 	if s.opt.unassisted {
-		art, err = s.runUnassisted(ctx, idx, prompt)
-	} else {
-		art, err = s.runAssisted(ctx, idx, prompt)
+		run = s.runUnassisted
 	}
+	eng := s.engine()
+	before := eng.Executions()
+	art, onEngine, err := run(ctx, idx, prompt)
 	if err != nil {
 		return nil, err
 	}
 	art.TurnIndex = idx
 	art.DeltaSummary = plan.DiffSummary(nil, art.Plan)
 	turn := &Turn{
-		Index:        idx,
-		Prompt:       prompt,
-		DeltaSummary: art.DeltaSummary,
-		Artifact:     art,
+		Index:           idx,
+		Prompt:          prompt,
+		DeltaSummary:    art.DeltaSummary,
+		ExecutionsDelta: eng.Executions() - before,
+		Incremental:     art.Success && onEngine,
+		Artifact:        art,
 	}
 	if art.Plan != nil {
 		turn.ChangedStages = plan.ChangedStages(nil, art.Plan)
 	}
 	if art.Success && art.Plan != nil {
 		s.curr = art.Plan
-		if !s.opt.noWarm {
-			s.seedEngine(ctx, turn, art)
-		}
 	}
 	return turn, nil
 }
 
-// seedEngine materializes the turn's plan on the session engine, priming
-// the per-subtree-hash memo incremental turns rely on. Failures are
-// recorded but do not fail the turn — the classic script execution
-// already succeeded; the next edit turn will simply pay a cold start.
-func (s *Session) seedEngine(ctx context.Context, turn *Turn, art *Artifact) {
-	ctx, span := obs.Start(ctx, "engine.seed-exec")
-	defer span.End()
-	eng := s.engine()
-	before := eng.Executions()
-	start := time.Now()
-	_, err := eng.ExecPlan(ctx, art.Plan)
-	span.SetError(err)
-	art.Trace.add(StageTrace{
-		Stage:    StageSeedExec,
-		Duration: time.Since(start),
-		PlanHash: art.Plan.Hash(),
-	})
-	turn.ExecutionsDelta = eng.Executions() - before
-	turn.Incremental = err == nil
-}
-
 // runAssisted is the classic ChatVis flow: prompt generation, few-shot
 // script generation, optional pre-execution plan validation, then the
-// execute / extract-errors / repair loop.
-func (s *Session) runAssisted(ctx context.Context, idx int, userPrompt string) (*Artifact, error) {
+// execute / extract-errors / repair loop. It also reports whether the
+// final script ran as a plan on the session engine.
+func (s *Session) runAssisted(ctx context.Context, idx int, userPrompt string) (*Artifact, bool, error) {
 	art := &Artifact{UserPrompt: userPrompt}
 	art.Trace.OnAdd = s.stageObserver(ctx, idx)
 
@@ -405,7 +419,7 @@ func (s *Session) runAssisted(ctx context.Context, idx int, userPrompt string) (
 	if s.opt.rewritePrompt {
 		resp, err := s.complete(ctx, &art.Trace, StageRewrite, RewriteRequest(userPrompt))
 		if err != nil {
-			return nil, fmt.Errorf("chatvis: prompt generation: %w", err)
+			return nil, false, fmt.Errorf("chatvis: prompt generation: %w", err)
 		}
 		genPrompt = resp
 	}
@@ -425,43 +439,35 @@ func (s *Session) runAssisted(ctx context.Context, idx int, userPrompt string) (
 		Task:   llm.TaskWrite,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("chatvis: script generation: %w", err)
+		return nil, false, fmt.Errorf("chatvis: script generation: %w", err)
 	}
 	script := CleanScript(resp)
 
 	// Stage 2.5 (plan-aware mode): validate the compiled plan and repair
 	// diagnostics before the first engine run.
+	var compiled *plan.Compiled
 	if s.opt.planValidate {
-		script, err = s.planRepair(ctx, &art.Trace, script)
+		script, compiled, err = s.planRepair(ctx, &art.Trace, script)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 	}
 
 	// Stage 3: execute, extract errors, repair.
 	for iter := 0; iter < s.opt.maxIterations; iter++ {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("chatvis: correction loop: %w", err)
+			return nil, false, fmt.Errorf("chatvis: correction loop: %w", err)
 		}
-		res := s.exec(ctx, &art.Trace, iter+1, script)
-		reports := errext.Extract(res.Output)
-		art.Iterations = append(art.Iterations, Iteration{
-			Script:   script,
-			Output:   res.Output,
-			Errors:   reports,
-			PlanHash: res.PlanHash(),
-		})
-		art.FinalScript = script
-		art.Plan = res.Plan
-		if res.OK() && len(reports) == 0 {
-			art.Success = true
-			art.Screenshots = res.Screenshots
-			return art, nil
+		ok, shots, onEngine := s.exec(ctx, art, iter+1, script, compiled)
+		compiled = nil
+		if ok {
+			art.Success, art.Screenshots = true, shots
+			return art, onEngine, nil
 		}
 		resp, err := s.complete(ctx, &art.Trace,
 			fmt.Sprintf("%s-%d", StageRepair, iter+1), llm.Request{
 				System: repairSystem,
-				User:   llm.BuildRepairUser(script, errext.Summarize(reports)),
+				User:   llm.BuildRepairUser(script, errext.Summarize(art.Iterations[iter].Errors)),
 				// Traceback repair regenerates the whole script —
 				// writer-class work. iter counts previous failed repair
 				// rounds: the first repair runs on the primary model,
@@ -470,7 +476,7 @@ func (s *Session) runAssisted(ctx context.Context, idx int, userPrompt string) (
 				Escalation: iter,
 			})
 		if err != nil {
-			return nil, fmt.Errorf("chatvis: script repair: %w", err)
+			return nil, false, fmt.Errorf("chatvis: script repair: %w", err)
 		}
 		revised := CleanScript(resp)
 		if strings.TrimSpace(revised) == strings.TrimSpace(script) {
@@ -479,12 +485,12 @@ func (s *Session) runAssisted(ctx context.Context, idx int, userPrompt string) (
 		}
 		script = revised
 	}
-	return art, nil
+	return art, false, nil
 }
 
 // runUnassisted is the bare-model comparison condition: one generation,
 // one execution, no post-processing.
-func (s *Session) runUnassisted(ctx context.Context, idx int, userPrompt string) (*Artifact, error) {
+func (s *Session) runUnassisted(ctx context.Context, idx int, userPrompt string) (*Artifact, bool, error) {
 	art := &Artifact{UserPrompt: userPrompt, GeneratedPrompt: userPrompt}
 	art.Trace.OnAdd = s.stageObserver(ctx, idx)
 	// No assistant post-processing: the raw response runs as-is, which is
@@ -495,16 +501,11 @@ func (s *Session) runUnassisted(ctx context.Context, idx int, userPrompt string)
 		Task:   llm.TaskWrite,
 	})
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	res := s.exec(ctx, &art.Trace, 1, script)
-	reports := errext.Extract(res.Output)
-	art.Iterations = []Iteration{{Script: script, Output: res.Output, Errors: reports, PlanHash: res.PlanHash()}}
-	art.FinalScript = script
-	art.Plan = res.Plan
-	art.Success = res.OK() && len(reports) == 0
-	art.Screenshots = res.Screenshots
-	return art, nil
+	ok, shots, onEngine := s.exec(ctx, art, 1, script, nil)
+	art.Success, art.Screenshots = ok, shots
+	return art, onEngine, nil
 }
 
 // stageObserver forwards trace stages to the session observer as events,

@@ -3,6 +3,7 @@ package chatvis
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -252,19 +253,26 @@ func TestSessionSeededFromPlan(t *testing.T) {
 	}
 }
 
-// TestRunWrapperStaysSingleTurn: the compatibility wrapper must not pay
-// for engine seeding (there is no later turn) and must keep the classic
-// trace shape.
+// TestRunWrapperStaysSingleTurn: the compatibility wrapper runs one turn
+// with the classic trace shape: one execution stage per correction
+// round and nothing after the last one.
 func TestRunWrapperStaysSingleTurn(t *testing.T) {
 	a := newAssistant(t, "gpt-4")
 	art, err := a.Run(context.Background(), testPrompts()["isosurface"])
 	if err != nil {
 		t.Fatal(err)
 	}
+	execs := 0
 	for _, st := range art.Trace.Stages {
-		if st.Stage == StageSeedExec {
-			t.Error("one-shot Run seeded a session engine")
+		if strings.HasPrefix(st.Stage, StageExec+"-") {
+			execs++
 		}
+	}
+	if execs != art.NumIterations() {
+		t.Errorf("%d exec stages for %d iterations", execs, art.NumIterations())
+	}
+	if last := art.Trace.Stages[len(art.Trace.Stages)-1].Stage; last != fmt.Sprintf("%s-%d", StageExec, art.NumIterations()) {
+		t.Errorf("last stage = %q, want the final execution", last)
 	}
 	if art.TurnIndex != 1 {
 		t.Errorf("TurnIndex = %d, want 1", art.TurnIndex)

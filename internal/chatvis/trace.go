@@ -28,9 +28,6 @@ const (
 	// StageEditRepair is a model call fixing a proposed plan's validation
 	// diagnostics before execution.
 	StageEditRepair = "edit-repair"
-	// StageSeedExec is the session-engine materialization of a first
-	// turn's plan, which primes incremental re-execution for later turns.
-	StageSeedExec = "seed-exec"
 )
 
 // StageTrace is one timed step of an assistant session: an LLM call

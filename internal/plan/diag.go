@@ -10,6 +10,7 @@ import (
 const (
 	SevError   = "error"
 	SevWarning = "warning"
+	SevInfo    = "info"
 )
 
 // Diagnostic kinds.
@@ -17,10 +18,12 @@ const (
 	DiagUnknownClass    = "unknown-class"
 	DiagUnknownProperty = "unknown-property"
 	DiagUnknownMethod   = "unknown-method"
-	DiagUnknownFunction = "unknown-function"
 	DiagTypeMismatch    = "type-mismatch"
 	DiagViewByName      = "view-by-name"
 	DiagBadInput        = "bad-input"
+	// DiagUnmodelled marks a statement the compiler dropped or captured
+	// only in part: only the interpreter can then run the script.
+	DiagUnmodelled = "unmodelled"
 )
 
 // Diagnostic is one structured pre-execution finding: what is wrong,
@@ -64,6 +67,18 @@ func Errors(diags []Diagnostic) []Diagnostic {
 
 // HasErrors reports whether any diagnostic is an error.
 func HasErrors(diags []Diagnostic) bool { return len(Errors(diags)) > 0 }
+
+// FullyModelled reports whether a compiled script's plan captures every
+// effect of the script: no error and no unmodelled diagnostic. Executing
+// such a plan is equivalent to interpreting the script.
+func FullyModelled(diags []Diagnostic) bool {
+	for _, d := range diags {
+		if d.Severity == SevError || d.Kind == DiagUnmodelled {
+			return false
+		}
+	}
+	return true
+}
 
 // FormatDiagnostics renders diagnostics one per line, sorted by source
 // line, for prompts and CLI output.

@@ -44,13 +44,8 @@ func Normalize(p *Plan, s *Schema) *Plan {
 				continue
 			}
 			// A helper folded down to the constructor default vanishes.
-			if v.Kind == KindHelper && len(v.Obj) == 0 && helperDefaults[st.Class][name] == v.Class {
+			if v.Kind == KindHelper && len(v.Obj) == 0 && HelperDefaults[st.Class][name] == v.Class {
 				delete(st.Props, name)
-			}
-		}
-		if st.Kind == StageDisplay {
-			if v, ok := st.Props[PropRescaleTF]; ok && v.Kind == KindBool && !v.Bool {
-				delete(st.Props, PropRescaleTF)
 			}
 		}
 		if len(st.Props) == 0 {

@@ -46,8 +46,9 @@ const (
 	// validation reports it, execution refuses it.
 	PropViewName = "ViewName"
 	// PropRescaleTF marks a RescaleTransferFunctionToDataRange call on a
-	// display. The name deliberately matches the proxy method so schema
-	// validation accepts it as a member.
+	// display; its boolean value is the call's extend argument. The name
+	// deliberately matches the proxy method so schema validation accepts
+	// it as a member.
 	PropRescaleTF = "RescaleTransferFunctionToDataRange"
 	// PropColorArray is the representation's color-array pair, written by
 	// ColorBy or direct assignment.

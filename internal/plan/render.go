@@ -97,8 +97,8 @@ func (p *Plan) Script() string {
 		if ca, ok := st.Props[PropColorArray]; ok {
 			fmt.Fprintf(&b, "ColorBy(%s, %s)\n", names[i], colorByArg(ca))
 		}
-		if v, ok := st.Props[PropRescaleTF]; ok && v.Kind == KindBool && v.Bool {
-			fmt.Fprintf(&b, "%s.RescaleTransferFunctionToDataRange(True)\n", names[i])
+		if v, ok := st.Props[PropRescaleTF]; ok {
+			fmt.Fprintf(&b, "%s.RescaleTransferFunctionToDataRange(%s)\n", names[i], v.PyLit())
 		}
 	}
 	b.WriteString("\n")

@@ -133,10 +133,10 @@ func TypeAccepts(t PropType, v Value) bool {
 	return true
 }
 
-// helperDefaults maps constructor classes to the helper proxies the
+// HelperDefaults maps constructor classes to the helper proxies the
 // engine attaches implicitly, so compilation and normalization agree on
 // what an unset SliceType means.
-var helperDefaults = map[string]map[string]string{
+var HelperDefaults = map[string]map[string]string{
 	"Slice":        {"SliceType": "Plane"},
 	"Clip":         {"ClipType": "Plane"},
 	"StreamTracer": {"SeedType": "Point Cloud"},

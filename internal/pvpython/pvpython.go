@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"chatvis/internal/data"
-	"chatvis/internal/plan"
 	"chatvis/internal/pvsim"
 	"chatvis/internal/pypy"
 )
@@ -29,22 +28,6 @@ type Result struct {
 	// Engine exposes the session for callers that inspect state (tests,
 	// the evaluation harness reading rendered pixels).
 	Engine *pvsim.Engine
-	// Plan is the normalized compiled plan of the executed script (nil
-	// when the script does not parse). Every execution carries its plan
-	// so callers — traces, the artifact store, the eval harness — can
-	// hash and compare what the script *means*.
-	Plan *plan.Plan
-	// PlanDiags are the structured pre-execution diagnostics of the
-	// compiled plan.
-	PlanDiags []plan.Diagnostic
-}
-
-// PlanHash returns the normalized plan hash ("" when no plan compiled).
-func (r *Result) PlanHash() string {
-	if r.Plan == nil {
-		return ""
-	}
-	return r.Plan.Hash()
 }
 
 // OK reports whether the run completed without error.
@@ -69,29 +52,6 @@ type Runner struct {
 // Exec runs one script in a fresh simulated ParaView session.
 func (r *Runner) Exec(script string) *Result {
 	return r.ExecContext(context.Background(), script)
-}
-
-// CompilePlan statically compiles script text to the plan IR, validated
-// against the engine-derived schema. It is the cheap pre-execution path:
-// structured diagnostics come back without paying for an engine run.
-func (r *Runner) CompilePlan(script string) (*plan.Compiled, error) {
-	return plan.Compile(script, pvsim.PlanSchema())
-}
-
-// ExecPlan executes a compiled plan natively (no interpreter pass) in a
-// fresh engine sharing the runner's directories and dataset cache.
-func (r *Runner) ExecPlan(ctx context.Context, p *plan.Plan) *Result {
-	engine := pvsim.NewEngine(r.DataDir, r.OutDir)
-	engine.DataCache = r.Cache
-	engine.ExecCtx = ctx
-	res := &Result{Engine: engine, Plan: p}
-	shots, err := engine.ExecPlan(ctx, p)
-	if err != nil {
-		res.Err = err
-		res.Output = fmt.Sprintf("Error: %v\n", err)
-	}
-	res.Screenshots = shots
-	return res
 }
 
 // ExecContext is Exec with cancellation: ctx is threaded into the
@@ -131,13 +91,6 @@ func (r *Runner) ExecContext(ctx context.Context, script string) *Result {
 	}
 	res.Output = out.String()
 	res.Screenshots = engine.Screenshots
-	// Attach the compiled plan: what the script *means*, independent of
-	// how this run went. Parse failures simply leave Plan nil — the
-	// interpreter's SyntaxError output already covers them.
-	if compiled, cerr := plan.Compile(script, pvsim.PlanSchema()); cerr == nil {
-		res.Plan = plan.Normalize(compiled.Plan, pvsim.PlanSchema())
-		res.PlanDiags = compiled.Diags
-	}
 	return res
 }
 

@@ -67,10 +67,9 @@ type Engine struct {
 	firstRenderResetDisabled bool
 	renderedOnce             map[*Proxy]bool
 
-	// planProxies memoizes the proxies ExecPlan builds, keyed by the
-	// stage's canonical subtree hash plus reader-file identity, so a
-	// repair iteration re-executing an edited plan rebuilds (and
-	// recomputes) only the stages whose key changed.
+	// planProxies memoizes the proxies ExecPlan builds by content key, so
+	// a repair iteration or edit re-executing a changed plan recomputes
+	// only the stages whose key changed.
 	planProxies map[string]*Proxy
 
 	schemas map[string]*classSchema
@@ -328,30 +327,20 @@ func (e *Engine) registerSchemas() {
 			"registrationName":             {},
 		},
 		methods: map[string]methodFn{
-			"ResetCamera": func(e *Engine, p *Proxy, args []pypy.Value, _ map[string]pypy.Value) (pypy.Value, error) {
-				e.resetCamera(p)
-				return pypy.None, nil
-			},
 			"GetActiveCamera": func(e *Engine, p *Proxy, _ []pypy.Value, _ map[string]pypy.Value) (pypy.Value, error) {
 				cam := e.newProxy(e.schema("Camera"))
 				cam.repView = p // camera manipulates this view
 				return cam, nil
-			},
-			"ResetActiveCameraToPositiveX": viewLookFrom(vmath.V(1, 0, 0)),
-			"ResetActiveCameraToNegativeX": viewLookFrom(vmath.V(-1, 0, 0)),
-			"ResetActiveCameraToPositiveY": viewLookFrom(vmath.V(0, 1, 0)),
-			"ResetActiveCameraToNegativeY": viewLookFrom(vmath.V(0, -1, 0)),
-			"ResetActiveCameraToPositiveZ": viewLookFrom(vmath.V(0, 0, 1)),
-			"ResetActiveCameraToNegativeZ": viewLookFrom(vmath.V(0, 0, -1)),
-			"ApplyIsometricView": func(e *Engine, p *Proxy, _ []pypy.Value, _ map[string]pypy.Value) (pypy.Value, error) {
-				e.lookFrom(p, vmath.V(1, 1, 1))
-				return pypy.None, nil
 			},
 			"Update": func(e *Engine, p *Proxy, _ []pypy.Value, _ map[string]pypy.Value) (pypy.Value, error) {
 				return pypy.None, nil
 			},
 		},
 	})
+	for op := range cameraDirs {
+		e.schema("RenderView").methods[op] = cameraMethod(op)
+	}
+	e.schema("RenderView").methods["ResetCamera"] = cameraMethod("ResetCamera")
 
 	// --- layout -----------------------------------------------------------
 	e.addSchema(&classSchema{
@@ -398,8 +387,13 @@ func (e *Engine) registerSchemas() {
 				}
 				return pypy.None, nil
 			},
-			"RescaleTransferFunctionToDataRange": func(e *Engine, p *Proxy, args []pypy.Value, _ map[string]pypy.Value) (pypy.Value, error) {
-				e.rescaleRepTF(p)
+			// RescaleTransferFunctionToDataRange(extend=False, force=True).
+			"RescaleTransferFunctionToDataRange": func(e *Engine, p *Proxy, args []pypy.Value, kwargs map[string]pypy.Value) (pypy.Value, error) {
+				extend, ok := kwargs["extend"]
+				if !ok && len(args) > 0 {
+					extend, ok = args[0], true
+				}
+				e.rescaleRepTF(p, ok && pypy.Truthy(extend))
 				return pypy.None, nil
 			},
 		},
@@ -513,9 +507,9 @@ func camRotate(op string) methodFn {
 	}
 }
 
-func viewLookFrom(dir vmath.Vec3) methodFn {
+func cameraMethod(op string) methodFn {
 	return func(e *Engine, view *Proxy, _ []pypy.Value, _ map[string]pypy.Value) (pypy.Value, error) {
-		e.lookFrom(view, dir)
+		e.applyCameraOp(view, op)
 		return pypy.None, nil
 	}
 }

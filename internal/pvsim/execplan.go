@@ -3,30 +3,25 @@ package pvsim
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 
 	"chatvis/internal/plan"
 	"chatvis/internal/pypy"
-	"chatvis/internal/render"
 	"chatvis/internal/vmath"
 )
 
 // ExecPlan executes a compiled plan directly against the engine — no
 // interpreter pass — and returns the screenshot paths this call wrote.
 //
-// Execution is incremental: every pipeline stage is keyed by its
-// canonical subtree hash (plus the on-disk identity of any reader files
-// feeding it), and the engine memoizes the constructed proxy per key
-// across ExecPlan calls. Re-executing a plan in which a repair iteration
-// changed one property therefore re-runs only the changed stage and its
-// downstream — upstream stages keep their computed datasets, and
-// Engine.Executions() advances only by the changed-stage count. The keys
-// deliberately carry the same content as the PR-3 data.Cache proxy keys
-// (class, canonical props, input chain, file identity), so a configured
-// DataCache composes: stages recomputed here still hit the shared
-// process-wide dataset cache when any other engine computed them first.
+// Execution is incremental: the engine memoizes every pipeline proxy it
+// builds across ExecPlan calls, keyed by the proxy's content key (class,
+// canonical props, input chain, reader file identity). Re-executing a
+// plan in which a repair iteration changed one property therefore
+// re-runs only the changed stage and its downstream — upstream stages
+// keep their computed datasets, and Engine.Executions() advances only by
+// the changed-stage count. The same key addresses the process-wide
+// DataCache, so stages recomputed here still hit it when any other
+// engine computed them first.
 //
 // The plan must validate cleanly; plans with error diagnostics are
 // refused before any stage runs (callers get structured diagnostics from
@@ -56,39 +51,36 @@ func (e *Engine) ExecPlan(ctx context.Context, p *plan.Plan) ([]string, error) {
 	if e.planProxies == nil {
 		e.planProxies = map[string]*Proxy{}
 	}
+	e.resetDisplayState()
 	shotsBefore := len(e.Screenshots)
 
-	hashes := p.StageHashes()
 	proxies := make([]*Proxy, len(p.Stages))
 
 	// Pass 1: pipeline stages, views and displays, in plan order.
 	for i, st := range p.Stages {
 		switch {
 		case st.IsPipeline():
-			key := e.planExecKey(p, i, hashes)
-			if prox, ok := e.planProxies[key]; ok {
-				proxies[i] = prox
-				continue
-			}
 			prox, err := e.buildPlanProxy(st, proxies)
 			if err != nil {
 				return nil, err
 			}
-			proxies[i] = prox
-			e.planProxies[key] = prox
-		case st.Kind == plan.StageView:
-			view := e.newProxy(e.schema("RenderView"))
-			view.RegName = st.ID
-			for name, v := range st.Props {
-				pv, err := e.planToPyValue(v)
-				if err != nil {
-					return nil, err
+			// An unhashable proxy is simply not memoized.
+			if key, err := e.contentKey(prox); err == nil {
+				if memo, ok := e.planProxies[key]; ok {
+					prox = memo
 				}
-				view.Props[name] = pv
+				e.planProxies[key] = prox
 			}
-			e.Views = append(e.Views, view)
-			e.ActiveView = view
-			proxies[i] = view
+			proxies[i] = prox
+			e.Pipeline = append(e.Pipeline, prox)
+			e.ActiveSource = prox
+		case st.Kind == plan.StageView:
+			v, _ := e.createView()
+			proxies[i] = v.(*Proxy)
+			proxies[i].RegName = st.ID
+			if err := e.setPlanProps(proxies[i], st.Props, ""); err != nil {
+				return nil, err
+			}
 		case st.Kind == plan.StageDisplay:
 			if err := e.execPlanDisplay(st, proxies); err != nil {
 				return nil, err
@@ -119,50 +111,34 @@ func (e *Engine) ExecPlan(ctx context.Context, p *plan.Plan) ([]string, error) {
 	return append([]string(nil), e.Screenshots[shotsBefore:]...), nil
 }
 
-// planExecKey derives the incremental-execution key of a pipeline stage:
-// its canonical subtree hash plus the identity (path, size, mtime) of
-// every reader file in the subtree, mirroring the content the proxy
-// cache keys (hash.go) encode.
-func (e *Engine) planExecKey(p *plan.Plan, i int, hashes []string) string {
-	var sb strings.Builder
-	sb.WriteString(hashes[i])
-	var walk func(j int)
-	walk = func(j int) {
-		st := p.Stages[j]
-		if file := planReaderFile(st); file != "" {
-			path := e.resolveData(file)
-			if info, err := os.Stat(path); err == nil {
-				fmt.Fprintf(&sb, "|%s:%d:%d", path, info.Size(), info.ModTime().UnixNano())
-			} else {
-				fmt.Fprintf(&sb, "|%s:unstattable", path)
-			}
-		}
-		for _, in := range st.Inputs {
-			walk(in)
-		}
-	}
-	walk(i)
-	return sb.String()
+// resetDisplayState starts a plan run from a fresh session, so a warm
+// engine renders a plan exactly as a cold one does: only memoized
+// pipeline proxies and the screenshot log carry over between runs.
+func (e *Engine) resetDisplayState() {
+	e.Pipeline, e.Views, e.Layouts = nil, nil, nil
+	e.Reps = map[repKey]*Proxy{}
+	e.ActiveSource, e.ActiveView = nil, nil
+	e.colorTFs = map[string]*Proxy{}
+	e.opacityTFs = map[string]*Proxy{}
+	e.tfRanges = map[string]*tfRange{}
+	e.firstRenderResetDisabled = false
+	e.renderedOnce = map[*Proxy]bool{}
 }
 
-// planReaderFile extracts the input file of a reader stage.
-func planReaderFile(st *plan.Stage) string {
-	switch st.Class {
-	case "LegacyVTKReader":
-		if v, ok := st.Props["FileNames"]; ok {
-			if v.Kind == plan.KindStr {
-				return v.Str
-			}
-			if v.Kind == plan.KindList && len(v.List) > 0 && v.List[0].Kind == plan.KindStr {
-				return v.List[0].Str
-			}
+// setPlanProps converts plan properties onto a proxy, leaving out the
+// plan marker skip.
+func (e *Engine) setPlanProps(p *Proxy, props map[string]plan.Value, skip string) error {
+	for name, v := range props {
+		if name == skip {
+			continue
 		}
-	case "ExodusIIReader":
-		if v, ok := st.Props["FileName"]; ok && v.Kind == plan.KindStr {
-			return v.Str
+		pv, err := e.planToPyValue(v)
+		if err != nil {
+			return err
 		}
+		p.Props[name] = pv
 	}
-	return ""
+	return nil
 }
 
 // buildPlanProxy instantiates the proxy for a pipeline stage.
@@ -171,34 +147,17 @@ func (e *Engine) buildPlanProxy(st *plan.Stage, proxies []*Proxy) (*Proxy, error
 	if schema == nil {
 		return nil, raiseRT("cannot execute plan stage of class %s", st.Class)
 	}
-	prox := e.newProxy(schema)
+	// A normalized plan folds a default-valued SliceType/ClipType away
+	// entirely; execution still sees the default helper the script path
+	// would have.
+	prox := e.newPipelineProxy(schema)
 	prox.RegName = st.ID
-	// Implicit helper defaults, exactly as the paraview.simple
-	// constructors attach them: a normalized plan folds a default-valued
-	// SliceType/ClipType away entirely, and execution must still see the
-	// default Plane helper the script path would have.
-	switch st.Class {
-	case "Slice":
-		prox.Props["SliceType"] = e.newProxy(e.schema("Plane"))
-	case "Clip":
-		prox.Props["ClipType"] = e.newProxy(e.schema("Plane"))
-	case "StreamTracer":
-		prox.Props["SeedType"] = e.newProxy(e.schema("Point Cloud"))
-	case "Transform":
-		prox.Props["Transform"] = e.newProxy(e.schema("TransformHelper"))
-	}
-	for name, v := range st.Props {
-		pv, err := e.planToPyValue(v)
-		if err != nil {
-			return nil, err
-		}
-		prox.Props[name] = pv
+	if err := e.setPlanProps(prox, st.Props, ""); err != nil {
+		return nil, err
 	}
 	if len(st.Inputs) > 0 {
 		prox.Input = proxies[st.Inputs[0]]
 	}
-	e.Pipeline = append(e.Pipeline, prox)
-	e.ActiveSource = prox
 	return prox, nil
 }
 
@@ -213,69 +172,44 @@ func (e *Engine) execPlanDisplay(st *plan.Stage, proxies []*Proxy) error {
 	if src == nil || view == nil {
 		return raiseRT("display stage %s references an unexecuted stage", st.ID)
 	}
-	// Show executes the pipeline eagerly; a failing filter fails here.
-	ds, err := e.Dataset(src)
+	rep, err := e.showIn(src, view)
 	if err != nil {
 		return err
 	}
-	key := repKey{src, view}
-	rep, ok := e.Reps[key]
-	if !ok {
-		rep = e.newProxy(e.schema("GeometryRepresentation"))
-		rep.repOf = src
-		rep.repView = view
-		e.Reps[key] = rep
+	if err := e.setPlanProps(rep, st.Props, plan.PropRescaleTF); err != nil {
+		return err
 	}
-	rep.Props["Visibility"] = pypy.Int(1)
-	for name, v := range st.Props {
-		switch name {
-		case plan.PropColorArray, plan.PropRescaleTF:
-			continue
-		}
-		pv, err := e.planToPyValue(v)
-		if err != nil {
-			return err
-		}
-		rep.Props[name] = pv
+	// ColorBy initializes the array's range.
+	if ca := st.Props[plan.PropColorArray]; len(ca.List) == 2 && ca.List[1].Kind == plan.KindStr {
+		ds, _ := e.Dataset(src)
+		e.tfRangeFor(ca.List[1].Str, ds)
 	}
-	if ca, ok := st.Props[plan.PropColorArray]; ok {
-		pv, err := e.planToPyValue(ca)
-		if err != nil {
-			return err
-		}
-		rep.Props["ColorArrayName"] = pv
-		if ca.Kind == plan.KindList && len(ca.List) == 2 && ca.List[1].Kind == plan.KindStr {
-			e.tfRangeFor(ca.List[1].Str, ds)
-		}
-	}
-	if v, ok := st.Props[plan.PropRescaleTF]; ok && v.Kind == plan.KindBool && v.Bool {
-		e.rescaleRepTF(rep)
+	if v, ok := st.Props[plan.PropRescaleTF]; ok && v.Kind == plan.KindBool {
+		e.rescaleRepTF(rep, v.Bool)
 	}
 	return nil
 }
 
-// applyCameraOp performs one recorded camera operation on a view.
+// cameraDirs are the view methods that reorient the camera to look at
+// the visible bounds from a direction.
+var cameraDirs = map[string]vmath.Vec3{
+	"ApplyIsometricView":           vmath.V(1, 1, 1),
+	"ResetActiveCameraToPositiveX": vmath.V(1, 0, 0),
+	"ResetActiveCameraToNegativeX": vmath.V(-1, 0, 0),
+	"ResetActiveCameraToPositiveY": vmath.V(0, 1, 0),
+	"ResetActiveCameraToNegativeY": vmath.V(0, -1, 0),
+	"ResetActiveCameraToPositiveZ": vmath.V(0, 0, 1),
+	"ResetActiveCameraToNegativeZ": vmath.V(0, 0, -1),
+}
+
+// applyCameraOp performs one camera operation on a view: ResetCamera or
+// a cameraDirs reorientation (the module-level
+// ResetActiveCameraToIsometricView is ApplyIsometricView).
 func (e *Engine) applyCameraOp(view *Proxy, op string) {
-	if view == nil {
-		return
-	}
-	switch op {
-	case "ResetCamera":
+	if op == "ResetCamera" {
 		e.resetCamera(view)
-	case "ApplyIsometricView", "ResetActiveCameraToIsometricView":
-		e.lookFrom(view, vmath.V(1, 1, 1))
-	case "ResetActiveCameraToPositiveX":
-		e.lookFrom(view, vmath.V(1, 0, 0))
-	case "ResetActiveCameraToNegativeX":
-		e.lookFrom(view, vmath.V(-1, 0, 0))
-	case "ResetActiveCameraToPositiveY":
-		e.lookFrom(view, vmath.V(0, 1, 0))
-	case "ResetActiveCameraToNegativeY":
-		e.lookFrom(view, vmath.V(0, -1, 0))
-	case "ResetActiveCameraToPositiveZ":
-		e.lookFrom(view, vmath.V(0, 0, 1))
-	case "ResetActiveCameraToNegativeZ":
-		e.lookFrom(view, vmath.V(0, 0, -1))
+	} else if dir, ok := cameraDirs[strings.Replace(op, "ResetActiveCameraToIsometricView", "ApplyIsometricView", 1)]; ok {
+		e.lookFrom(view, dir)
 	}
 }
 
@@ -283,10 +217,6 @@ func (e *Engine) applyCameraOp(view *Proxy, op string) {
 func (e *Engine) execPlanScreenshot(st *plan.Stage, proxies []*Proxy) error {
 	if len(st.Inputs) < 1 || proxies[st.Inputs[0]] == nil {
 		return raiseRT("screenshot stage %s has no resolved view", st.ID)
-	}
-	view := proxies[st.Inputs[0]]
-	if err := e.renderPass(view); err != nil {
-		return err
 	}
 	w, h := 0, 0
 	if res, ok := st.Props[plan.PropImageResolution]; ok && res.Kind == plan.KindList && len(res.List) >= 2 {
@@ -300,18 +230,5 @@ func (e *Engine) execPlanScreenshot(st *plan.Stage, proxies []*Proxy) error {
 	if v, ok := st.Props[plan.PropFilename]; ok && v.Kind == plan.KindStr {
 		filename = v.Str
 	}
-	img, err := e.RenderViewImage(view, w, h, palette)
-	if err != nil {
-		return err
-	}
-	path := filename
-	if !filepath.IsAbs(path) && e.OutDir != "" {
-		path = filepath.Join(e.OutDir, path)
-	}
-	if err := render.SavePNG(path, img); err != nil {
-		return raiseRT("SaveScreenshot: %v", err)
-	}
-	e.Screenshots = append(e.Screenshots, path)
-	e.Rendered[path] = img
-	return nil
+	return e.writeScreenshot(proxies[st.Inputs[0]], filename, w, h, palette)
 }

@@ -82,7 +82,12 @@ func (e *Engine) writeValueKey(w io.Writer, v pypy.Value) error {
 	case pypy.Int:
 		fmt.Fprintf(w, "i%d", int64(t))
 	case pypy.Float:
-		// Hex float keeps the key exact across formatting changes.
+		// Numbers that compare equal key equal, whichever path (script
+		// or plan) built the proxy; the hex bits keep other keys exact.
+		if f := float64(t); f == math.Trunc(f) && math.Abs(f) < 1<<62 {
+			fmt.Fprintf(w, "i%d", int64(f))
+			break
+		}
 		fmt.Fprintf(w, "f%x", math.Float64bits(float64(t)))
 	case pypy.Bool:
 		fmt.Fprintf(w, "b%v", bool(t))

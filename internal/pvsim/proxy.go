@@ -16,6 +16,7 @@ import (
 	"sync"
 
 	"chatvis/internal/data"
+	"chatvis/internal/plan"
 	"chatvis/internal/pypy"
 )
 
@@ -66,8 +67,6 @@ type Proxy struct {
 	dataset data.Dataset
 	dirty   bool
 
-	// View state.
-	camera *viewCamera
 	// Representation state.
 	repOf   *Proxy // the pipeline proxy this representation displays
 	repView *Proxy // the view it belongs to
@@ -160,6 +159,16 @@ func (e *Engine) newProxy(schema *classSchema) *Proxy {
 }
 
 // Helpers to read typed property values.
+
+// newPipelineProxy builds a source or filter proxy with the helper
+// proxies paraview.simple constructors attach implicitly.
+func (e *Engine) newPipelineProxy(schema *classSchema) *Proxy {
+	p := e.newProxy(schema)
+	for prop, helper := range plan.HelperDefaults[schema.name] {
+		p.Props[prop] = e.newProxy(e.schema(helper))
+	}
+	return p
+}
 
 func propStr(p *Proxy, name string) string {
 	if v, ok := p.Props[name]; ok {

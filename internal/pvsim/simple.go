@@ -5,9 +5,9 @@ import (
 	"path/filepath"
 	"strings"
 
+	"chatvis/internal/plan"
 	"chatvis/internal/pypy"
 	"chatvis/internal/render"
-	"chatvis/internal/vmath"
 )
 
 // BuildSimpleModule assembles the paraview.simple module namespace bound
@@ -121,14 +121,6 @@ func (e *Engine) BuildSimpleModule() *pypy.ModuleVal {
 		}
 		return pypy.None, e.renderPass(view)
 	})
-	nf("ResetCamera", func(args []pypy.Value, kwargs map[string]pypy.Value) (pypy.Value, error) {
-		view, err := e.viewArg(args)
-		if err != nil {
-			return nil, err
-		}
-		e.resetCamera(view)
-		return pypy.None, nil
-	})
 	nf("GetDisplayProperties", func(args []pypy.Value, kwargs map[string]pypy.Value) (pypy.Value, error) {
 		src, view, err := e.proxyAndView(args)
 		if err != nil {
@@ -204,34 +196,21 @@ func (e *Engine) BuildSimpleModule() *pypy.ModuleVal {
 		return pypy.None, nil
 	})
 
-	// Module-level camera orientation helpers operating on the active view.
-	dirs := map[string][3]float64{
-		"ResetActiveCameraToPositiveX": {1, 0, 0},
-		"ResetActiveCameraToNegativeX": {-1, 0, 0},
-		"ResetActiveCameraToPositiveY": {0, 1, 0},
-		"ResetActiveCameraToNegativeY": {0, -1, 0},
-		"ResetActiveCameraToPositiveZ": {0, 0, 1},
-		"ResetActiveCameraToNegativeZ": {0, 0, -1},
-	}
-	for name, d := range dirs {
-		dir := d
-		nf(name, func(args []pypy.Value, kwargs map[string]pypy.Value) (pypy.Value, error) {
+	// Module-level camera operations act on the given or active view.
+	cameraFunc := func(op string) {
+		nf(op, func(args []pypy.Value, _ map[string]pypy.Value) (pypy.Value, error) {
 			view, err := e.viewArg(args)
 			if err != nil {
 				return nil, err
 			}
-			e.lookFrom(view, vec3(dir))
+			e.applyCameraOp(view, op)
 			return pypy.None, nil
 		})
 	}
-	nf("ResetActiveCameraToIsometricView", func(args []pypy.Value, kwargs map[string]pypy.Value) (pypy.Value, error) {
-		view, err := e.viewArg(args)
-		if err != nil {
-			return nil, err
-		}
-		e.lookFrom(view, vec3([3]float64{1, 1, 1}))
-		return pypy.None, nil
-	})
+	cameraFunc("ResetCamera")
+	for op := range cameraDirs {
+		cameraFunc(strings.Replace(op, "ApplyIsometricView", "ResetActiveCameraToIsometricView", 1))
+	}
 
 	// Misc no-ops present in real scripts.
 	nf("Interact", func(args []pypy.Value, kwargs map[string]pypy.Value) (pypy.Value, error) {
@@ -253,8 +232,6 @@ func (e *Engine) BuildSimpleModule() *pypy.ModuleVal {
 	return mod
 }
 
-func vec3(a [3]float64) vmath.Vec3 { return vmath.V(a[0], a[1], a[2]) }
-
 func strArg(args []pypy.Value, i int, fn string) (string, error) {
 	if i >= len(args) {
 		return "", &pypy.PyError{Kind: "TypeError", Msg: fmt.Sprintf("%s() missing required argument", fn)}
@@ -273,18 +250,7 @@ func (e *Engine) construct(className string, args []pypy.Value, kwargs map[strin
 	if schema == nil {
 		return nil, &pypy.PyError{Kind: "NameError", Msg: fmt.Sprintf("name '%s' is not defined", className)}
 	}
-	p := e.newProxy(schema)
-	// Nested helper defaults.
-	switch className {
-	case "Slice":
-		p.Props["SliceType"] = e.newProxy(e.schema("Plane"))
-	case "Clip":
-		p.Props["ClipType"] = e.newProxy(e.schema("Plane"))
-	case "StreamTracer":
-		p.Props["SeedType"] = e.newProxy(e.schema("Point Cloud"))
-	case "Transform":
-		p.Props["Transform"] = e.newProxy(e.schema("TransformHelper"))
-	}
+	p := e.newPipelineProxy(schema)
 	for name, v := range kwargs {
 		switch name {
 		case "registrationName":
@@ -300,7 +266,8 @@ func (e *Engine) construct(className string, args []pypy.Value, kwargs map[strin
 			}
 			p.Input = in
 			continue
-		case "SliceType", "ClipType", "SeedType":
+		}
+		if _, isHelper := plan.HelperDefaults[className][name]; isHelper {
 			// Accept a helper name string ('Plane', 'Point Cloud').
 			if s, ok := v.(pypy.Str); ok {
 				hs := e.schema(string(s))
@@ -399,21 +366,10 @@ func (e *Engine) show(args []pypy.Value, kwargs map[string]pypy.Value) (pypy.Val
 		return nil, &pypy.PyError{Kind: "TypeError",
 			Msg: fmt.Sprintf("Show() argument 1 must be a pipeline proxy, not '%s'", src.Class.name)}
 	}
-	// Execute the pipeline now — Show fails in real ParaView when the
-	// filter cannot run.
-	if _, err := e.Dataset(src); err != nil {
+	rep, err := e.showIn(src, view)
+	if err != nil {
 		return nil, err
 	}
-	key := repKey{src, view}
-	rep, ok := e.Reps[key]
-	if !ok {
-		rep = e.newProxy(e.schema("GeometryRepresentation"))
-		rep.repOf = src
-		rep.repView = view
-		rep.Props["Visibility"] = pypy.Int(1)
-		e.Reps[key] = rep
-	}
-	rep.Props["Visibility"] = pypy.Int(1)
 	if rt, ok := kwargs["representationType"]; ok {
 		if s, ok := rt.(pypy.Str); ok {
 			rep.Props["Representation"] = s
@@ -424,6 +380,25 @@ func (e *Engine) show(args []pypy.Value, kwargs map[string]pypy.Value) (pypy.Val
 			rep.Props["Representation"] = s
 		}
 	}
+	return rep, nil
+}
+
+// showIn makes src visible in view through its (possibly new)
+// representation. It executes the pipeline first: Show fails in real
+// ParaView when the filter cannot run.
+func (e *Engine) showIn(src, view *Proxy) (*Proxy, error) {
+	if _, err := e.Dataset(src); err != nil {
+		return nil, err
+	}
+	key := repKey{src, view}
+	rep, ok := e.Reps[key]
+	if !ok {
+		rep = e.newProxy(e.schema("GeometryRepresentation"))
+		rep.repOf = src
+		rep.repView = view
+		e.Reps[key] = rep
+	}
+	rep.Props["Visibility"] = pypy.Int(1)
 	return rep, nil
 }
 
@@ -511,9 +486,6 @@ func (e *Engine) saveScreenshot(args []pypy.Value, kwargs map[string]pypy.Value)
 	if err != nil {
 		return nil, err
 	}
-	if err := e.renderPass(view); err != nil {
-		return nil, err
-	}
 	w, h := 0, 0
 	if res, ok := kwargs["ImageResolution"]; ok {
 		vals := valueFloats(res)
@@ -527,18 +499,30 @@ func (e *Engine) saveScreenshot(args []pypy.Value, kwargs map[string]pypy.Value)
 			palette = string(s)
 		}
 	}
+	if err := e.writeScreenshot(view, filename, w, h, palette); err != nil {
+		return nil, err
+	}
+	return pypy.Bool(true), nil
+}
+
+// writeScreenshot renders a view (a render pass first, as
+// SaveScreenshot does) and saves it as a PNG under OutDir.
+func (e *Engine) writeScreenshot(view *Proxy, filename string, w, h int, palette string) error {
+	if err := e.renderPass(view); err != nil {
+		return err
+	}
 	img, err := e.RenderViewImage(view, w, h, palette)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	path := filename
 	if !filepath.IsAbs(path) && e.OutDir != "" {
 		path = filepath.Join(e.OutDir, path)
 	}
 	if err := render.SavePNG(path, img); err != nil {
-		return nil, raiseRT("SaveScreenshot: %v", err)
+		return raiseRT("SaveScreenshot: %v", err)
 	}
 	e.Screenshots = append(e.Screenshots, path)
 	e.Rendered[path] = img
-	return pypy.Bool(true), nil
+	return nil
 }

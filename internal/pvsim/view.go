@@ -2,6 +2,7 @@ package pvsim
 
 import (
 	"image"
+	"math"
 	"sort"
 
 	"chatvis/internal/data"
@@ -42,10 +43,6 @@ func sortByPipelineOrder(e *Engine, srcs []*Proxy) []*Proxy {
 	sort.Slice(srcs, func(i, j int) bool { return at(srcs[i]) < at(srcs[j]) })
 	return srcs
 }
-
-// viewCamera is retained for interface symmetry; camera state lives in the
-// view proxy's Camera* properties so scripts can read and write it.
-type viewCamera struct{}
 
 // cameraFromView builds a render camera from the view proxy's properties.
 func (e *Engine) cameraFromView(view *Proxy) *render.Camera {
@@ -115,8 +112,10 @@ func (e *Engine) lookFrom(view *Proxy, dir vmath.Vec3) {
 }
 
 // rescaleRepTF rescales the transfer function of a representation's color
-// array to the current data range.
-func (e *Engine) rescaleRepTF(rep *Proxy) {
+// array to the current data range; with extend, as in ParaView, the
+// range only grows to include it, so the order in which displays
+// sharing an array rescale does not matter.
+func (e *Engine) rescaleRepTF(rep *Proxy, extend bool) {
 	if rep.repOf == nil {
 		return
 	}
@@ -129,6 +128,9 @@ func (e *Engine) rescaleRepTF(rep *Proxy) {
 		return
 	}
 	lo, hi := data.FieldRange(ds, array)
+	if r, ok := e.tfRanges[array]; extend && ok && r.initialized {
+		lo, hi = math.Min(lo, r.lo), math.Max(hi, r.hi)
+	}
 	e.tfRanges[array] = &tfRange{lo: lo, hi: hi, initialized: true}
 }
 
