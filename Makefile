@@ -10,12 +10,15 @@ GO ?= go
 
 ci: fmt vet plan-validate lint-metrics calibrate-smoke test-race fuzz-smoke bench-e2e-test bench-smoke smoke smoke-cluster
 
-# Time-boxed native fuzzing of the property one execution per turn rests
-# on: whenever a script's plan runs successfully, the interpreter runs
-# the script successfully too. Seeded from every scenario corpus script;
-# fuzzed views are capped at 400 pixels a side.
+# Time-boxed native fuzzing. FuzzPlanPathImpliesInterpreter checks the
+# property one execution per turn rests on: whenever a script's plan
+# runs successfully, the interpreter runs the script successfully too
+# (seeded from every scenario corpus script; fuzzed views are capped at
+# 400 pixels a side). FuzzExtractSurface checks the map-free surface
+# kernel against the map-based reference on arbitrary valid cells.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanPathImpliesInterpreter$$' -fuzztime 20s -parallel 2 ./internal/eval
+	$(GO) test -run '^$$' -fuzz '^FuzzExtractSurface$$' -fuzztime 10s -parallel 2 ./internal/filters
 
 # The end-to-end benchmark driver is its own Go module (e2ebench/), which
 # the root `go test ./...` skips: vet and test it here, so a change to

@@ -20,6 +20,12 @@ const isosurfaceAllocCeiling = 50_000
 // full ones do.
 const sparseContourAllocCeiling = 50_000
 
+// extractSurfaceAllocCeiling gates the map-free surface kernel: a warm
+// Substrate_ExtractSurface op allocates its CSR arrays and output
+// (~60 objects); the map-based kernel it replaced made ~8.5k on the
+// same grid.
+const extractSurfaceAllocCeiling = 1_000
+
 // TestBenchSmokeAllocs runs each compute kernel once (after a warm-up
 // op) and reports its allocation profile, failing if Isosurface64
 // climbs back over the ceiling — the cheap `make bench-smoke` gate
@@ -38,6 +44,10 @@ func TestBenchSmokeAllocs(t *testing.T) {
 		if name == "Substrate_Isosurface64" && allocs > isosurfaceAllocCeiling {
 			t.Errorf("%s allocated %d times in one warm op; ceiling is %d — the SoA/arena path regressed",
 				name, allocs, isosurfaceAllocCeiling)
+		}
+		if name == "Substrate_ExtractSurface" && allocs > extractSurfaceAllocCeiling {
+			t.Errorf("%s allocated %d times in one warm op; ceiling is %d — the map-free face kernel regressed",
+				name, allocs, extractSurfaceAllocCeiling)
 		}
 		if name == "Substrate_SparseContour64" && allocs > sparseContourAllocCeiling {
 			t.Errorf("%s allocated %d times in one warm op; ceiling is %d — the sparse-sweep arena path regressed",

@@ -406,6 +406,10 @@ func BenchmarkSubstrate_SkewedClip(b *testing.B) {
 	benchkernels.Bench(b, "Substrate_SkewedClip")
 }
 
+func BenchmarkSubstrate_ExtractSurface(b *testing.B) {
+	benchkernels.Bench(b, "Substrate_ExtractSurface")
+}
+
 func BenchmarkSubstrate_SessionEditTurn(b *testing.B) {
 	benchkernels.Bench(b, "Substrate_SessionEditTurn")
 }

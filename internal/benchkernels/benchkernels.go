@@ -36,13 +36,14 @@ var Order = []string{
 	"Substrate_ClipPolyData",
 	"Substrate_SparseContour64",
 	"Substrate_SkewedClip",
+	"Substrate_ExtractSurface",
 	"Substrate_SessionEditTurn",
 }
 
 // ComputeOrder is Order restricted to the pure compute kernels — the
 // ones bench-smoke measures (the session kernel drags in temp dirs and
 // the whole session engine, which is not an allocation story).
-var ComputeOrder = Order[:7]
+var ComputeOrder = Order[:8]
 
 // Kernel is one substrate micro-benchmark: Setup builds the input
 // state (outside any timing) and returns the op to measure.
@@ -178,6 +179,22 @@ var Substrate = map[string]Kernel{
 			plane := vmath.NewPlane(vmath.V(0, 0, 0.6), vmath.V(0, 0, 1))
 			return func() {
 				filters.ClipPolyData(surf, plane)
+			}
+		},
+	},
+	// Substrate_ExtractSurface extracts the render surface of a clipped
+	// 48³ volume: the work the renderer does for every displayed
+	// unstructured grid (Clip, Threshold, Delaunay3D, ExodusII output)
+	// that is not already in the dataset cache.
+	"Substrate_ExtractSurface": {
+		Setup: func(tb testing.TB) func() {
+			plane := vmath.NewPlane(vmath.V(0, 0, 0), vmath.V(-1, 0, 0))
+			clip, err := filters.ClipUnstructured(filters.ImageToGrid(datagen.MarschnerLobb(48)), plane)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			return func() {
+				filters.ExtractSurface(clip)
 			}
 		},
 	},

@@ -3,7 +3,6 @@ package filters
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"chatvis/internal/data"
 	"chatvis/internal/par"
@@ -300,6 +299,29 @@ func ClipPolyDataContext(ctx context.Context, pd *data.PolyData, plane vmath.Pla
 	return out, nil
 }
 
+// ImageToGrid converts an ImageData to an unstructured grid of voxel
+// cells over the same points and point data (Clip's input for images).
+func ImageToGrid(im *data.ImageData) *data.UnstructuredGrid {
+	ug := data.NewUnstructuredGrid()
+	for i := 0; i < im.NumPoints(); i++ {
+		ug.AddPoint(im.Point(i))
+	}
+	ug.Points = im.Points.Clone()
+	nx, ny, nz := im.Dims[0], im.Dims[1], im.Dims[2]
+	for k := 0; k < nz-1; k++ {
+		for j := 0; j < ny-1; j++ {
+			for i := 0; i < nx-1; i++ {
+				ug.AddCell(data.CellVoxel,
+					im.Index(i, j, k), im.Index(i+1, j, k),
+					im.Index(i, j+1, k), im.Index(i+1, j+1, k),
+					im.Index(i, j, k+1), im.Index(i+1, j, k+1),
+					im.Index(i, j+1, k+1), im.Index(i+1, j+1, k+1))
+			}
+		}
+	}
+	return ug
+}
+
 // ClipUnstructured clips a volumetric mesh with a plane, keeping the side
 // the plane normal points to. All cells are decomposed into tetrahedra and
 // each straddling tet is cut into sub-tetrahedra, as VTK's Clip does with
@@ -413,87 +435,6 @@ func ClipUnstructuredContext(ctx context.Context, ug *data.UnstructuredGrid, pla
 	}
 	global.copyOutPoints(&out.Pts, out.Points)
 	return out, nil
-}
-
-// ExtractSurface returns the boundary surface of a volumetric mesh: the
-// faces that belong to exactly one cell (after tetra decomposition), as a
-// triangulated PolyData with the original point data carried over. Vertex
-// cells in the input (point clouds) are preserved as vertices.
-func ExtractSurface(ug *data.UnstructuredGrid) *data.PolyData {
-	tets := GridTets(ug)
-	type face struct{ a, b, c int }
-	canon := func(a, b, c int) face {
-		v := []int{a, b, c}
-		sort.Ints(v)
-		return face{v[0], v[1], v[2]}
-	}
-	count := make(map[face]int)
-	order := make(map[face][3]int) // original winding of first occurrence
-	for _, t := range tets {
-		fs := [4][3]int{
-			{t[0], t[1], t[2]},
-			{t[0], t[1], t[3]},
-			{t[0], t[2], t[3]},
-			{t[1], t[2], t[3]},
-		}
-		for _, f := range fs {
-			k := canon(f[0], f[1], f[2])
-			if count[k] == 0 {
-				order[k] = f
-			}
-			count[k]++
-		}
-	}
-	out := data.NewPolyData()
-	var srcFields, outFields []*data.Field
-	for i := 0; i < ug.Points.Len(); i++ {
-		f := ug.Points.At(i)
-		nf := data.NewField(f.Name, f.NumComponents, 0)
-		srcFields = append(srcFields, f)
-		outFields = append(outFields, nf)
-		out.Points.Add(nf)
-	}
-	remap := make(map[int]int)
-	mapPoint := func(i int) int {
-		if id, ok := remap[i]; ok {
-			return id
-		}
-		id := out.AddPoint(ug.Pts[i])
-		for fi, f := range srcFields {
-			nf := outFields[fi]
-			for c := 0; c < f.NumComponents; c++ {
-				nf.Data = append(nf.Data, f.Value(i, c))
-			}
-		}
-		remap[i] = id
-		return id
-	}
-	// Deterministic iteration: collect and sort boundary faces.
-	var boundary [][3]int
-	for k, n := range count {
-		if n == 1 {
-			boundary = append(boundary, order[k])
-		}
-	}
-	sort.Slice(boundary, func(i, j int) bool {
-		a, b := boundary[i], boundary[j]
-		if a[0] != b[0] {
-			return a[0] < b[0]
-		}
-		if a[1] != b[1] {
-			return a[1] < b[1]
-		}
-		return a[2] < b[2]
-	})
-	for _, f := range boundary {
-		out.AddTriangle(mapPoint(f[0]), mapPoint(f[1]), mapPoint(f[2]))
-	}
-	for _, c := range ug.Cells {
-		if c.Type == data.CellVertex && len(c.IDs) == 1 {
-			out.AddVert(mapPoint(c.IDs[0]))
-		}
-	}
-	return out
 }
 
 // ComputePointNormals adds (or replaces) a "Normals" point array on the

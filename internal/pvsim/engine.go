@@ -536,33 +536,39 @@ func (e *Engine) Executions() int64 { return e.executions.Load() }
 // a later repair iteration, or by a concurrent job — are answered from
 // the content-hash cache without executing the filter.
 func (e *Engine) Dataset(p *Proxy) (data.Dataset, error) {
+	ds, _, err := e.keyedDataset(p)
+	return ds, err
+}
+
+// keyedDataset is Dataset plus the content key its dataset is cached
+// under in the DataCache ("" when it is not cached).
+func (e *Engine) keyedDataset(p *Proxy) (data.Dataset, string, error) {
 	if p == nil {
-		return nil, raiseRT("null pipeline proxy")
+		return nil, "", raiseRT("null pipeline proxy")
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if !p.dirty && p.dataset != nil {
-		return p.dataset, nil
+		return p.dataset, p.key, nil
+	}
+	var key string
+	if e.DataCache != nil {
+		key, _ = e.contentKey(p) // "" for an unhashable proxy: computed uncached
 	}
 	var ds data.Dataset
 	var err error
-	if cache := e.DataCache; cache != nil {
-		if key, keyErr := e.contentKey(p); keyErr == nil {
-			ds, _, err = cache.GetOrCompute(e.execCtx(), key, func() (data.Dataset, error) {
-				return e.computeCounted(p)
-			})
-		} else {
-			ds, err = e.computeCounted(p)
-		}
+	if key != "" {
+		ds, _, err = e.DataCache.GetOrCompute(e.execCtx(), key, func() (data.Dataset, error) {
+			return e.computeCounted(p)
+		})
 	} else {
 		ds, err = e.computeCounted(p)
 	}
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	p.dataset = ds
-	p.dirty = false
-	return ds, nil
+	p.dataset, p.key, p.dirty = ds, key, false
+	return ds, key, nil
 }
 
 // computeCounted is the single point every actually-executed pipeline
@@ -731,7 +737,7 @@ func (e *Engine) compute(ctx context.Context, p *Proxy) (data.Dataset, error) {
 			}
 			return out, nil
 		case *data.ImageData:
-			ug := imageToUGrid(t)
+			ug := filters.ImageToGrid(t)
 			out, err := filters.ClipUnstructuredContext(ctx, ug, plane)
 			if err != nil {
 				return nil, raiseRT("Clip: %v", err)
@@ -988,28 +994,6 @@ func datasetPoints(ds data.Dataset) *data.PolyData {
 	}
 	pd.Points = ds.PointData().Clone()
 	return pd
-}
-
-// imageToUGrid converts an ImageData to hexahedral cells (for clipping).
-func imageToUGrid(im *data.ImageData) *data.UnstructuredGrid {
-	ug := data.NewUnstructuredGrid()
-	for i := 0; i < im.NumPoints(); i++ {
-		ug.AddPoint(im.Point(i))
-	}
-	ug.Points = im.Points.Clone()
-	nx, ny, nz := im.Dims[0], im.Dims[1], im.Dims[2]
-	for k := 0; k < nz-1; k++ {
-		for j := 0; j < ny-1; j++ {
-			for i := 0; i < nx-1; i++ {
-				ug.AddCell(data.CellVoxel,
-					im.Index(i, j, k), im.Index(i+1, j, k),
-					im.Index(i, j+1, k), im.Index(i+1, j+1, k),
-					im.Index(i, j, k+1), im.Index(i+1, j, k+1),
-					im.Index(i, j+1, k+1), im.Index(i+1, j+1, k+1))
-			}
-		}
-	}
-	return ug
 }
 
 func rescaledRGBPoints(pts []float64, lo, hi float64) pypy.Value {

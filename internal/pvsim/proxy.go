@@ -65,6 +65,7 @@ type Proxy struct {
 	Input   *Proxy
 	mu      sync.Mutex
 	dataset data.Dataset
+	key     string // DataCache key of dataset; "" when uncached
 	dirty   bool
 
 	// Representation state.

@@ -8,6 +8,7 @@ import (
 
 	"chatvis/internal/data"
 	"chatvis/internal/datagen"
+	"chatvis/internal/filters"
 	"chatvis/internal/pypy"
 	"chatvis/internal/vmath"
 	"chatvis/internal/vtkio"
@@ -323,7 +324,7 @@ func TestImageToUGridVolume(t *testing.T) {
 	im := data.NewImageData(3, 3, 3, vmath.V(0, 0, 0), vmath.V(1, 1, 1))
 	f := data.NewField("s", 1, im.NumPoints())
 	im.Points.Add(f)
-	ug := imageToUGrid(im)
+	ug := filters.ImageToGrid(im)
 	if ug.NumCells() != 8 {
 		t.Fatalf("cells = %d, want 8 voxels", ug.NumCells())
 	}

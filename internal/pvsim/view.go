@@ -211,6 +211,29 @@ func pick(cond bool, a, b float64) float64 {
 	return b
 }
 
+// surfaceKeySuffix extends a dataset's cache key into the key of the
+// render surface extracted from it.
+const surfaceKeySuffix = "|surface"
+
+// surfaceOf returns the boundary surface the renderer draws for an
+// unstructured grid. When the grid is cached under key, the surface is
+// memoized in the DataCache beside it, so each distinct grid is
+// extracted once by all engines sharing the cache: a camera, colour or
+// resolution edit re-renders without re-extracting. A lookup is not a
+// pipeline stage: it opens no stage span and counts no execution.
+func (e *Engine) surfaceOf(ug *data.UnstructuredGrid, key string) (*data.PolyData, error) {
+	if e.DataCache == nil || key == "" {
+		return filters.ExtractSurface(ug), nil
+	}
+	ds, _, err := e.DataCache.GetOrCompute(e.execCtx(), key+surfaceKeySuffix, func() (data.Dataset, error) {
+		return filters.ExtractSurface(ug), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return ds.(*data.PolyData), nil
+}
+
 // RenderViewImage renders a view at the given resolution.
 // overridePalette handles SaveScreenshot's OverrideColorPalette option
 // ("WhiteBackground", "BlackBackground" or empty).
@@ -227,7 +250,8 @@ func (e *Engine) RenderViewImage(view *Proxy, w, h int, overridePalette string) 
 	// report into agg, and the aggregate lands as span attributes.
 	var agg par.SweepAgg
 	ctx = par.WithSweepObserver(ctx, agg.Observe)
-	if err := e.requireDataset(e.visibleSources(view)); err != nil {
+	srcs := e.visibleSources(view)
+	if err := e.requireDataset(srcs); err != nil {
 		span.SetError(err)
 		return nil, err
 	}
@@ -242,11 +266,11 @@ func (e *Engine) RenderViewImage(view *Proxy, w, h int, overridePalette string) 
 	case "BlackBackground":
 		r.Background = render.Black
 	}
-	for key, rep := range e.Reps {
-		if key.view != view || !propBool(rep, "Visibility", true) {
-			continue
-		}
-		ds, err := e.Dataset(key.src)
+	// Actors are added in pipeline order: translucent displays blend in
+	// the order they are drawn.
+	for _, src := range srcs {
+		rep := e.Reps[repKey{src: src, view: view}]
+		ds, dsKey, err := e.keyedDataset(src)
 		if err != nil {
 			return nil, err
 		}
@@ -280,7 +304,9 @@ func (e *Engine) RenderViewImage(view *Proxy, w, h int, overridePalette string) 
 		case *data.PolyData:
 			mesh = t
 		case *data.UnstructuredGrid:
-			mesh = filters.ExtractSurface(t)
+			if mesh, err = e.surfaceOf(t, dsKey); err != nil {
+				return nil, err
+			}
 		case *data.ImageData:
 			// ParaView shows raw volumes as an outline unless volume
 			// rendered — the source of the paper's "blank" GPT-4 image.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 
+	"chatvis/internal/data"
 	"chatvis/internal/par"
 	"chatvis/internal/vmath"
 )
@@ -72,10 +73,8 @@ func (r *Renderer) castVolume(ctx context.Context, fb *Framebuffer, v *VolumeAct
 	})
 }
 
-// castRay composites one ray through the volume.
-func (r *Renderer) castRay(fb *Framebuffer, v *VolumeActor, field interface {
-	Scalar(int) float64
-}, origin, dir vmath.Vec3, bounds vmath.AABB, step float64, mvp vmath.Mat4, x, y int) {
+// castRay composites one ray through the volume, sampling field.
+func (r *Renderer) castRay(fb *Framebuffer, v *VolumeActor, field *data.Field, origin, dir vmath.Vec3, bounds vmath.AABB, step float64, mvp vmath.Mat4, x, y int) {
 	t0, t1, hit := rayBox(origin, dir, bounds)
 	if !hit {
 		return
@@ -89,7 +88,6 @@ func (r *Renderer) castRay(fb *Framebuffer, v *VolumeActor, field interface {
 	var accum Color
 	alpha := 0.0
 	im := v.Image
-	sfield := im.Points.Get(v.Field)
 	for t := t0; t <= t1; t += step {
 		p := origin.Add(dir.Mul(t))
 		// Depth test against rendered geometry.
@@ -99,7 +97,7 @@ func (r *Renderer) castRay(fb *Framebuffer, v *VolumeActor, field interface {
 				break
 			}
 		}
-		val, ok := im.SampleScalar(sfield, p)
+		val, ok := im.SampleScalar(field, p)
 		if !ok {
 			continue
 		}

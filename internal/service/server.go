@@ -689,8 +689,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		emit("chatvis_dataset_cache_entries", "Datasets held in the shared content-hash cache.", cs.Entries)
 		emit("chatvis_dataset_cache_bytes", "Approximate bytes of cached datasets.", cs.Bytes)
 		emit("chatvis_dataset_cache_capacity_bytes", "Configured dataset cache capacity.", cs.MaxBytes)
-		emit("chatvis_dataset_cache_hits_total", "Pipeline stages answered from the dataset cache.", cs.Hits)
-		emit("chatvis_dataset_cache_misses_total", "Pipeline stages computed on a cache miss.", cs.Misses)
+		emit("chatvis_dataset_cache_hits_total", "Pipeline stages and render surfaces answered from the dataset cache.", cs.Hits)
+		emit("chatvis_dataset_cache_misses_total", "Pipeline stages and render surfaces computed on a cache miss.", cs.Misses)
 		emit("chatvis_dataset_cache_evictions_total", "Datasets evicted to stay under the byte bound.", cs.Evictions)
 	}
 
