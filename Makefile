@@ -16,9 +16,17 @@ ci: fmt vet plan-validate lint-metrics calibrate-smoke test-race fuzz-smoke benc
 # (seeded from every scenario corpus script; fuzzed views are capped at
 # 400 pixels a side). FuzzExtractSurface checks the map-free surface
 # kernel against the map-based reference on arbitrary valid cells.
+# FuzzReadLegacyVTK feeds arbitrary bytes to the legacy VTK reader (no
+# panic; accepted datasets have in-range cell ids and full-length point
+# fields); its seeds are whole DataSmall datasets (up to ~280 KB), so
+# minimizing each new input is capped at 1s or it would eat the budget.
+# FuzzEncodePNG decodes the screenshot encoder's output of
+# random opaque images with the stdlib decoder.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanPathImpliesInterpreter$$' -fuzztime 20s -parallel 2 ./internal/eval
 	$(GO) test -run '^$$' -fuzz '^FuzzExtractSurface$$' -fuzztime 10s -parallel 2 ./internal/filters
+	$(GO) test -run '^$$' -fuzz '^FuzzReadLegacyVTK$$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/vtkio
+	$(GO) test -run '^$$' -fuzz '^FuzzEncodePNG$$' -fuzztime 10s -parallel 2 ./internal/render
 
 # The end-to-end benchmark driver is its own Go module (e2ebench/), which
 # the root `go test ./...` skips: vet and test it here, so a change to

@@ -26,6 +26,14 @@ const sparseContourAllocCeiling = 50_000
 // same grid.
 const extractSurfaceAllocCeiling = 1_000
 
+// encodePNGAllocCeiling gates the screenshot encoder: a warm
+// Substrate_EncodePNG op takes its deflate writer and buffers from a
+// pool and allocates ~5 times. The runtime.GC before the measured op
+// can empty the pool, and then the op builds a fresh writer (~37
+// allocations), so the ceiling sits above that. It still catches any
+// per-row allocation: the 320x180 frame has 180 rows.
+const encodePNGAllocCeiling = 100
+
 // TestBenchSmokeAllocs runs each compute kernel once (after a warm-up
 // op) and reports its allocation profile, failing if Isosurface64
 // climbs back over the ceiling — the cheap `make bench-smoke` gate
@@ -48,6 +56,10 @@ func TestBenchSmokeAllocs(t *testing.T) {
 		if name == "Substrate_ExtractSurface" && allocs > extractSurfaceAllocCeiling {
 			t.Errorf("%s allocated %d times in one warm op; ceiling is %d — the map-free face kernel regressed",
 				name, allocs, extractSurfaceAllocCeiling)
+		}
+		if name == "Substrate_EncodePNG" && allocs > encodePNGAllocCeiling {
+			t.Errorf("%s allocated %d times in one warm op; ceiling is %d — the pooled encoder regressed",
+				name, allocs, encodePNGAllocCeiling)
 		}
 		if name == "Substrate_SparseContour64" && allocs > sparseContourAllocCeiling {
 			t.Errorf("%s allocated %d times in one warm op; ceiling is %d — the sparse-sweep arena path regressed",

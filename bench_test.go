@@ -410,6 +410,10 @@ func BenchmarkSubstrate_ExtractSurface(b *testing.B) {
 	benchkernels.Bench(b, "Substrate_ExtractSurface")
 }
 
+func BenchmarkSubstrate_EncodePNG(b *testing.B) {
+	benchkernels.Bench(b, "Substrate_EncodePNG")
+}
+
 func BenchmarkSubstrate_SessionEditTurn(b *testing.B) {
 	benchkernels.Bench(b, "Substrate_SessionEditTurn")
 }

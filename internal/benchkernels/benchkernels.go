@@ -9,6 +9,7 @@ package benchkernels
 import (
 	"context"
 	"fmt"
+	"io"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -37,13 +38,14 @@ var Order = []string{
 	"Substrate_SparseContour64",
 	"Substrate_SkewedClip",
 	"Substrate_ExtractSurface",
+	"Substrate_EncodePNG",
 	"Substrate_SessionEditTurn",
 }
 
 // ComputeOrder is Order restricted to the pure compute kernels — the
 // ones bench-smoke measures (the session kernel drags in temp dirs and
 // the whole session engine, which is not an allocation story).
-var ComputeOrder = Order[:8]
+var ComputeOrder = Order[:9]
 
 // Kernel is one substrate micro-benchmark: Setup builds the input
 // state (outside any timing) and returns the op to measure.
@@ -195,6 +197,27 @@ var Substrate = map[string]Kernel{
 			}
 			return func() {
 				filters.ExtractSurface(clip)
+			}
+		},
+	},
+	// Substrate_EncodePNG encodes one 320x180 screenshot (the
+	// benchmark view size) of the DataSmall isosurface: the tail every
+	// executed request pays in SaveScreenshot.
+	"Substrate_EncodePNG": {
+		Setup: func(tb testing.TB) func() {
+			surf, err := filters.Contour(datagen.MarschnerLobb(24), "var0", 0.5)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			filters.ComputePointNormals(surf)
+			r := render.NewRenderer()
+			r.AddActor(render.NewActor(surf))
+			r.ResetCamera()
+			img := r.Render(320, 180)
+			return func() {
+				if err := render.EncodePNG(io.Discard, img); err != nil {
+					tb.Fatal(err)
+				}
 			}
 		},
 	},

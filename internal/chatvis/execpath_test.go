@@ -82,6 +82,11 @@ func TestFullyModelledScriptExecutesOnce(t *testing.T) {
 	if n := len(spanNamed(spans, "render.view")); n != len(art.Screenshots) || n != 1 {
 		t.Errorf("%d render.view spans for %d screenshots", n, len(art.Screenshots))
 	}
+	if writes := spanNamed(spans, "screenshot.write"); len(writes) != 1 {
+		t.Errorf("%d screenshot.write spans, want 1", len(writes))
+	} else if a := writes[0].Attrs; a["width"] != "160" || a["height"] != "90" || a["bytes"] == "" || a["bytes"] == "0" {
+		t.Errorf("screenshot.write attrs = %v, want 160x90 and a byte count", a)
+	}
 	if n := len(spanNamed(spans, "engine.seed-exec")); n != 0 {
 		t.Errorf("%d engine.seed-exec spans", n)
 	}

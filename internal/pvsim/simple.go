@@ -2,9 +2,11 @@ package pvsim
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 
+	"chatvis/internal/obs"
 	"chatvis/internal/plan"
 	"chatvis/internal/pypy"
 	"chatvis/internal/render"
@@ -519,7 +521,17 @@ func (e *Engine) writeScreenshot(view *Proxy, filename string, w, h int, palette
 	if !filepath.IsAbs(path) && e.OutDir != "" {
 		path = filepath.Join(e.OutDir, path)
 	}
-	if err := render.SavePNG(path, img); err != nil {
+	// screenshot.write times the encode, the write and the fsync.
+	_, span := obs.Start(e.execCtx(), "screenshot.write")
+	span.SetAttr("width", img.Rect.Dx())
+	span.SetAttr("height", img.Rect.Dy())
+	err = render.SavePNG(path, img)
+	if fi, serr := os.Stat(path); serr == nil {
+		span.SetAttr("bytes", fi.Size())
+	}
+	span.SetError(err)
+	span.End()
+	if err != nil {
 		return raiseRT("SaveScreenshot: %v", err)
 	}
 	e.Screenshots = append(e.Screenshots, path)

@@ -2,7 +2,6 @@ package render
 
 import (
 	"image"
-	"image/color"
 	"math"
 )
 
@@ -227,13 +226,10 @@ func (fb *Framebuffer) pointBand(v vert, size float64, y0, y1 int) {
 // Image converts the framebuffer to an 8-bit RGBA image.
 func (fb *Framebuffer) Image() *image.RGBA {
 	img := image.NewRGBA(image.Rect(0, 0, fb.W, fb.H))
-	for y := 0; y < fb.H; y++ {
-		for x := 0; x < fb.W; x++ {
-			c := fb.Color[y*fb.W+x]
-			img.SetRGBA(x, y, color.RGBA{
-				R: to8(c.R), G: to8(c.G), B: to8(c.B), A: 255,
-			})
-		}
+	pix := img.Pix // Stride is 4*W: the rows are contiguous
+	for i, c := range fb.Color {
+		p := pix[4*i : 4*i+4 : 4*i+4]
+		p[0], p[1], p[2], p[3] = to8(c.R), to8(c.G), to8(c.B), 255
 	}
 	return img
 }

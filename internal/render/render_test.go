@@ -1,6 +1,7 @@
 package render
 
 import (
+	"image/color"
 	"math"
 	"math/rand"
 	"testing"
@@ -379,6 +380,24 @@ func TestRepresentationNames(t *testing.T) {
 		ParseRepresentation("bogus") != RepSurface ||
 		ParseRepresentation("Points") != RepPoints {
 		t.Error("ParseRepresentation wrong")
+	}
+}
+
+// TestImageOpaque pins what EncodePNG relies on when it drops alpha:
+// every Image pixel has alpha 255, and its RGB is the framebuffer
+// colour clamped to 8 bits, also for colours outside [0,1].
+func TestImageOpaque(t *testing.T) {
+	fb := triangleScene().RenderFB(23, 17)
+	fb.Color[0] = Color{R: -0.5, G: 1.5, B: 0.5}
+	img := fb.Image()
+	for y := 0; y < fb.H; y++ {
+		for x := 0; x < fb.W; x++ {
+			c := fb.Color[y*fb.W+x]
+			want := color.RGBA{R: to8(c.R), G: to8(c.G), B: to8(c.B), A: 255}
+			if got := img.RGBAAt(x, y); got != want {
+				t.Fatalf("pixel (%d,%d) = %v, want %v", x, y, got, want)
+			}
+		}
 	}
 }
 

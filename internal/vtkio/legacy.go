@@ -15,6 +15,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -169,7 +170,7 @@ func (t *tokenReader) next() (string, error) {
 	for t.pos >= len(t.toks) {
 		if !t.sc.Scan() {
 			if err := t.sc.Err(); err != nil {
-				return "", err
+				return "", fmt.Errorf("vtkio: line %d: %w", t.line+1, err)
 			}
 			return "", io.EOF
 		}
@@ -192,6 +193,20 @@ func (t *tokenReader) nextInt() (int, error) {
 		return 0, fmt.Errorf("vtkio: line %d: expected integer, got %q", t.line, tok)
 	}
 	return v, nil
+}
+
+// nextCount reads a header count. Counts are never trusted as
+// allocation sizes (readers grow by append), but a negative one is an
+// error.
+func (t *tokenReader) nextCount(what string) (int, error) {
+	n, err := t.nextInt()
+	if err != nil {
+		return 0, err
+	}
+	if n < 0 {
+		return 0, fmt.Errorf("vtkio: line %d: negative %s count %d", t.line, what, n)
+	}
+	return n, nil
 }
 
 func (t *tokenReader) nextFloat() (float64, error) {
@@ -237,17 +252,25 @@ func ReadLegacyVTK(r io.Reader) (data.Dataset, error) {
 	}
 	kind, err := tr.next()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("vtkio: missing dataset kind: %w", err)
 	}
+	var ds data.Dataset
 	switch strings.ToUpper(kind) {
 	case "STRUCTURED_POINTS":
-		return readStructuredPoints(tr)
+		ds, err = readStructuredPoints(tr)
 	case "POLYDATA":
-		return readPolyData(tr)
+		ds, err = readPolyData(tr)
 	case "UNSTRUCTURED_GRID":
-		return readUnstructuredGrid(tr)
+		ds, err = readUnstructuredGrid(tr)
+	default:
+		return nil, fmt.Errorf("vtkio: unsupported dataset kind %q", kind)
 	}
-	return nil, fmt.Errorf("vtkio: unsupported dataset kind %q", kind)
+	// Sections end cleanly at EOF, so an EOF that escapes one cut a
+	// record short.
+	if err == io.EOF {
+		return nil, fmt.Errorf("vtkio: line %d: unexpected end of file", tr.line)
+	}
+	return ds, err
 }
 
 // LoadLegacyVTK reads a legacy VTK file from disk.
@@ -259,6 +282,10 @@ func LoadLegacyVTK(path string) (data.Dataset, error) {
 	defer f.Close()
 	return ReadLegacyVTK(f)
 }
+
+// maxLegacyPoints bounds the point count a STRUCTURED_POINTS header may
+// declare, so the product of its dimensions cannot overflow an int.
+const maxLegacyPoints = 1 << 30
 
 func readStructuredPoints(tr *tokenReader) (data.Dataset, error) {
 	var dims [3]int
@@ -276,10 +303,15 @@ func readStructuredPoints(tr *tokenReader) (data.Dataset, error) {
 		}
 		switch strings.ToUpper(kw) {
 		case "DIMENSIONS":
+			n := 1
 			for i := 0; i < 3; i++ {
 				if dims[i], err = tr.nextInt(); err != nil {
 					return nil, err
 				}
+				if dims[i] < 1 || dims[i] > maxLegacyPoints/n {
+					return nil, fmt.Errorf("vtkio: line %d: DIMENSIONS %d out of range", tr.line, dims[i])
+				}
+				n *= dims[i]
 			}
 			dimsSeen = true
 		case "ORIGIN":
@@ -295,14 +327,7 @@ func readStructuredPoints(tr *tokenReader) (data.Dataset, error) {
 				return nil, fmt.Errorf("vtkio: POINT_DATA before DIMENSIONS")
 			}
 			im := data.NewImageData(dims[0], dims[1], dims[2], origin, spacing)
-			n, err := tr.nextInt()
-			if err != nil {
-				return nil, err
-			}
-			if n != im.NumPoints() {
-				return nil, fmt.Errorf("vtkio: POINT_DATA count %d != %d points", n, im.NumPoints())
-			}
-			if err := readAttributes(tr, im.Points, n); err != nil {
+			if err := readPointData(tr, im.Points, im.NumPoints()); err != nil {
 				return nil, err
 			}
 			return im, nil
@@ -330,96 +355,145 @@ func readVec3(tr *tokenReader) (vmath.Vec3, error) {
 }
 
 func readPoints(tr *tokenReader) ([]vmath.Vec3, error) {
-	n, err := tr.nextInt()
+	n, err := tr.nextCount("POINTS")
 	if err != nil {
 		return nil, err
 	}
 	if _, err := tr.next(); err != nil { // data type (float/double), ignored
 		return nil, err
 	}
-	pts := make([]vmath.Vec3, n)
-	for i := range pts {
-		if pts[i], err = readVec3(tr); err != nil {
+	var pts []vmath.Vec3
+	for i := 0; i < n; i++ {
+		p, err := readVec3(tr)
+		if err != nil {
 			return nil, err
 		}
+		if !finite(p) {
+			return nil, fmt.Errorf("vtkio: line %d: non-finite coordinate at point %d", tr.line, i)
+		}
+		pts = append(pts, p)
 	}
 	return pts, nil
 }
 
-func readConn(tr *tokenReader) ([][]int, error) {
-	n, err := tr.nextInt()
+func finite(p vmath.Vec3) bool {
+	for _, v := range [3]float64{p.X, p.Y, p.Z} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+func readConn(tr *tokenReader, section string) ([][]int, error) {
+	n, err := tr.nextCount(section)
 	if err != nil {
 		return nil, err
 	}
 	if _, err := tr.nextInt(); err != nil { // total size, ignored
 		return nil, err
 	}
-	conn := make([][]int, n)
-	for i := range conn {
-		m, err := tr.nextInt()
+	var conn [][]int
+	for i := 0; i < n; i++ {
+		m, err := tr.nextCount(section + " cell")
 		if err != nil {
 			return nil, err
 		}
-		ids := make([]int, m)
-		for j := range ids {
-			if ids[j], err = tr.nextInt(); err != nil {
+		var ids []int
+		for j := 0; j < m; j++ {
+			id, err := tr.nextInt()
+			if err != nil {
 				return nil, err
 			}
+			ids = append(ids, id)
 		}
-		conn[i] = ids
+		conn = append(conn, ids)
 	}
 	return conn, nil
 }
 
+// checkIDs rejects a cell that references a point outside [0, nPts):
+// filters and the renderer index point arrays by these ids.
+func checkIDs(section string, cell int, ids []int, nPts int) error {
+	for _, id := range ids {
+		if id < 0 || id >= nPts {
+			return fmt.Errorf("vtkio: %s cell %d references point %d of %d", section, cell, id, nPts)
+		}
+	}
+	return nil
+}
+
+// readPointData reads a POINT_DATA section whose count must equal the
+// dataset's point count.
+func readPointData(tr *tokenReader, fs *data.FieldSet, nPts int) error {
+	n, err := tr.nextInt()
+	if err != nil {
+		return err
+	}
+	if n != nPts {
+		return fmt.Errorf("vtkio: POINT_DATA count %d != %d points", n, nPts)
+	}
+	return readAttributes(tr, fs, n)
+}
+
 func readPolyData(tr *tokenReader) (data.Dataset, error) {
 	pd := data.NewPolyData()
+sections:
 	for {
 		kw, err := tr.next()
 		if err == io.EOF {
-			return pd, nil
+			break
 		}
 		if err != nil {
 			return nil, err
 		}
-		switch strings.ToUpper(kw) {
+		switch kw = strings.ToUpper(kw); kw {
 		case "POINTS":
 			if pd.Pts, err = readPoints(tr); err != nil {
 				return nil, err
 			}
 		case "VERTICES":
-			if pd.Verts, err = readConn(tr); err != nil {
+			if pd.Verts, err = readConn(tr, kw); err != nil {
 				return nil, err
 			}
 		case "LINES":
-			if pd.Lines, err = readConn(tr); err != nil {
+			if pd.Lines, err = readConn(tr, kw); err != nil {
 				return nil, err
 			}
 		case "POLYGONS", "TRIANGLE_STRIPS":
-			if pd.Polys, err = readConn(tr); err != nil {
+			if pd.Polys, err = readConn(tr, kw); err != nil {
 				return nil, err
 			}
 		case "POINT_DATA":
-			n, err := tr.nextInt()
-			if err != nil {
+			if err := readPointData(tr, pd.Points, len(pd.Pts)); err != nil {
 				return nil, err
 			}
-			if err := readAttributes(tr, pd.Points, n); err != nil {
-				return nil, err
-			}
-			return pd, nil
+			break sections
 		default:
 			return nil, fmt.Errorf("vtkio: unexpected keyword %q in polydata", kw)
 		}
 	}
+	for _, sec := range []struct {
+		name string
+		conn [][]int
+	}{{"VERTICES", pd.Verts}, {"LINES", pd.Lines}, {"POLYGONS", pd.Polys}} {
+		for i, ids := range sec.conn {
+			if err := checkIDs(sec.name, i, ids, len(pd.Pts)); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return pd, nil
 }
 
 func readUnstructuredGrid(tr *tokenReader) (data.Dataset, error) {
 	ug := data.NewUnstructuredGrid()
 	var conn [][]int
+sections:
 	for {
 		kw, err := tr.next()
 		if err == io.EOF {
-			return ug, nil
+			break
 		}
 		if err != nil {
 			return nil, err
@@ -430,7 +504,7 @@ func readUnstructuredGrid(tr *tokenReader) (data.Dataset, error) {
 				return nil, err
 			}
 		case "CELLS":
-			if conn, err = readConn(tr); err != nil {
+			if conn, err = readConn(tr, "CELLS"); err != nil {
 				return nil, err
 			}
 		case "CELL_TYPES":
@@ -449,18 +523,20 @@ func readUnstructuredGrid(tr *tokenReader) (data.Dataset, error) {
 				ug.Cells = append(ug.Cells, data.Cell{Type: data.CellType(t), IDs: conn[i]})
 			}
 		case "POINT_DATA":
-			n, err := tr.nextInt()
-			if err != nil {
+			if err := readPointData(tr, ug.Points, len(ug.Pts)); err != nil {
 				return nil, err
 			}
-			if err := readAttributes(tr, ug.Points, n); err != nil {
-				return nil, err
-			}
-			return ug, nil
+			break sections
 		default:
 			return nil, fmt.Errorf("vtkio: unexpected keyword %q in unstructured grid", kw)
 		}
 	}
+	for i, c := range ug.Cells {
+		if err := checkIDs("CELLS", i, c.IDs, len(ug.Pts)); err != nil {
+			return nil, err
+		}
+	}
+	return ug, nil
 }
 
 func readAttributes(tr *tokenReader, fs *data.FieldSet, n int) error {
@@ -488,6 +564,9 @@ func readAttributes(tr *tokenReader, fs *data.FieldSet, n int) error {
 			}
 			comps := 1
 			if c, cerr := strconv.Atoi(tok); cerr == nil {
+				if c < 1 || c > 4 {
+					return fmt.Errorf("vtkio: line %d: SCALARS %s has %d components, want 1-4", tr.line, name, c)
+				}
 				comps = c
 				tok, err = tr.next()
 				if err != nil {
@@ -500,13 +579,11 @@ func readAttributes(tr *tokenReader, fs *data.FieldSet, n int) error {
 			if _, err := tr.next(); err != nil { // table name
 				return err
 			}
-			f := data.NewField(name, comps, n)
-			for i := range f.Data {
-				if f.Data[i], err = tr.nextFloat(); err != nil {
-					return err
-				}
+			vals, err := readFloats(tr, comps*n)
+			if err != nil {
+				return err
 			}
-			fs.Add(f)
+			fs.Add(&data.Field{Name: name, NumComponents: comps, Data: vals})
 		case "VECTORS", "NORMALS":
 			name, err := tr.next()
 			if err != nil {
@@ -515,15 +592,26 @@ func readAttributes(tr *tokenReader, fs *data.FieldSet, n int) error {
 			if _, err := tr.next(); err != nil { // data type
 				return err
 			}
-			f := data.NewField(name, 3, n)
-			for i := range f.Data {
-				if f.Data[i], err = tr.nextFloat(); err != nil {
-					return err
-				}
+			vals, err := readFloats(tr, 3*n)
+			if err != nil {
+				return err
 			}
-			fs.Add(f)
+			fs.Add(&data.Field{Name: name, NumComponents: 3, Data: vals})
 		default:
 			return fmt.Errorf("vtkio: unsupported attribute keyword %q", kw)
 		}
 	}
+}
+
+// readFloats reads n numbers, growing the slice as they arrive.
+func readFloats(tr *tokenReader, n int) ([]float64, error) {
+	var vals []float64
+	for i := 0; i < n; i++ {
+		v, err := tr.nextFloat()
+		if err != nil {
+			return nil, err
+		}
+		vals = append(vals, v)
+	}
+	return vals, nil
 }
