@@ -480,7 +480,6 @@ func BenchmarkServiceThroughput(b *testing.B) {
 		}
 		pipeline := service.NewChatVisPipeline(service.PipelineConfig{
 			DataDir: b.TempDir(),
-			OutDir:  b.TempDir(),
 		})
 		q, err := service.NewQueue(service.QueueOptions{
 			Workers:  runtime.NumCPU(),

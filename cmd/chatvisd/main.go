@@ -218,7 +218,6 @@ func buildDaemon(cfg daemonConfig) (*daemon, error) {
 	}
 	pipeCfg := service.PipelineConfig{
 		DataDir:      cfg.dataDir,
-		OutDir:       filepath.Join(cfg.outDir, "jobs"),
 		DataSize:     size,
 		Retries:      cfg.retries,
 		Metrics:      metrics,
@@ -338,7 +337,7 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "HTTP listen address")
 		dataDir  = flag.String("data", "data", "directory for input datasets (generated on demand)")
-		outDir   = flag.String("out", "out", "root directory for job outputs and the artifact store")
+		outDir   = flag.String("out", "out", "root directory for the artifact store and the WAL (the daemon writes no per-request files)")
 		storeDir = flag.String("store", "", "artifact store directory (default <out>/store)")
 		workers  = flag.Int("workers", runtime.NumCPU(), "worker pool size shared by jobs and session turns")
 		queueCap = flag.Int("queue-cap", 256, "max queued (not yet running) jobs and session turns")

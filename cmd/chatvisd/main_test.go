@@ -5,9 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"image/png"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -21,9 +24,10 @@ import (
 // against the stub "oracle" LLM profile, polls it to completion, fetches
 // the script and screenshot artifacts by hash, and drains the queue.
 func TestDaemonSmoke(t *testing.T) {
+	outDir := t.TempDir()
 	d, err := buildDaemon(daemonConfig{
 		dataDir: t.TempDir(),
-		outDir:  t.TempDir(),
+		outDir:  outDir,
 		workers: 2,
 	})
 	if err != nil {
@@ -186,6 +190,43 @@ func TestDaemonSmoke(t *testing.T) {
 	if err := queue.Shutdown(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
+	checkDaemonOutput(t, outDir, view.Result.ScreenshotHashes)
+}
+
+// checkDaemonOutput asserts what a drained daemon leaves under its -out
+// directory: the artifact store and the WAL, and no per-request files.
+// Every screenshot hash must name a stored object whose bytes hash to it
+// and decode as a PNG.
+func checkDaemonOutput(t *testing.T, outDir string, shots []string) {
+	t.Helper()
+	entries, err := os.ReadDir(outDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if strings.Join(names, " ") != "store wal" {
+		t.Errorf("-out holds %v, want only [store wal]", names)
+	}
+	store, err := service.NewStore(filepath.Join(outDir, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range shots {
+		b, info, err := store.Get(h)
+		if err != nil {
+			t.Errorf("screenshot %s: %v", h, err)
+			continue
+		}
+		if service.HashBytes(b) != h || info.ContentType != "image/png" {
+			t.Errorf("screenshot %s: stored bytes hash to %s, type %s", h, service.HashBytes(b), info.ContentType)
+		}
+		if _, err := png.Decode(bytes.NewReader(b)); err != nil {
+			t.Errorf("screenshot %s: %v", h, err)
+		}
+	}
 }
 
 // TestDaemonConcurrentIdenticalSubmissions verifies the acceptance
@@ -288,9 +329,10 @@ func TestDaemonConcurrentIdenticalSubmissions(t *testing.T) {
 // second turn re-executed only the changed stage (and its downstream
 // subtree), which is the whole point of the session API.
 func TestDaemonSessionTwoTurns(t *testing.T) {
+	outDir := t.TempDir()
 	d, err := buildDaemon(daemonConfig{
 		dataDir: t.TempDir(),
-		outDir:  t.TempDir(),
+		outDir:  outDir,
 		workers: 2,
 	})
 	if err != nil {
@@ -419,6 +461,7 @@ func TestDaemonSessionTwoTurns(t *testing.T) {
 	if err := queue.Shutdown(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
+	checkDaemonOutput(t, outDir, append(v1.ScreenshotHashes, v2.ScreenshotHashes...))
 }
 
 // TestDaemonComputeFlagsAndDatasetCache covers the -compute-workers /

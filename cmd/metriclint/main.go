@@ -94,7 +94,6 @@ func scrape() (string, error) {
 	metrics := &llm.Metrics{}
 	pipeline, factory := service.NewServingBackend(service.PipelineConfig{
 		DataDir: filepath.Join(dir, "data"),
-		OutDir:  filepath.Join(dir, "jobs"),
 		Metrics: metrics,
 	})
 	queue, err := service.NewQueue(service.QueueOptions{

@@ -2,6 +2,7 @@ package chatvis
 
 import (
 	"context"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -504,5 +505,53 @@ func TestUnassistedThresholdRepair(t *testing.T) {
 	}
 	if strings.Contains(art2.FinalScript, "ThresholdRange") {
 		t.Error("repair should have removed the deprecated property")
+	}
+}
+
+// TestEscapingScreenshotIsRepaired: an absolute SaveScreenshot path is
+// refused with a RuntimeError that the error extractor reports for the
+// iteration, the repair request carries it to the model, and the
+// repaired script's relative name succeeds. Nothing is written at the
+// absolute path.
+func TestEscapingScreenshotIsRepaired(t *testing.T) {
+	const script = `from paraview.simple import *
+reader = LegacyVTKReader(FileNames=['ml-100.vtk'])
+contour1 = Contour(Input=reader)
+contour1.ContourBy = ['POINTS', 'var0']
+contour1.Isosurfaces = [0.5]
+renderView1 = GetActiveViewOrCreate('RenderView')
+Show(contour1, renderView1)
+renderView1.ResetCamera()
+SaveScreenshot('%s', renderView1, ImageResolution=[80, 60])
+`
+	escaping := filepath.Join(t.TempDir(), "x.png")
+	const refusal = "resolves outside the output directory"
+	var repairs int
+	model := &llm.ClientFunc{ModelName: "escaper", Fn: func(_ context.Context, req llm.Request) (llm.Response, error) {
+		name := escaping
+		if strings.Contains(req.User, refusal) {
+			repairs++
+			name = "x.png"
+		}
+		return llm.Response{Text: strings.Replace(script, "%s", name, 1)}, nil
+	}}
+	a, err := NewAssistant(model, testRunner(t), WithRewrite(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := a.Run(context.Background(), "isosurface")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !art.Success || art.NumIterations() != 2 || repairs != 1 {
+		t.Fatalf("success=%v iterations=%d repairs=%d, want a success after one repair", art.Success, art.NumIterations(), repairs)
+	}
+	errs := art.Iterations[0].Errors
+	want := `SaveScreenshot: file name "` + escaping + `" ` + refusal
+	if len(errs) != 1 || errs[0].Kind != "RuntimeError" || errs[0].Message != want {
+		t.Fatalf("iteration 1 errors = %+v, want RuntimeError %q", errs, want)
+	}
+	if _, err := os.Stat(escaping); err == nil {
+		t.Errorf("the refused screenshot was written to %s", escaping)
 	}
 }

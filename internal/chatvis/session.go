@@ -131,12 +131,11 @@ func NewSessionFrom(model llm.Client, runner *pvpython.Runner, seed *plan.Plan, 
 }
 
 // engine lazily builds the session's persistent engine, sharing the
-// runner's directories and dataset cache so plan executions compose with
-// the process-wide content-hash cache.
+// runner's directories, screenshot sink and dataset cache so plan
+// executions compose with the process-wide content-hash cache.
 func (s *Session) engine() *pvsim.Engine {
 	if s.eng == nil {
-		s.eng = pvsim.NewEngine(s.runner.DataDir, s.runner.OutDir)
-		s.eng.DataCache = s.runner.Cache
+		s.eng = s.runner.NewEngine()
 	}
 	return s.eng
 }

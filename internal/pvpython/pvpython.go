@@ -23,7 +23,8 @@ type Result struct {
 	// Err is the structured error (nil on success): *pypy.SyntaxError or
 	// *pypy.PyError.
 	Err error
-	// Screenshots lists the image files the script wrote, in order.
+	// Screenshots lists the saved screenshots' references (file paths
+	// without a Sink), in order.
 	Screenshots []string
 	// Engine exposes the session for callers that inspect state (tests,
 	// the evaluation harness reading rendered pixels).
@@ -36,10 +37,12 @@ func (r *Result) OK() bool { return r.Err == nil }
 // Runner executes scripts with a fixed data directory and output
 // directory, like a pvpython binary invoked from a working directory.
 type Runner struct {
-	// DataDir resolves relative input dataset paths.
+	// DataDir resolves input dataset names.
 	DataDir string
-	// OutDir resolves relative screenshot paths.
+	// OutDir receives screenshots as files when Sink is nil.
 	OutDir string
+	// Sink, when set, receives the screenshots instead of OutDir.
+	Sink pvsim.ScreenshotSink
 	// MaxSteps bounds interpreter execution (default 5M).
 	MaxSteps int
 	// Cache, when set, is shared with every engine this runner creates:
@@ -59,8 +62,7 @@ func (r *Runner) Exec(script string) *Result {
 // aborts the compute-heavy stages mid-script.
 func (r *Runner) ExecContext(ctx context.Context, script string) *Result {
 	var out bytes.Buffer
-	engine := pvsim.NewEngine(r.DataDir, r.OutDir)
-	engine.DataCache = r.Cache
+	engine := r.NewEngine()
 	engine.ExecCtx = ctx
 	interp := pypy.NewInterp(&out)
 	if r.MaxSteps > 0 {
@@ -92,6 +94,17 @@ func (r *Runner) ExecContext(ctx context.Context, script string) *Result {
 	res.Output = out.String()
 	res.Screenshots = engine.Screenshots
 	return res
+}
+
+// NewEngine builds an engine over the runner's directories, screenshot
+// sink and dataset cache.
+func (r *Runner) NewEngine() *pvsim.Engine {
+	e := pvsim.NewEngine(r.DataDir, r.OutDir)
+	if r.Sink != nil {
+		e.Sink = r.Sink
+	}
+	e.DataCache = r.Cache
+	return e
 }
 
 // buildParaviewRootExtras adds the handful of attributes scripts reference

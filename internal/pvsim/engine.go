@@ -23,10 +23,10 @@ import (
 // Engine is the simulated ParaView session: all live proxies, active
 // objects, the transfer-function registry and I/O roots.
 type Engine struct {
-	// DataDir is prepended to relative input file names.
+	// DataDir is the root of the input file names scripts give.
 	DataDir string
-	// OutDir is prepended to relative screenshot file names.
-	OutDir string
+	// Sink receives every saved screenshot; NewEngine sets a DirSink.
+	Sink ScreenshotSink
 
 	// DataCache, when set, is the process-wide content-keyed dataset
 	// cache: proxies whose content hash (class + properties + input
@@ -54,10 +54,11 @@ type Engine struct {
 	ActiveSource *Proxy
 	ActiveView   *Proxy
 
-	// Screenshots records every SaveScreenshot call (absolute paths).
+	// Screenshots records the sink's reference for every screenshot the
+	// run saved (ExecPlan starts each run with an empty log).
 	Screenshots []string
-	// Rendered maps screenshot path to the rendered image so callers can
-	// inspect pixels without re-reading the file.
+	// Rendered maps a screenshot reference to the rendered image so
+	// callers can inspect pixels without re-reading the file.
 	Rendered map[string]*image.RGBA
 
 	colorTFs   map[string]*Proxy
@@ -88,11 +89,12 @@ type repKey struct {
 	view *Proxy
 }
 
-// NewEngine builds an engine rooted at the given data/output directories.
+// NewEngine builds an engine that reads inputs under dataDir and writes
+// screenshots as files under outDir.
 func NewEngine(dataDir, outDir string) *Engine {
 	e := &Engine{
 		DataDir:      dataDir,
-		OutDir:       outDir,
+		Sink:         DirSink(outDir),
 		Reps:         map[repKey]*Proxy{},
 		Rendered:     map[string]*image.RGBA{},
 		colorTFs:     map[string]*Proxy{},
@@ -641,7 +643,11 @@ func (e *Engine) compute(ctx context.Context, p *Proxy) (data.Dataset, error) {
 		if file == "" {
 			return nil, raiseRT("LegacyVTKReader: no file name specified")
 		}
-		ds, err := vtkio.LoadLegacyVTK(e.resolveData(file))
+		path, err := e.resolveData(p.Class.name, file)
+		if err != nil {
+			return nil, err
+		}
+		ds, err := vtkio.LoadLegacyVTK(path)
 		if err != nil {
 			return nil, raiseRT("LegacyVTKReader: %v", err)
 		}
@@ -652,7 +658,11 @@ func (e *Engine) compute(ctx context.Context, p *Proxy) (data.Dataset, error) {
 		if file == "" {
 			return nil, raiseRT("ExodusIIReader: no file name specified")
 		}
-		ug, _, err := vtkio.LoadExodus(e.resolveData(file))
+		path, err := e.resolveData(p.Class.name, file)
+		if err != nil {
+			return nil, err
+		}
+		ug, _, err := vtkio.LoadExodus(path)
 		if err != nil {
 			return nil, raiseRT("ExodusIIReader: %v", err)
 		}
@@ -905,11 +915,13 @@ func (e *Engine) compute(ctx context.Context, p *Proxy) (data.Dataset, error) {
 	return nil, raiseRT("cannot execute proxy of class %s", p.Class.name)
 }
 
-func (e *Engine) resolveData(name string) string {
-	if filepath.IsAbs(name) || e.DataDir == "" {
-		return name
+// resolveData confines a reader's file name to DataDir.
+func (e *Engine) resolveData(class, name string) (string, error) {
+	rel, err := localName(class, "data", name)
+	if err != nil {
+		return "", err
 	}
-	return filepath.Join(e.DataDir, name)
+	return filepath.Join(e.DataDir, rel), nil
 }
 
 // planeFromHelper converts a Plane helper proxy to a geometric plane.

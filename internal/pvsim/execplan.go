@@ -11,7 +11,8 @@ import (
 )
 
 // ExecPlan executes a compiled plan directly against the engine — no
-// interpreter pass — and returns the screenshot paths this call wrote.
+// interpreter pass — and returns the references of the screenshots this
+// call saved.
 //
 // Execution is incremental: the engine memoizes every pipeline proxy it
 // builds across ExecPlan calls, keyed by the proxy's content key (class,
@@ -52,7 +53,6 @@ func (e *Engine) ExecPlan(ctx context.Context, p *plan.Plan) ([]string, error) {
 		e.planProxies = map[string]*Proxy{}
 	}
 	e.resetDisplayState()
-	shotsBefore := len(e.Screenshots)
 
 	proxies := make([]*Proxy, len(p.Stages))
 
@@ -108,13 +108,16 @@ func (e *Engine) ExecPlan(ctx context.Context, p *plan.Plan) ([]string, error) {
 			return nil, err
 		}
 	}
-	return append([]string(nil), e.Screenshots[shotsBefore:]...), nil
+	return e.Screenshots, nil
 }
 
 // resetDisplayState starts a plan run from a fresh session, so a warm
 // engine renders a plan exactly as a cold one does: only memoized
-// pipeline proxies and the screenshot log carry over between runs.
+// pipeline proxies carry over between runs. The screenshot log starts
+// empty too, so a long-lived engine holds only its last run's images.
 func (e *Engine) resetDisplayState() {
+	e.Screenshots = nil
+	clear(e.Rendered)
 	e.Pipeline, e.Views, e.Layouts = nil, nil, nil
 	e.Reps = map[repKey]*Proxy{}
 	e.ActiveSource, e.ActiveView = nil, nil

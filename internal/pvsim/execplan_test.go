@@ -3,6 +3,7 @@ package pvsim
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -114,8 +115,9 @@ func TestExecPlanIncrementalRepairIteration(t *testing.T) {
 	if got := e.Executions(); got != 3 {
 		t.Fatalf("identical re-exec computed %d stages total, want 3", got)
 	}
-	if len(e.Screenshots) != 3 {
-		t.Fatalf("screenshots = %d, want 3", len(e.Screenshots))
+	// Each run starts its screenshot log afresh.
+	if len(e.Screenshots) != 1 || len(e.Rendered) != 1 {
+		t.Fatalf("screenshots = %d, rendered = %d, want the last run's 1", len(e.Screenshots), len(e.Rendered))
 	}
 }
 
@@ -170,5 +172,33 @@ func runScript(t *testing.T, e *Engine, script string) {
 	}
 	if err := interp.Run(script); err != nil {
 		t.Fatalf("script failed: %v\n%s", err, out.String())
+	}
+}
+
+// TestExecPlanKeepsOnlyTheLastRunsScreenshots: a long-lived engine (a
+// session's) starts every run with an empty screenshot log, so over six
+// turns it never holds more images than the last run saved.
+func TestExecPlanKeepsOnlyTheLastRunsScreenshots(t *testing.T) {
+	e := testEngine(t)
+	twoShots := planIsoScript + "SaveScreenshot('second.png', renderView1, ImageResolution=[60, 40])\n"
+	for turn := 1; turn <= 6; turn++ {
+		script := strings.Replace(planIsoScript, "[0.5]", fmt.Sprintf("[0.%d]", turn+2), 1)
+		want := 1
+		if turn%2 == 0 {
+			script, want = strings.Replace(twoShots, "[0.5]", fmt.Sprintf("[0.%d]", turn+2), 1), 2
+		}
+		shots, err := e.ExecPlan(context.Background(), compilePlan(t, script))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(shots) != want || len(e.Screenshots) != want || len(e.Rendered) != want {
+			t.Fatalf("turn %d: returned %d, logged %d, rendered %d screenshots; want the run's %d",
+				turn, len(shots), len(e.Screenshots), len(e.Rendered), want)
+		}
+		for _, ref := range shots {
+			if e.Rendered[ref] == nil {
+				t.Fatalf("turn %d: no image for %s", turn, ref)
+			}
+		}
 	}
 }

@@ -40,7 +40,10 @@ func (e *Engine) writeProxyKey(w io.Writer, p *Proxy) error {
 		if file == "" {
 			return fmt.Errorf("pvsim: reader has no file name")
 		}
-		path := e.resolveData(file)
+		path, err := e.resolveData(p.Class.name, file)
+		if err != nil {
+			return err
+		}
 		info, err := os.Stat(path)
 		if err != nil {
 			return fmt.Errorf("pvsim: stat %s: %w", path, err)

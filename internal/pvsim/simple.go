@@ -2,7 +2,6 @@ package pvsim
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 
@@ -508,8 +507,12 @@ func (e *Engine) saveScreenshot(args []pypy.Value, kwargs map[string]pypy.Value)
 }
 
 // writeScreenshot renders a view (a render pass first, as
-// SaveScreenshot does) and saves it as a PNG under OutDir.
+// SaveScreenshot does), encodes it as PNG and hands it to the sink.
 func (e *Engine) writeScreenshot(view *Proxy, filename string, w, h int, palette string) error {
+	name, err := localName("SaveScreenshot", "output", filename)
+	if err != nil {
+		return err
+	}
 	if err := e.renderPass(view); err != nil {
 		return err
 	}
@@ -517,24 +520,22 @@ func (e *Engine) writeScreenshot(view *Proxy, filename string, w, h int, palette
 	if err != nil {
 		return err
 	}
-	path := filename
-	if !filepath.IsAbs(path) && e.OutDir != "" {
-		path = filepath.Join(e.OutDir, path)
-	}
-	// screenshot.write times the encode, the write and the fsync.
+	// screenshot.write times the encode and the sink's write.
 	_, span := obs.Start(e.execCtx(), "screenshot.write")
 	span.SetAttr("width", img.Rect.Dx())
 	span.SetAttr("height", img.Rect.Dy())
-	err = render.SavePNG(path, img)
-	if fi, serr := os.Stat(path); serr == nil {
-		span.SetAttr("bytes", fi.Size())
-	}
+	var ref string
+	err = render.EncodePNG(pngWriter(func(png []byte) (err error) {
+		span.SetAttr("bytes", len(png))
+		ref, err = e.Sink.PutScreenshot(name, png)
+		return err
+	}), img)
 	span.SetError(err)
 	span.End()
 	if err != nil {
 		return raiseRT("SaveScreenshot: %v", err)
 	}
-	e.Screenshots = append(e.Screenshots, path)
-	e.Rendered[path] = img
+	e.Screenshots = append(e.Screenshots, ref)
+	e.Rendered[ref] = img
 	return nil
 }

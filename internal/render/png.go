@@ -17,10 +17,19 @@ import (
 	"sync"
 )
 
-// SavePNG writes a screenshot to the given path, creating parent
-// directories as needed. The bytes come from EncodePNG and reach the
-// file in a single Write, followed by an fsync.
+// SavePNG encodes a screenshot with EncodePNG and writes it to the
+// given path with WriteFile.
 func SavePNG(path string, img *image.RGBA) error {
+	var buf bytes.Buffer
+	if err := EncodePNG(&buf, img); err != nil {
+		return err
+	}
+	return WriteFile(path, buf.Bytes())
+}
+
+// WriteFile writes an encoded screenshot to path in a single Write,
+// creating parent directories as needed, and fsyncs it.
+func WriteFile(path string, b []byte) error {
 	if dir := filepath.Dir(path); dir != "." && dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return fmt.Errorf("render: creating output directory: %w", err)
@@ -30,11 +39,14 @@ func SavePNG(path string, img *image.RGBA) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if err := EncodePNG(f, img); err != nil {
-		return err
+	_, err = f.Write(b)
+	if err == nil {
+		err = f.Sync()
 	}
-	return f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // pngSignature opens every PNG stream.

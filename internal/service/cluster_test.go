@@ -483,7 +483,7 @@ func TestClusterSessionTurnForwarding(t *testing.T) {
 	// POSTed to the non-owner must relay to the session's ring owner.
 	nodes := newTestClusterNodes(t, 2, true, cluster.QuotaConfig{})
 	for _, node := range nodes {
-		factory := NewSessionFactory(PipelineConfig{DataDir: t.TempDir(), OutDir: t.TempDir()})
+		factory := NewSessionFactory(PipelineConfig{DataDir: t.TempDir()})
 		store := node.q.store
 		cl := node.cl
 		sessions := NewSessions(node.q, factory).WithOwnership(func(id string) bool {

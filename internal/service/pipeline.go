@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -13,6 +12,7 @@ import (
 	"chatvis/internal/llm"
 	"chatvis/internal/plan"
 	"chatvis/internal/pvpython"
+	"chatvis/internal/pvsim"
 	"chatvis/internal/route"
 )
 
@@ -20,9 +20,6 @@ import (
 type PipelineConfig struct {
 	// DataDir holds (or receives, on first job) the input datasets.
 	DataDir string
-	// OutDir is the root under which each job gets a private working
-	// directory for screenshots.
-	OutDir string
 	// DataSize selects dataset resolution (DataSmall keeps the stub
 	// profile fast; chatvisd -full switches to paper scale).
 	DataSize eval.DataSize
@@ -135,8 +132,7 @@ func (p *clientProvider) client(model string) (llm.Client, error) {
 // NewChatVisPipeline builds the production PipelineFunc: per-model
 // client stacks (metrics → retry → cache, shared across jobs so
 // repeated stages hit the response cache underneath job-level
-// coalescing), datasets generated on first use, and one isolated
-// output directory per job.
+// coalescing) and datasets generated on first use.
 func NewChatVisPipeline(cfg PipelineConfig) PipelineFunc {
 	prov := newClientProvider(cfg)
 	return newPipelineFromProvider(prov)
@@ -144,15 +140,11 @@ func NewChatVisPipeline(cfg PipelineConfig) PipelineFunc {
 
 func newPipelineFromProvider(prov *clientProvider) PipelineFunc {
 	cfg := prov.cfg
-	return func(ctx context.Context, req JobRequest, jobID string) (*chatvis.Artifact, error) {
+	return func(ctx context.Context, req JobRequest, shots pvsim.ScreenshotSink) (*chatvis.Artifact, error) {
 		if err := prov.ensureData(); err != nil {
 			return nil, err
 		}
-		runner := &pvpython.Runner{
-			DataDir: cfg.DataDir,
-			OutDir:  filepath.Join(cfg.OutDir, jobID),
-			Cache:   cfg.DatasetCache,
-		}
+		runner := &pvpython.Runner{DataDir: cfg.DataDir, Sink: shots, Cache: cfg.DatasetCache}
 		if req.Unassisted {
 			// Unassisted jobs measure the named model itself — never
 			// routed.
@@ -182,10 +174,10 @@ func newPipelineFromProvider(prov *clientProvider) PipelineFunc {
 }
 
 // SessionFactory builds the conversational session behind one
-// /v1/sessions resource: its own model stack, an isolated output
-// directory, an optional seed plan (restart rehydration) and an observer
-// for SSE streaming.
-type SessionFactory func(req SessionRequest, sessionID string, seed *plan.Plan, observer func(chatvis.Event)) (*chatvis.Session, error)
+// /v1/sessions resource: its own model stack, the sink its turns'
+// screenshots go to, an optional seed plan (restart rehydration) and an
+// observer for SSE streaming.
+type SessionFactory func(req SessionRequest, shots pvsim.ScreenshotSink, seed *plan.Plan, observer func(chatvis.Event)) (*chatvis.Session, error)
 
 // NewServingBackend builds both serving surfaces — the one-shot job
 // pipeline and the session factory — over ONE shared client provider,
@@ -206,7 +198,7 @@ func NewSessionFactory(cfg PipelineConfig) SessionFactory {
 
 func newSessionFactoryFromProvider(prov *clientProvider) SessionFactory {
 	cfg := prov.cfg
-	return func(req SessionRequest, sessionID string, seed *plan.Plan, observer func(chatvis.Event)) (*chatvis.Session, error) {
+	return func(req SessionRequest, shots pvsim.ScreenshotSink, seed *plan.Plan, observer func(chatvis.Event)) (*chatvis.Session, error) {
 		if err := prov.ensureData(); err != nil {
 			return nil, err
 		}
@@ -222,11 +214,7 @@ func newSessionFactoryFromProvider(prov *clientProvider) SessionFactory {
 		if err != nil {
 			return nil, err
 		}
-		runner := &pvpython.Runner{
-			DataDir: cfg.DataDir,
-			OutDir:  filepath.Join(cfg.OutDir, "sessions", sessionID),
-			Cache:   cfg.DatasetCache,
-		}
+		runner := &pvpython.Runner{DataDir: cfg.DataDir, Sink: shots, Cache: cfg.DatasetCache}
 		opts := []chatvis.Option{
 			chatvis.WithMaxIterations(req.MaxIterations),
 			chatvis.WithFewShot(req.FewShot),

@@ -94,7 +94,7 @@ func TestQueueCoalescesRewordedPrompts(t *testing.T) {
 // TestResultCarriesPlan: the stored result inlines the normalized plan
 // and its hash, so GET /v1/jobs/{id} serves the typed DAG.
 func TestResultCarriesPlan(t *testing.T) {
-	pipeline := func(ctx context.Context, req JobRequest, jobID string) (*chatvis.Artifact, error) {
+	pipeline := func(ctx context.Context, req JobRequest, _ pvsim.ScreenshotSink) (*chatvis.Artifact, error) {
 		script := `from paraview.simple import *
 reader = LegacyVTKReader(FileNames=['ml-100.vtk'])
 contour1 = Contour(Input=reader)

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,13 +12,14 @@ import (
 	"chatvis/internal/chatvis"
 	"chatvis/internal/cluster"
 	"chatvis/internal/obs"
+	"chatvis/internal/pvsim"
 )
 
 // PipelineFunc runs one ChatVis pipeline for a request and returns the
 // session artifact. The context carries per-job cancellation (client
-// cancel, daemon shutdown); jobID names a private working directory for
-// the job's screenshots.
-type PipelineFunc func(ctx context.Context, req JobRequest, jobID string) (*chatvis.Artifact, error)
+// cancel, daemon shutdown); shots is where the run's screenshots go, and
+// the artifact's Screenshots are the references it returned.
+type PipelineFunc func(ctx context.Context, req JobRequest, shots pvsim.ScreenshotSink) (*chatvis.Artifact, error)
 
 // QueueOptions configures a Queue.
 type QueueOptions struct {
@@ -474,7 +474,7 @@ func (q *Queue) run(job *Job) {
 	q.m.executed.Add(1)
 	res := &Result{Key: job.Key, Model: job.Req.Model, TraceID: job.TraceID}
 	err := q.execute(ctx, cluster.KindJob, "", job.ID, res, func(ctx context.Context) (*chatvis.Artifact, error) {
-		return q.opts.Pipeline(ctx, job.Req, job.ID)
+		return q.opts.Pipeline(ctx, job.Req, q.store)
 	})
 	q.m.running.Add(-1)
 	execSpan.SetError(err)
@@ -623,9 +623,9 @@ func (q *Queue) InFlight(key string) (*Job, bool) {
 	return job, true
 }
 
-// storeArtifact is the one writer of artifact objects, shared by jobs and
-// turns: under a store.write span it puts the run's script, screenshots
-// and serialized artifact into the content-addressed store and fills
+// storeArtifact is the one writer of the rest of a job's or turn's
+// objects (its run stored the screenshots): under a store.write span it
+// puts the script and serialized artifact into the store and fills all
 // their hashes, with the run's outcome and trace, into res. A job's
 // result carries its key and is then indexed under it, plan inlined, so
 // repeat submissions are answered from the store; a turn copies the
@@ -639,17 +639,7 @@ func (q *Queue) storeArtifact(ctx context.Context, art *chatvis.Artifact, res *R
 	if res.ScriptHash, err = q.store.Put([]byte(art.FinalScript), "text/x-python"); err != nil {
 		return err
 	}
-	for _, path := range art.Screenshots {
-		png, err := os.ReadFile(path)
-		if err != nil {
-			return fmt.Errorf("service: reading screenshot %s: %w", path, err)
-		}
-		h, err := q.store.Put(png, "image/png")
-		if err != nil {
-			return err
-		}
-		res.ScreenshotHashes = append(res.ScreenshotHashes, h)
-	}
+	res.ScreenshotHashes = art.Screenshots
 	encoded, err := chatvis.EncodeArtifact(art)
 	if err != nil {
 		return err

@@ -18,16 +18,17 @@ import (
 	"chatvis/internal/cluster"
 	"chatvis/internal/obs"
 	"chatvis/internal/plan"
+	"chatvis/internal/pvsim"
 )
 
 // gatedFactory wraps the production session factory so every turn
 // reports its start on started and then blocks until gate closes.
-func gatedFactory(t *testing.T, started chan<- string, gate <-chan struct{}) SessionFactory {
-	base := NewSessionFactory(PipelineConfig{DataDir: t.TempDir(), OutDir: t.TempDir()})
-	return func(req SessionRequest, id string, seed *plan.Plan, observer func(chatvis.Event)) (*chatvis.Session, error) {
-		return base(req, id, seed, func(ev chatvis.Event) {
+func gatedFactory(t *testing.T, started chan<- struct{}, gate <-chan struct{}) SessionFactory {
+	base := NewSessionFactory(PipelineConfig{DataDir: t.TempDir()})
+	return func(req SessionRequest, shots pvsim.ScreenshotSink, seed *plan.Plan, observer func(chatvis.Event)) (*chatvis.Session, error) {
+		return base(req, shots, seed, func(ev chatvis.Event) {
 			if ev.Type == chatvis.EventTurnStarted {
-				started <- id
+				started <- struct{}{}
 				<-gate
 			}
 			observer(ev)
@@ -49,7 +50,7 @@ func TestTurnsRunInOrderWithoutHoldingWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	started, gate := make(chan string, 8), make(chan struct{})
+	started, gate := make(chan struct{}, 8), make(chan struct{})
 	m := NewSessions(q, gatedFactory(t, started, gate))
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
@@ -120,7 +121,7 @@ func TestConcurrentSessionsAndJobsShareWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewSessions(q, NewSessionFactory(PipelineConfig{DataDir: t.TempDir(), OutDir: t.TempDir()}))
+	m := NewSessions(q, NewSessionFactory(PipelineConfig{DataDir: t.TempDir()}))
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 		defer cancel()
@@ -191,7 +192,7 @@ func TestTurnAtCapacityIsRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewSessions(q, NewSessionFactory(PipelineConfig{DataDir: t.TempDir(), OutDir: t.TempDir()}))
+	m := NewSessions(q, NewSessionFactory(PipelineConfig{DataDir: t.TempDir()}))
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 		defer cancel()
@@ -315,7 +316,7 @@ func TestTurnLatencyHistogramExemplar(t *testing.T) {
 // ReplayWAL.
 func TestReplayWALJobAndTurn(t *testing.T) {
 	storeDir, walDir := t.TempDir(), t.TempDir()
-	factory := NewSessionFactory(PipelineConfig{DataDir: t.TempDir(), OutDir: t.TempDir()})
+	factory := NewSessionFactory(PipelineConfig{DataDir: t.TempDir()})
 
 	// Boot 1: a session exists; a job and a turn are accepted, then the
 	// node "crashes" before either runs.

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,6 +17,7 @@ import (
 
 	"chatvis/internal/chatvis"
 	"chatvis/internal/llm"
+	"chatvis/internal/pvsim"
 	"chatvis/internal/route"
 )
 
@@ -55,6 +57,46 @@ func TestKeyNormalizesDefaults(t *testing.T) {
 	}
 	if Key(implicit) != Key(implicit) {
 		t.Error("key must be deterministic")
+	}
+}
+
+// TestStoreTornObjectIsAMissThatPutRepairs: an object torn on disk (a
+// crash mid-write) fails its hash check, so Get misses rather than
+// serving it, whether the store indexed it by a Put or by loading the
+// directory at boot; the next Put of the same bytes rewrites it.
+func TestStoreTornObjectIsAMissThatPutRepairs(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	content := bytes.Repeat([]byte("\x89PNG torn object "), 64)
+	for _, reboot := range []bool{false, true} {
+		h, err := s.Put(content, "image/png")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(s.objectPath(h, "image/png"), int64(len(content)/2)); err != nil {
+			t.Fatal(err)
+		}
+		if reboot {
+			if s, err = NewStore(dir); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if b, _, err := s.Get(h); err == nil {
+			t.Fatalf("reboot=%v: Get served a torn object (%d of %d bytes)", reboot, len(b), len(content))
+		}
+		if st := s.Stats(); st.Objects != 0 || st.Bytes != 0 {
+			t.Errorf("reboot=%v: the torn object is still indexed: %+v", reboot, st)
+		}
+		if _, err := s.Put(content, "image/png"); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := s.Get(h)
+		if err != nil || !bytes.Equal(got, content) {
+			t.Fatalf("reboot=%v: after the repairing Put, Get = %d bytes, %v", reboot, len(got), err)
+		}
 	}
 }
 
@@ -141,7 +183,7 @@ type stubPipeline struct {
 	block bool
 }
 
-func (p *stubPipeline) run(ctx context.Context, req JobRequest, jobID string) (*chatvis.Artifact, error) {
+func (p *stubPipeline) run(ctx context.Context, req JobRequest, _ pvsim.ScreenshotSink) (*chatvis.Artifact, error) {
 	p.executions.Add(1)
 	if p.gate != nil {
 		select {
@@ -670,7 +712,6 @@ func TestCacheAndCoalescingCompose(t *testing.T) {
 	metrics := &llm.Metrics{}
 	pipeline := NewChatVisPipeline(PipelineConfig{
 		DataDir: t.TempDir(),
-		OutDir:  t.TempDir(),
 		Metrics: metrics,
 	})
 	store, err := NewStore(t.TempDir())

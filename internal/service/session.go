@@ -554,7 +554,7 @@ func (s *SvcSession) start(tr *turnRec) (*chatvis.Session, error) {
 			}
 		}
 		var err error
-		if sess, err = s.m.factory(s.Req, s.ID, seed, s.broadcastEvent); err != nil {
+		if sess, err = s.m.factory(s.Req, s.m.q.store, seed, s.broadcastEvent); err != nil {
 			return nil, err
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"chatvis/internal/chatvis"
+	"chatvis/internal/pvsim"
 )
 
 const sessionIsoPrompt = "Please generate a ParaView Python script for the following operations. Read in the file named ml-100.vtk. Generate an isosurface of the variable var0 at value 0.5. Save a screenshot of the result in the filename iso.png. The rendered view and saved screenshot should be 320 x 180 pixels."
@@ -26,7 +27,6 @@ func newTestSessions(t *testing.T) (*Sessions, *Store) {
 	}
 	factory := NewSessionFactory(PipelineConfig{
 		DataDir: t.TempDir(),
-		OutDir:  t.TempDir(),
 	})
 	return NewSessions(newTestQueueForSessions(t, store), factory), store
 }
@@ -118,8 +118,8 @@ func TestServiceSessionSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dataDir, outDir := t.TempDir(), t.TempDir()
-	factory := NewSessionFactory(PipelineConfig{DataDir: dataDir, OutDir: outDir})
+	dataDir := t.TempDir()
+	factory := NewSessionFactory(PipelineConfig{DataDir: dataDir})
 
 	m1 := NewSessions(newTestQueueForSessions(t, store), factory)
 	sess, err := m1.Create(SessionRequest{Model: "oracle", Width: 320, Height: 180})
@@ -137,7 +137,7 @@ func TestServiceSessionSurvivesRestart(t *testing.T) {
 	planHash := sess.View().PlanHash
 
 	// "Restart": a fresh registry over the same store.
-	m2 := NewSessions(newTestQueueForSessions(t, store), NewSessionFactory(PipelineConfig{DataDir: dataDir, OutDir: outDir}))
+	m2 := NewSessions(newTestQueueForSessions(t, store), NewSessionFactory(PipelineConfig{DataDir: dataDir}))
 	if restored := m2.Restore(); restored != 1 {
 		t.Fatalf("restored %d sessions, want 1", restored)
 	}
@@ -383,7 +383,7 @@ func newTestQueueForSessions(t *testing.T, store *Store) *Queue {
 	t.Helper()
 	q, err := NewQueue(QueueOptions{
 		Workers: 1,
-		Pipeline: func(ctx context.Context, req JobRequest, jobID string) (*chatvis.Artifact, error) {
+		Pipeline: func(ctx context.Context, req JobRequest, _ pvsim.ScreenshotSink) (*chatvis.Artifact, error) {
 			panic("unused")
 		},
 		Store: store,

@@ -167,22 +167,26 @@ func (s *Store) Put(content []byte, contentType string) (string, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return "", fmt.Errorf("service: storing object: %w", err)
 	}
-	// Write-then-rename keeps concurrent writers of the same content
-	// from observing torn objects.
+	// Write-then-rename keeps readers and concurrent writers of the
+	// same content from observing a half-written object. The data is
+	// synced before the rename, so it is durable before the object is
+	// visible, and so before the WAL records the request that made it
+	// done.
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return "", fmt.Errorf("service: storing object: %w", err)
 	}
-	if _, err := tmp.Write(content); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("service: storing object: %w", err)
+	_, err = tmp.Write(content)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("service: storing object: %w", err)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
 		return "", fmt.Errorf("service: storing object: %w", err)
 	}
@@ -195,10 +199,18 @@ func (s *Store) Put(content []byte, contentType string) (string, error) {
 	return hash, nil
 }
 
+// PutScreenshot makes the store the screenshot sink of every job and
+// turn: each screenshot goes straight in, named by its object hash.
+func (s *Store) PutScreenshot(_ string, png []byte) (string, error) {
+	return s.Put(png, "image/png")
+}
+
 // Get returns the content and metadata for a hash. An index miss falls
 // back to the filesystem: in cluster mode several nodes share one store
 // directory, and objects written by a peer after this node loaded its
-// index are still addressable.
+// index are still addressable. Content whose SHA-256 is not its hash (an
+// object torn by a crash) is a miss: the index entry and the file are
+// dropped, so the next Put of those bytes writes the object afresh.
 func (s *Store) Get(hash string) ([]byte, ObjectInfo, error) {
 	s.mu.RLock()
 	info, ok := s.objects[hash]
@@ -209,7 +221,19 @@ func (s *Store) Get(hash string) ([]byte, ObjectInfo, error) {
 	if !ok {
 		return nil, ObjectInfo{}, fmt.Errorf("service: unknown object %s", hash)
 	}
-	b, err := os.ReadFile(s.objectPath(hash, info.ContentType))
+	path := s.objectPath(hash, info.ContentType)
+	b, err := os.ReadFile(path)
+	if err == nil && HashBytes(b) != hash {
+		s.mu.Lock()
+		if _, indexed := s.objects[hash]; indexed {
+			delete(s.objects, hash)
+			s.bytes -= info.Size
+		}
+		s.mu.Unlock()
+		// Best effort: a file left behind fails this check again.
+		_ = os.Remove(path)
+		err = fmt.Errorf("content does not match its hash")
+	}
 	if err != nil {
 		return nil, ObjectInfo{}, fmt.Errorf("service: reading object %s: %w", hash, err)
 	}
