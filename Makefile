@@ -21,12 +21,16 @@ ci: fmt vet plan-validate lint-metrics calibrate-smoke test-race fuzz-smoke benc
 # fields); its seeds are whole DataSmall datasets (up to ~280 KB), so
 # minimizing each new input is capped at 1s or it would eat the budget.
 # FuzzEncodePNG decodes the screenshot encoder's output of
-# random opaque images with the stdlib decoder.
+# random opaque images with the stdlib decoder. FuzzOpenWAL opens
+# arbitrary bytes as a WAL segment (no panic, every recovered record has
+# an ID, reopening recovers the same list); each input costs two
+# fsynced opens, so minimizing is capped at 1s like the VTK target.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanPathImpliesInterpreter$$' -fuzztime 20s -parallel 2 ./internal/eval
 	$(GO) test -run '^$$' -fuzz '^FuzzExtractSurface$$' -fuzztime 10s -parallel 2 ./internal/filters
 	$(GO) test -run '^$$' -fuzz '^FuzzReadLegacyVTK$$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/vtkio
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodePNG$$' -fuzztime 10s -parallel 2 ./internal/render
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenWAL$$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/cluster
 
 # The end-to-end benchmark driver is its own Go module (e2ebench/), which
 # the root `go test ./...` skips: vet and test it here, so a change to

@@ -39,12 +39,6 @@ type benchResult struct {
 	// SpeedupVsSerial is ns/op(workers=1) / ns/op(this run); 0 for the
 	// serial run itself.
 	SpeedupVsSerial float64 `json:"speedup_vs_serial,omitempty"`
-	// StaticNsPerOp is the same measurement under the static
-	// (fixed-granularity) chunking schedule — the scheduler A/B column.
-	// Recorded only for parallel runs in record mode; NsPerOp itself is
-	// always the default (adaptive) schedule, and the diff gate compares
-	// only NsPerOp.
-	StaticNsPerOp int64 `json:"static_ns_per_op,omitempty"`
 }
 
 // benchFile is the BENCH_substrate.json schema.
@@ -66,8 +60,6 @@ func main() {
 		"allowed fractional regression per kernel and metric in -diff mode")
 	allowCPUMismatch := flag.Bool("allow-cpu-mismatch", false,
 		"in -diff mode, compare against a baseline recorded on different num_cpu/gomaxprocs: downgrade the refusal to a warning and gate only allocs/op and B/op (timing and speedup are not comparable across machines)")
-	schedulerAB := flag.Bool("scheduler-ab", true,
-		"in record mode, also measure each parallel run under the static schedule (static_ns_per_op column); -diff mode never re-measures static")
 	flag.Parse()
 
 	counts, err := parseWorkerCounts(*workers)
@@ -96,7 +88,7 @@ func main() {
 		}
 	}
 
-	file := runBenchmarks(counts, *schedulerAB && *diff == "")
+	file := runBenchmarks(counts)
 
 	if *diff != "" {
 		timingComparable := cpuMismatch(baseline) == ""
@@ -166,10 +158,7 @@ func parseWorkerCounts(s string) ([]int, error) {
 
 // runBenchmarks measures every substrate kernel at each worker count,
 // serial first so SpeedupVsSerial can be filled in as the ladder runs.
-// With schedulerAB, each parallel run is measured a second time under
-// the static schedule so the record shows the rebalancing win (or
-// cost) of guided chunking per kernel.
-func runBenchmarks(counts []int, schedulerAB bool) benchFile {
+func runBenchmarks(counts []int) benchFile {
 	file := benchFile{
 		GeneratedUnix: time.Now().Unix(),
 		GoVersion:     runtime.Version(),
@@ -180,7 +169,6 @@ func runBenchmarks(counts []int, schedulerAB bool) benchFile {
 		serialNs := int64(0)
 		for _, w := range counts {
 			par.SetWorkers(w)
-			par.SetSchedule(par.SchedAdaptive)
 			res := testing.Benchmark(func(b *testing.B) { benchkernels.Bench(b, name) })
 			r := benchResult{
 				Name:        name,
@@ -195,20 +183,11 @@ func runBenchmarks(counts []int, schedulerAB bool) benchFile {
 			} else if serialNs > 0 && res.NsPerOp() > 0 {
 				r.SpeedupVsSerial = float64(serialNs) / float64(res.NsPerOp())
 			}
-			if schedulerAB && w > 1 {
-				par.SetSchedule(par.SchedStatic)
-				sres := testing.Benchmark(func(b *testing.B) { benchkernels.Bench(b, name) })
-				par.SetSchedule(par.SchedAdaptive)
-				r.StaticNsPerOp = sres.NsPerOp()
-			}
 			file.Benchmarks = append(file.Benchmarks, r)
 			fmt.Printf("%-26s workers=%-2d %12d ns/op %10d B/op %8d allocs/op",
 				name, w, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
 			if r.SpeedupVsSerial > 0 {
 				fmt.Printf("  %.2fx vs serial", r.SpeedupVsSerial)
-			}
-			if r.StaticNsPerOp > 0 && r.NsPerOp > 0 {
-				fmt.Printf("  static %.2fx of adaptive", float64(r.StaticNsPerOp)/float64(r.NsPerOp))
 			}
 			fmt.Println()
 		}

@@ -27,8 +27,8 @@ import (
 // Order fixes the reporting order of the shared kernels.
 // SparseContour64 and SkewedClip are the deliberately imbalanced pair:
 // their work is concentrated in a sliver of the sweep's index space, so
-// they expose the static-vs-adaptive scheduler gap that the uniform
-// kernels cannot (benchcore's A/B column reads them directly).
+// their parallel speedup shows the load-balance cost of the static
+// chunk split that the uniform kernels cannot.
 var Order = []string{
 	"Substrate_Isosurface64",
 	"Substrate_StreamTracer",
@@ -170,7 +170,7 @@ var Substrate = map[string]Kernel{
 	// Substrate_SkewedClip clips a surface with a plane that discards
 	// everything except a thin z-tail: polygons that survive (and pay
 	// for Sutherland–Hodgman + point interpolation) are concentrated at
-	// the end of the polygon sweep, exercising the clip cost hints.
+	// the end of the polygon sweep, so a few chunks carry all the work.
 	"Substrate_SkewedClip": {
 		Setup: func(tb testing.TB) func() {
 			vol := datagen.MarschnerLobb(48)

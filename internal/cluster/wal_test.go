@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -197,4 +199,92 @@ func TestWALAppendAfterCloseFails(t *testing.T) {
 	if err := w.Accepted(KindJob, "", "j1", "k", nil); err == nil {
 		t.Error("append after close must fail")
 	}
+}
+
+// FuzzOpenWAL feeds arbitrary bytes to OpenWAL as a segment file. It
+// must not panic; every recovered record must carry an ID; and since
+// OpenWAL compacts the segment down to what it recovered, a second open
+// must recover the same list — compaction is a fixpoint.
+func FuzzOpenWAL(f *testing.F) {
+	dir := f.TempDir()
+	w, err := OpenWAL(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	type req struct {
+		Prompt string `json:"prompt"`
+	}
+	for _, err := range []error{
+		w.Accepted(KindJob, "", "j1", "key1", req{Prompt: "iso <0.5> & more"}),
+		w.Accepted(KindTurn, "s-1", "turn-1", "tkey", req{Prompt: "edit"}),
+		w.Started(KindTurn, "s-1", "turn-1"),
+		w.Accepted(KindJob, "", "j2", "key2", req{Prompt: "done"}),
+		w.Completed(KindJob, "", "j2"),
+	} {
+		if err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	seg, err := os.ReadFile(filepath.Join(dir, walSegment))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seg)
+	f.Add(seg[:len(seg)-3]) // torn tail
+
+	f.Fuzz(func(t *testing.T, segment []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, walSegment), segment, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w := openWAL(t, dir)
+		first := w.Recovered()
+		for i, rec := range first {
+			if rec.ID == "" {
+				t.Fatalf("recovered[%d] has an empty ID: %+v", i, rec)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		w = openWAL(t, dir)
+		second := w.Recovered()
+		w.Close()
+		if len(first) != len(second) {
+			t.Fatalf("reopen recovered %d records, first open %d", len(second), len(first))
+		}
+		for i := range first {
+			if !sameRecord(t, first[i], second[i]) {
+				t.Fatalf("recovered[%d] changed across reopen:\n%+v\n%+v", i, first[i], second[i])
+			}
+		}
+	})
+}
+
+// sameRecord compares two records by value: times by instant, requests
+// as decoded JSON (re-encoding compacts a request and escapes HTML).
+func sameRecord(t *testing.T, a, b Record) bool {
+	t.Helper()
+	if a.Kind != b.Kind || a.State != b.State || a.ID != b.ID || a.Session != b.Session ||
+		a.Key != b.Key || a.Error != b.Error || !a.Time.Equal(b.Time) {
+		return false
+	}
+	if (a.Request == nil) != (b.Request == nil) {
+		return false
+	}
+	return a.Request == nil || reflect.DeepEqual(decodeJSON(t, a.Request), decodeJSON(t, b.Request))
+}
+
+func decodeJSON(t *testing.T, raw json.RawMessage) any {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	var v any
+	if err := dec.Decode(&v); err != nil {
+		t.Fatalf("recovered request %q is not JSON: %v", raw, err)
+	}
+	return v
 }

@@ -62,8 +62,8 @@ func MarschnerLobb(n int) *data.ImageData {
 // mid-range levels are confined to the tail of the k-major point order,
 // so roughly 90% of the cell sweep is empty while the last stretch does
 // all the marching work. It is the adversarial load-balance case for
-// fixed-granularity chunking (the last chunk owns everything) and the
-// scheduler A/B kernel in benchkernels.
+// the static chunk split (the last chunks own everything) and backs the
+// SparseContour64 kernel in benchkernels.
 func SparseBlob(n int) *data.ImageData {
 	if n < 2 {
 		n = 2

@@ -197,24 +197,8 @@ func ClipPolyDataContext(ctx context.Context, pd *data.PolyData, plane vmath.Pla
 	// triangulated in place — the sweep order matches EachTriangle), each
 	// clipping into an arena-pooled local point set; a pipelined ordered
 	// merge absorbs completed chunks into the global set in sweep order
-	// while later chunks still run. The cost hint must stay O(1) per
-	// polygon — sweepRanges evaluates it twice, and walking every vertex
-	// here would triple the classification work of discarded polygons —
-	// so it samples one vertex: a polygon whose first vertex survives
-	// almost certainly pays Sutherland–Hodgman + interpolation, a fully
-	// discarded one costs a classification check. Approximate is fine
-	// (hints shape chunks, never output); what matters is that a clip
-	// discarding one whole region spreads the surviving region across
-	// many small chunks instead of loading it onto one static chunk.
-	cost := func(pi int) float64 {
-		pg := pd.Polys[pi]
-		c := float64(len(pg))
-		if len(pg) > 0 && dist[pg[0]] >= 0 {
-			c *= 5
-		}
-		return c
-	}
-	err = par.OrderedSweep(ctx, len(pd.Polys), clipArena, cost, func(set *clipSet, start, end int) {
+	// while later chunks still run.
+	err = par.OrderedSweep(ctx, len(pd.Polys), clipArena, func(set *clipSet, start, end int) {
 		set.bind(pd.Pts, pd.Points, plane)
 		var poly [4]int32 // one plane cuts a triangle into at most a quad
 		for _, pg := range pd.Polys[start:end] {
@@ -345,26 +329,7 @@ func ClipUnstructuredContext(ctx context.Context, ug *data.UnstructuredGrid, pla
 	defer clipArena.Put(global)
 	global.bind(ug.Pts, ug.Points, plane)
 
-	// Cost hint: a discarded tet is a classification check, a kept tet
-	// copies four points, a straddling tet interpolates cut points and
-	// emits up to three sub-tets — weight accordingly so a clip plane
-	// that concentrates survivors in one region still balances.
-	cost := func(ti int) float64 {
-		nIn := 0
-		for _, id := range tets[ti] {
-			if dist[id] >= 0 {
-				nIn++
-			}
-		}
-		switch nIn {
-		case 0:
-			return 1
-		case 4:
-			return 5
-		}
-		return 8
-	}
-	err = par.OrderedSweep(ctx, len(tets), clipArena, cost, func(set *clipSet, start, end int) {
+	err = par.OrderedSweep(ctx, len(tets), clipArena, func(set *clipSet, start, end int) {
 		set.bind(ug.Pts, ug.Points, plane)
 		addTet := func(a, b, c, d int32) { set.cells = append(set.cells, a, b, c, d) }
 		for _, t := range tets[start:end] {

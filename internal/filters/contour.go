@@ -257,13 +257,13 @@ func marchSurface(ctx context.Context, ds data.Dataset, level func(int) float64,
 	switch d := ds.(type) {
 	case *data.ImageData:
 		nCubes := imageCubeCount(d)
-		err = par.OrderedSweep(ctx, nCubes, surfaceArena, nil, func(b *surfaceBuilder, start, end int) {
+		err = par.OrderedSweep(ctx, nCubes, surfaceArena, func(b *surfaceBuilder, start, end int) {
 			b.bind(ds)
 			imageTetsRange(d, start, end, func(t [4]int) { b.marchTet(t, level, iso) })
 		}, consume)
 	case *data.UnstructuredGrid:
 		tets := GridTets(d)
-		err = par.OrderedSweep(ctx, len(tets), surfaceArena, nil, func(b *surfaceBuilder, start, end int) {
+		err = par.OrderedSweep(ctx, len(tets), surfaceArena, func(b *surfaceBuilder, start, end int) {
 			b.bind(ds)
 			for _, t := range tets[start:end] {
 				b.marchTet(t, level, iso)

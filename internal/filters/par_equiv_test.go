@@ -2,7 +2,6 @@ package filters
 
 import (
 	"context"
-	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -21,40 +20,35 @@ func withWorkers(t *testing.T, n int) {
 	t.Cleanup(func() { par.SetWorkers(0) })
 }
 
-// withSchedulingMatrix raises GOMAXPROCS (so multi-worker runs truly
-// interleave even on a one-core runner) and restores the worker count,
-// schedule and GOMAXPROCS when the test ends.
-func withSchedulingMatrix(t *testing.T) {
+// equivalenceWorkers are the worker counts every equivalence test
+// compares against the single-worker reference run.
+var equivalenceWorkers = []int{2, 4, 8}
+
+// withEquivalenceRun raises GOMAXPROCS (so multi-worker runs truly
+// interleave even on a one-core runner), pins one worker for the
+// reference run, and restores the worker count and GOMAXPROCS when the
+// test ends.
+func withEquivalenceRun(t *testing.T) {
 	t.Helper()
 	prev := runtime.GOMAXPROCS(8)
 	t.Cleanup(func() {
 		runtime.GOMAXPROCS(prev)
 		par.SetWorkers(0)
-		par.SetSchedule(par.SchedAdaptive)
 	})
+	par.SetWorkers(1)
 }
 
-// equivalentWorkerCounts runs build under the full scheduling matrix —
-// workers {1, 4, 8} × {adaptive, static} chunking — and asserts every
-// output is byte-identical to the single-worker adaptive run: the
-// determinism contract of the index-ordered merge, now extended over
-// the pipelined OrderedSweep consumers.
+// equivalentWorkerCounts runs build at workers {1, 2, 4, 8} and
+// asserts every output is byte-identical to the single-worker run: the
+// determinism contract of the index-ordered merge, extended over the
+// pipelined OrderedSweep consumers.
 func equivalentWorkerCounts(t *testing.T, name string, build func() *data.PolyData) {
 	t.Helper()
-	withSchedulingMatrix(t)
-	par.SetWorkers(1)
-	par.SetSchedule(par.SchedAdaptive)
+	withEquivalenceRun(t)
 	ref := build()
-	for _, sched := range []par.Sched{par.SchedAdaptive, par.SchedStatic} {
-		for _, w := range []int{1, 4, 8} {
-			if sched == par.SchedAdaptive && w == 1 {
-				continue // the reference run
-			}
-			par.SetSchedule(sched)
-			par.SetWorkers(w)
-			got := build()
-			comparePolyData(t, fmt.Sprintf("%s/%s", name, sched), w, ref, got)
-		}
+	for _, w := range equivalenceWorkers {
+		par.SetWorkers(w)
+		comparePolyData(t, name, w, ref, build())
 	}
 }
 
@@ -101,7 +95,7 @@ func TestContourParallelEquivalence(t *testing.T) {
 		return out
 	})
 	// The sparse corner blob concentrates every crossing in the sweep
-	// tail — the shape the guided schedule rebalances — and must still
+	// tail, so a few chunks carry nearly all the work — and must still
 	// merge identically.
 	sparse := datagen.SparseBlob(24)
 	equivalentWorkerCounts(t, "contour-sparse", func() *data.PolyData {
@@ -136,7 +130,7 @@ func TestClipPolyDataParallelEquivalence(t *testing.T) {
 		return ClipPolyData(surf, plane)
 	})
 	// Skewed clip: survivors cluster at the tail of the polygon sweep,
-	// so the cost-hinted chunking actually fires — output must not care.
+	// so the chunks carry very unequal work — output must not care.
 	skew := vmath.NewPlane(vmath.V(0, 0, 0.6), vmath.V(0, 0, 1))
 	equivalentWorkerCounts(t, "clip-skewed", func() *data.PolyData {
 		return ClipPolyData(surf, skew)
@@ -146,34 +140,26 @@ func TestClipPolyDataParallelEquivalence(t *testing.T) {
 func TestClipUnstructuredParallelEquivalence(t *testing.T) {
 	disk := datagen.DiskFlow(5, 16, 5)
 	plane := vmath.NewPlane(vmath.V(0, 0, 0), vmath.V(1, 0, 0))
-	withSchedulingMatrix(t)
-	par.SetWorkers(1)
-	par.SetSchedule(par.SchedAdaptive)
+	withEquivalenceRun(t)
 	ref, err := ClipUnstructured(disk, plane)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sched := range []par.Sched{par.SchedAdaptive, par.SchedStatic} {
-		for _, w := range []int{1, 4, 8} {
-			if sched == par.SchedAdaptive && w == 1 {
-				continue
-			}
-			par.SetSchedule(sched)
-			par.SetWorkers(w)
-			got, err := ClipUnstructured(disk, plane)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(ref.Pts, got.Pts) {
-				t.Fatalf("sched=%s workers=%d: points differ", sched, w)
-			}
-			if !reflect.DeepEqual(ref.Cells, got.Cells) {
-				t.Fatalf("sched=%s workers=%d: cells differ", sched, w)
-			}
-			for i := 0; i < ref.Points.Len(); i++ {
-				if !reflect.DeepEqual(ref.Points.At(i).Data, got.Points.At(i).Data) {
-					t.Fatalf("sched=%s workers=%d: field %q differs", sched, w, ref.Points.At(i).Name)
-				}
+	for _, w := range equivalenceWorkers {
+		par.SetWorkers(w)
+		got, err := ClipUnstructured(disk, plane)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ref.Pts, got.Pts) {
+			t.Fatalf("workers=%d: points differ", w)
+		}
+		if !reflect.DeepEqual(ref.Cells, got.Cells) {
+			t.Fatalf("workers=%d: cells differ", w)
+		}
+		for i := 0; i < ref.Points.Len(); i++ {
+			if !reflect.DeepEqual(ref.Points.At(i).Data, got.Points.At(i).Data) {
+				t.Fatalf("workers=%d: field %q differs", w, ref.Points.At(i).Name)
 			}
 		}
 	}

@@ -466,7 +466,7 @@ func StreamTracerContext(ctx context.Context, s VectorSampler, seeds []vmath.Vec
 	gs := streamArena.Get()
 	defer streamArena.Put(gs)
 	gs.bind(len(infos))
-	err := par.OrderedSweep(ctx, len(seeds), streamArena, nil, func(c *streamChunk, start, end int) {
+	err := par.OrderedSweep(ctx, len(seeds), streamArena, func(c *streamChunk, start, end int) {
 		c.bind(len(infos))
 		for i := start; i < end; i++ {
 			c.traceSeed(s, seeds[i], opt, infos, h, maxLen)

@@ -1,9 +1,6 @@
 package par
 
-import (
-	"context"
-	"sync"
-)
+import "sync"
 
 // Resetter is the contract for arena-pooled scratch: Reset must return
 // the value to a clean state while retaining its allocated capacity.
@@ -126,52 +123,4 @@ func (a *Arena[S]) PutSlot(w int, s S) {
 	}
 	slot.mu.Unlock()
 	a.Put(s)
-}
-
-// SweepChunks runs one parallel sweep over [0, n): the range is chunked
-// under the current schedule, each chunk checks a scratch value out of
-// the arena (worker-affine), fn fills it for its range, and the filled
-// builders are returned in chunk order (the deterministic-merge
-// contract). The caller merges them and then calls release() to return
-// every builder to the arena — after which the slice contents must not
-// be used. On error (cancellation) the builders are already released
-// and the returned slice is nil. Prefer OrderedSweep where the merge
-// can be expressed as a streaming consumer; SweepChunks remains for
-// merges that need every chunk at once.
-func SweepChunks[S Resetter](ctx context.Context, n int, a *Arena[S], fn func(s S, start, end int)) (chunks []S, release func(), err error) {
-	spans := sweepRanges(n, nil)
-	out := make([]S, len(spans))
-	owners := make([]int16, len(spans))
-	// filled marks chunks whose builder was actually checked out — a
-	// canceled sweep leaves holes, and a zero S must never reach Put
-	// (note any(S(nil)) != nil for pointer types, so a nil check can't
-	// distinguish them).
-	filled := make([]bool, len(spans))
-	err = runRanges(ctx, n, spans, func(w, c int, r Range) {
-		s := a.GetSlot(w)
-		fn(s, r.Start, r.End)
-		out[c] = s
-		owners[c] = int16(w)
-		filled[c] = true
-	})
-	var once sync.Once
-	release = func() {
-		once.Do(func() {
-			var zero S
-			for i := range out {
-				if filled[i] {
-					a.PutSlot(int(owners[i]), out[i])
-					out[i] = zero
-					filled[i] = false
-				}
-			}
-		})
-	}
-	if err != nil {
-		// A canceled sweep may have filled only some chunks; recycle
-		// whatever ran.
-		release()
-		return nil, func() {}, err
-	}
-	return out, release, nil
 }

@@ -1,8 +1,6 @@
 package par
 
 import (
-	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -61,78 +59,4 @@ func TestArenaConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-func TestSweepChunksDeterministicAndRecycled(t *testing.T) {
-	SetWorkers(4)
-	defer SetWorkers(0)
-	a := NewArena(func() *testScratch { return &testScratch{} })
-	const n = 1000
-
-	run := func() []int {
-		chunks, release, err := SweepChunks(context.Background(), n, a, func(s *testScratch, start, end int) {
-			for i := start; i < end; i++ {
-				s.vals = append(s.vals, i*i)
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer release()
-		var merged []int
-		for _, c := range chunks {
-			merged = append(merged, c.vals...)
-		}
-		return merged
-	}
-
-	first := run()
-	if len(first) != n {
-		t.Fatalf("merged %d items, want %d", len(first), n)
-	}
-	for i, v := range first {
-		if v != i*i {
-			t.Fatalf("item %d = %d: chunk order not deterministic", i, v)
-		}
-	}
-	// Second sweep must reuse the same builders (stale-scratch
-	// contamination is caught by comparing outputs).
-	second := run()
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("sweep 2 diverges at %d: arena reuse contaminated output", i)
-		}
-	}
-}
-
-func TestSweepChunksReleaseIdempotent(t *testing.T) {
-	a := NewArena(func() *testScratch { return &testScratch{} })
-	chunks, release, err := SweepChunks(context.Background(), 10, a, func(s *testScratch, start, end int) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	release()
-	release() // double release must not double-pool
-	seen := map[*testScratch]bool{}
-	for i := 0; i < len(chunks)+2; i++ {
-		s := a.Get()
-		if seen[s] {
-			t.Fatal("double release put the same builder in the pool twice")
-		}
-		seen[s] = true
-	}
-}
-
-func TestSweepChunksCanceled(t *testing.T) {
-	a := NewArena(func() *testScratch { return &testScratch{} })
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	chunks, release, err := SweepChunks(ctx, 100, a, func(s *testScratch, start, end int) {})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if chunks != nil {
-		t.Fatal("canceled sweep must not return builders")
-	}
-	release() // returned no-op must be callable
 }

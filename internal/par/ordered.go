@@ -75,13 +75,12 @@ type slotItem[S any] struct {
 }
 
 // OrderedSweep runs one pipelined parallel sweep over [0, n): the range
-// is chunked under the current schedule (cost optionally weights item i
-// for the adaptive schedule; nil means uniform), each chunk checks a
-// builder out of the arena's worker-affine slots, fn fills it for its
-// range, and consume receives the filled builders strictly in chunk
-// index order *as they complete* — so the merge overlaps the tail of
-// the sweep instead of waiting for a barrier. Scheduled by index,
-// consumed by index: outputs inherit the package determinism contract.
+// is chunked by sweepRanges, each chunk checks a builder out of the
+// arena's worker-affine slots, fn fills it for its range, and consume
+// receives the filled builders strictly in chunk index order *as they
+// complete* — so the merge overlaps the tail of the sweep instead of
+// waiting for a barrier. Scheduled by index, consumed by index: outputs
+// inherit the package determinism contract.
 //
 // consume runs on exactly one goroutine at a time (not always the same
 // one) and must not assume any particular worker; builders are recycled
@@ -89,8 +88,8 @@ type slotItem[S any] struct {
 // retained. On error (cancellation) consume may have seen only a prefix
 // of the chunks and every unconsumed builder is recycled — per the
 // substrate contract an error means the sweep's output is discarded.
-func OrderedSweep[S Resetter](ctx context.Context, n int, a *Arena[S], cost func(int) float64, fn func(s S, start, end int), consume func(S)) error {
-	spans := sweepRanges(n, cost)
+func OrderedSweep[S Resetter](ctx context.Context, n int, a *Arena[S], fn func(s S, start, end int), consume func(S)) error {
+	spans := sweepRanges(n)
 	cv := newConveyor[slotItem[S]](len(spans))
 	deliver := func(it slotItem[S]) {
 		consume(it.val)

@@ -4,18 +4,18 @@
 //
 // Determinism contract: every helper in this package assigns work by
 // index and collects results by index, so the *values* produced are
-// independent of the worker count, the chunking schedule (see Sched)
-// and scheduling order. Callers that merge chunk results in index order
-// therefore produce byte-identical output for any worker count and
-// either schedule — the property the serial/parallel equivalence tests
-// in filters and render pin down. OrderedSweep extends the same
-// contract to pipelined merges: the consumer still sees builders in
-// index order even though chunks complete out of order.
+// independent of the worker count, the chunk boundaries (see
+// sweepRanges) and scheduling order. Callers that merge chunk results
+// in index order therefore produce byte-identical output for any worker
+// count — the property the serial/parallel equivalence tests in filters
+// and render pin down. OrderedSweep extends the same contract to
+// pipelined merges: the consumer still sees builders in index order
+// even though chunks complete out of order.
 //
 // Concurrency model: each call runs chunks on the calling goroutine plus
 // up to Parallelism()-1 helper goroutines drawn from a process-wide
 // token pool. Workers() (the configured count) shapes the chunk
-// schedule; Parallelism() clamps actual goroutine fan-out to
+// boundaries; Parallelism() clamps actual goroutine fan-out to
 // runtime.GOMAXPROCS(0), so asking for 8 workers on a 1-core box keeps
 // 8-worker chunk boundaries (and thus 8-worker-identical output) while
 // running on one goroutine instead of oversubscribing. Helpers are
@@ -199,11 +199,9 @@ func runRanges(ctx context.Context, items int, spans []Range, process func(worke
 	return nil
 }
 
-// NumChunks picks the static-schedule chunk count for n items: enough
-// to balance load across workers (4 chunks per worker) without
-// degenerating into per-item scheduling. The adaptive schedule
-// supersedes this for sweeps (see sweepRanges); it remains the
-// SchedStatic granularity.
+// NumChunks is the chunk count of a sweep over n items: enough to
+// balance load across workers (4 chunks per worker) without
+// degenerating into per-item scheduling.
 func NumChunks(n int) int {
 	if n <= 0 {
 		return 0
@@ -230,30 +228,31 @@ func chunkRange(c, chunks, n int) (start, end int) {
 	return start, end
 }
 
-// For runs fn over every contiguous sub-range of [0, n) in parallel,
-// chunked under the current schedule. fn(start, end) must only touch
-// state owned by its range (or its own locals); ranges are disjoint and
-// cover [0, n) exactly once. Returns ctx.Err() if canceled early.
-func For(ctx context.Context, n int, fn func(start, end int)) error {
-	return runRanges(ctx, n, sweepRanges(n, nil), func(_, _ int, r Range) {
-		fn(r.Start, r.End)
-	})
+// Range is one contiguous half-open chunk [Start, End) of a sweep.
+type Range struct{ Start, End int }
+
+// sweepRanges cuts [0, n) into NumChunks(n) near-equal contiguous
+// ranges. It is a pure function of (n, Workers()) — the same inputs
+// always produce the same boundaries, so a sweep's chunking is
+// deterministic even though its scheduling order is not.
+func sweepRanges(n int) []Range {
+	nc := NumChunks(n)
+	spans := make([]Range, nc)
+	for c := range spans {
+		s, e := chunkRange(c, nc, n)
+		spans[c] = Range{s, e}
+	}
+	return spans
 }
 
-// MapChunks splits [0, n) into contiguous chunks under the current
-// schedule, computes fn(start, end) for each, and returns the results
-// in chunk order (deterministic regardless of worker count or
-// scheduling). A nil error guarantees every chunk ran.
-func MapChunks[T any](ctx context.Context, n int, fn func(start, end int) T) ([]T, error) {
-	spans := sweepRanges(n, nil)
-	out := make([]T, len(spans))
-	err := runRanges(ctx, n, spans, func(_, c int, r Range) {
-		out[c] = fn(r.Start, r.End)
+// For runs fn over every contiguous sub-range of [0, n) in parallel,
+// chunked by sweepRanges. fn(start, end) must only touch state owned by
+// its range (or its own locals); ranges are disjoint and cover [0, n)
+// exactly once. Returns ctx.Err() if canceled early.
+func For(ctx context.Context, n int, fn func(start, end int)) error {
+	return runRanges(ctx, n, sweepRanges(n), func(_, _ int, r Range) {
+		fn(r.Start, r.End)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // MapN computes out[i] = fn(i) for every i in [0, n), scheduling

@@ -32,26 +32,6 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
-func TestMapChunksOrderDeterministic(t *testing.T) {
-	ref, err := MapChunks(context.Background(), 100, func(s, e int) int { return s })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(ref); i++ {
-		if ref[i] <= ref[i-1] {
-			t.Fatalf("chunk starts not increasing: %v", ref)
-		}
-	}
-	withWorkers(t, 8)
-	got, err := MapChunks(context.Background(), 100, func(s, e int) int { return s })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) == 0 {
-		t.Fatal("no chunks")
-	}
-}
-
 func TestMapNPositional(t *testing.T) {
 	withWorkers(t, 4)
 	out, err := MapN(context.Background(), 257, func(i int) int { return i * i })

@@ -8,12 +8,6 @@ import (
 	"testing"
 )
 
-func withSchedule(t *testing.T, s Sched) {
-	t.Helper()
-	SetSchedule(s)
-	t.Cleanup(func() { SetSchedule(SchedAdaptive) })
-}
-
 // withGOMAXPROCS raises the runtime parallelism so helper goroutines
 // genuinely interleave even on a single-core runner.
 func withGOMAXPROCS(t *testing.T, n int) {
@@ -41,14 +35,23 @@ func rangesPartition(t *testing.T, n int, spans []Range) {
 	}
 }
 
-func TestSweepRangesPartitionBothSchedules(t *testing.T) {
-	for _, sched := range []Sched{SchedAdaptive, SchedStatic} {
-		for _, w := range []int{1, 4, 8} {
-			for _, n := range []int{1, 2, 7, 100, 4096, 100_000} {
-				withSchedule(t, sched)
-				withWorkers(t, w)
-				spans := sweepRanges(n, nil)
-				rangesPartition(t, n, spans)
+// TestSweepRangesPartition pins the static split: NumChunks(n)
+// contiguous ranges tiling [0, n) whose sizes differ by at most one.
+func TestSweepRangesPartition(t *testing.T) {
+	for _, w := range []int{1, 2, 4, 8} {
+		for _, n := range []int{1, 2, 7, 100, 4096, 100_000} {
+			withWorkers(t, w)
+			spans := sweepRanges(n)
+			rangesPartition(t, n, spans)
+			if len(spans) != NumChunks(n) {
+				t.Fatalf("workers=%d n=%d: %d chunks, want NumChunks = %d", w, n, len(spans), NumChunks(n))
+			}
+			small, large := n, 0
+			for _, r := range spans {
+				small, large = min(small, r.End-r.Start), max(large, r.End-r.Start)
+			}
+			if large-small > 1 {
+				t.Fatalf("workers=%d n=%d: chunk sizes range %d..%d, want near-equal", w, n, small, large)
 			}
 		}
 	}
@@ -56,8 +59,8 @@ func TestSweepRangesPartitionBothSchedules(t *testing.T) {
 
 func TestSweepRangesDeterministic(t *testing.T) {
 	withWorkers(t, 8)
-	a := sweepRanges(10_000, nil)
-	b := sweepRanges(10_000, nil)
+	a := sweepRanges(10_000)
+	b := sweepRanges(10_000)
 	if len(a) != len(b) {
 		t.Fatalf("chunk counts differ: %d vs %d", len(a), len(b))
 	}
@@ -65,91 +68,6 @@ func TestSweepRangesDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("chunk %d differs: %v vs %v", i, a[i], b[i])
 		}
-	}
-}
-
-// TestSweepRangesGuidedShape pins the guided schedule's defining
-// properties: chunk sizes never grow along the sweep (large head,
-// shrinking tail), and the tail chunks are strictly smaller than the
-// static split so stragglers can be backfilled.
-func TestSweepRangesGuidedShape(t *testing.T) {
-	withSchedule(t, SchedAdaptive)
-	withWorkers(t, 8)
-	const n = 100_000
-	spans := sweepRanges(n, nil)
-	for i := 1; i < len(spans); i++ {
-		if sz, prev := spans[i].End-spans[i].Start, spans[i-1].End-spans[i-1].Start; sz > prev {
-			t.Fatalf("chunk %d (%d items) larger than chunk %d (%d items)", i, sz, i-1, prev)
-		}
-	}
-	head := spans[0].End - spans[0].Start
-	tail := spans[len(spans)-1].End - spans[len(spans)-1].Start
-	if head <= tail {
-		t.Fatalf("guided schedule did not shrink: head %d, tail %d", head, tail)
-	}
-	staticChunk := n / NumChunks(n)
-	if tail >= staticChunk {
-		t.Fatalf("guided tail chunk (%d items) no finer than static chunk (%d items)", tail, staticChunk)
-	}
-}
-
-// TestSweepRangesCostHints checks cost-weighted chunking: when all the
-// cost sits in the tail of the index space, the tail must be cut into
-// many more chunks than the cheap head.
-func TestSweepRangesCostHints(t *testing.T) {
-	withSchedule(t, SchedAdaptive)
-	withWorkers(t, 8)
-	const n = 10_000
-	// Items below 9000 are ~free; the last 1000 carry all the work.
-	cost := func(i int) float64 {
-		if i < 9000 {
-			return 0.001
-		}
-		return 100
-	}
-	spans := sweepRanges(n, cost)
-	rangesPartition(t, n, spans)
-	headChunks, tailChunks := 0, 0
-	for _, r := range spans {
-		if r.Start >= 9000 {
-			tailChunks++
-		} else {
-			headChunks++
-		}
-	}
-	if tailChunks <= headChunks {
-		t.Fatalf("expensive tail got %d chunks vs cheap head's %d — cost hints ignored", tailChunks, headChunks)
-	}
-	// Determinism: the sequential cost walk must reproduce boundaries.
-	again := sweepRanges(n, cost)
-	for i := range spans {
-		if spans[i] != again[i] {
-			t.Fatalf("cost-hinted chunking not deterministic at chunk %d", i)
-		}
-	}
-}
-
-func TestSweepRangesDegenerateCostFallsBack(t *testing.T) {
-	withSchedule(t, SchedAdaptive)
-	withWorkers(t, 4)
-	const n = 1000
-	zero := func(int) float64 { return 0 }
-	withCost := sweepRanges(n, zero)
-	uniform := sweepRanges(n, nil)
-	if len(withCost) != len(uniform) {
-		t.Fatalf("degenerate cost produced %d chunks, uniform %d", len(withCost), len(uniform))
-	}
-	for i := range withCost {
-		if withCost[i] != uniform[i] {
-			t.Fatalf("degenerate cost chunk %d = %v, uniform %v", i, withCost[i], uniform[i])
-		}
-	}
-	rangesPartition(t, n, withCost)
-}
-
-func TestSchedString(t *testing.T) {
-	if SchedAdaptive.String() != "adaptive" || SchedStatic.String() != "static" {
-		t.Fatalf("Sched names: %q, %q", SchedAdaptive, SchedStatic)
 	}
 }
 
@@ -268,64 +186,28 @@ func (b *sumBuilder) Reset() { b.vals = b.vals[:0] }
 
 func TestOrderedSweepConsumesInIndexOrder(t *testing.T) {
 	withGOMAXPROCS(t, 8)
-	for _, sched := range []Sched{SchedAdaptive, SchedStatic} {
-		for _, w := range []int{1, 4, 8} {
-			withSchedule(t, sched)
-			withWorkers(t, w)
-			a := NewArena(func() *sumBuilder { return &sumBuilder{} })
-			const n = 10_000
-			var got []int
-			err := OrderedSweep(context.Background(), n, a, nil,
-				func(b *sumBuilder, start, end int) {
-					for i := start; i < end; i++ {
-						b.vals = append(b.vals, i)
-					}
-				},
-				func(b *sumBuilder) { got = append(got, b.vals...) })
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != n {
-				t.Fatalf("sched=%v workers=%d: consumed %d of %d items", sched, w, len(got), n)
-			}
-			for i, v := range got {
-				if v != i {
-					t.Fatalf("sched=%v workers=%d: position %d holds %d — consumption not in index order", sched, w, i, v)
-				}
-			}
-		}
-	}
-}
-
-// TestOrderedSweepCostHintedEquivalence checks that cost hints change
-// only the chunking, never the consumed sequence.
-func TestOrderedSweepCostHintedEquivalence(t *testing.T) {
-	withGOMAXPROCS(t, 8)
-	withWorkers(t, 8)
-	a := NewArena(func() *sumBuilder { return &sumBuilder{} })
-	const n = 5000
-	run := func(cost func(int) float64) []int {
+	for _, w := range []int{1, 2, 4, 8} {
+		withWorkers(t, w)
+		a := NewArena(func() *sumBuilder { return &sumBuilder{} })
+		const n = 10_000
 		var got []int
-		err := OrderedSweep(context.Background(), n, a, cost,
+		err := OrderedSweep(context.Background(), n, a,
 			func(b *sumBuilder, start, end int) {
 				for i := start; i < end; i++ {
-					b.vals = append(b.vals, i*i)
+					b.vals = append(b.vals, i)
 				}
 			},
 			func(b *sumBuilder) { got = append(got, b.vals...) })
 		if err != nil {
 			t.Fatal(err)
 		}
-		return got
-	}
-	plain := run(nil)
-	hinted := run(func(i int) float64 { return float64(i % 97) })
-	if len(plain) != len(hinted) {
-		t.Fatalf("lengths differ: %d vs %d", len(plain), len(hinted))
-	}
-	for i := range plain {
-		if plain[i] != hinted[i] {
-			t.Fatalf("cost hints changed output at %d: %d vs %d", i, plain[i], hinted[i])
+		if len(got) != n {
+			t.Fatalf("workers=%d: consumed %d of %d items", w, len(got), n)
+		}
+		for i, v := range got {
+			if v != i {
+				t.Fatalf("workers=%d: position %d holds %d — consumption not in index order", w, i, v)
+			}
 		}
 	}
 }
@@ -346,7 +228,7 @@ func TestOrderedSweepCancellationRecycles(t *testing.T) {
 	for i := 0; i < cycles; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		var consumed atomic.Int64
-		err := OrderedSweep(ctx, 10_000, a, nil,
+		err := OrderedSweep(ctx, 10_000, a,
 			func(b *sumBuilder, start, end int) {
 				if start > 0 {
 					cancel() // cancel mid-sweep, after at least one chunk ran
@@ -371,7 +253,7 @@ func TestOrderedSweepCancellationRecycles(t *testing.T) {
 	}
 	// The arena must still work after cancellations.
 	var got []int
-	if err := OrderedSweep(context.Background(), 100, a, nil,
+	if err := OrderedSweep(context.Background(), 100, a,
 		func(b *sumBuilder, start, end int) {
 			for i := start; i < end; i++ {
 				b.vals = append(b.vals, i)
@@ -483,8 +365,8 @@ func TestSweepAggConcurrent(t *testing.T) {
 }
 
 // TestForEquivalentAcrossSchedules pins the package determinism
-// contract at the For level: identical results for every (schedule,
-// workers) combination.
+// contract at the For level: every worker count cuts a different chunk
+// schedule, and all of them produce identical results.
 func TestForEquivalentAcrossSchedules(t *testing.T) {
 	withGOMAXPROCS(t, 8)
 	const n = 4096
@@ -492,18 +374,15 @@ func TestForEquivalentAcrossSchedules(t *testing.T) {
 	for i := range ref {
 		ref[i] = 3*i + 1
 	}
-	for _, sched := range []Sched{SchedAdaptive, SchedStatic} {
-		for _, w := range []int{1, 4, 8} {
-			withSchedule(t, sched)
-			withWorkers(t, w)
-			out, err := MapN(context.Background(), n, func(i int) int { return 3*i + 1 })
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range out {
-				if out[i] != ref[i] {
-					t.Fatalf("sched=%v workers=%d: out[%d] = %d, want %d", sched, w, i, out[i], ref[i])
-				}
+	for _, w := range []int{1, 2, 4, 8} {
+		withWorkers(t, w)
+		out, err := MapN(context.Background(), n, func(i int) int { return 3*i + 1 })
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range out {
+			if out[i] != ref[i] {
+				t.Fatalf("workers=%d: out[%d] = %d, want %d", w, i, out[i], ref[i])
 			}
 		}
 	}

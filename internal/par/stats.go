@@ -7,171 +7,14 @@ import (
 	"time"
 )
 
-// Sched selects the chunking policy of a sweep.
-type Sched int32
-
-const (
-	// SchedAdaptive is guided self-scheduling: chunks start large (a
-	// fraction of the remaining work per worker) and shrink
-	// geometrically toward the tail, so early chunks amortize dispatch
-	// cost while late chunks are small enough to backfill stragglers.
-	// This is the default.
-	SchedAdaptive Sched = iota
-	// SchedStatic is the fixed-granularity split (NumChunks near-equal
-	// ranges), kept for A/B measurement against the adaptive schedule.
-	SchedStatic
-)
-
-// String names the schedule for test labels and benchcore output.
-func (s Sched) String() string {
-	switch s {
-	case SchedAdaptive:
-		return "adaptive"
-	case SchedStatic:
-		return "static"
-	}
-	return "unknown"
-}
-
-var schedule atomic.Int32
-
-// SetSchedule fixes the process-wide chunking policy. The schedule
-// never changes sweep *output* — only how work is cut into chunks —
-// because every merge walks chunks in index order (see the package
-// determinism contract).
-func SetSchedule(s Sched) { schedule.Store(int32(s)) }
-
-// Schedule returns the current chunking policy.
-func Schedule() Sched { return Sched(schedule.Load()) }
-
-// Range is one contiguous half-open chunk [Start, End) of a sweep.
-type Range struct{ Start, End int }
-
-// guidedMinFactor bounds how small guided chunks shrink: no chunk is
-// smaller than 1/(workers*guidedMinFactor) of the sweep (or of its
-// total cost, with hints), which caps a sweep at a few dozen chunks
-// per worker while leaving enough tail granularity to backfill a
-// straggler.
-const guidedMinFactor = 16
-
-// sweepRanges cuts [0, n) into chunk ranges under the current schedule
-// and worker count. It is a pure function of (n, Workers(),
-// Schedule(), cost) — the same inputs always produce the same
-// boundaries, so a sweep's chunking is deterministic even though its
-// scheduling order is not. cost, when non-nil, gives the relative cost
-// of item i (it must itself be deterministic); chunks then hold
-// approximately equal cost instead of equal item counts, so skewed
-// sweeps rebalance. A nil (or degenerate, all non-positive) cost falls
-// back to item-count chunking.
-func sweepRanges(n int, cost func(int) float64) []Range {
-	if n <= 0 {
-		return nil
-	}
-	if Schedule() == SchedStatic {
-		nc := NumChunks(n)
-		spans := make([]Range, nc)
-		for c := range spans {
-			s, e := chunkRange(c, nc, n)
-			spans[c] = Range{s, e}
-		}
-		return spans
-	}
-	w := Workers()
-	if w < 1 {
-		w = 1
-	}
-	if cost != nil {
-		if spans, ok := costRanges(n, w, cost); ok {
-			return spans
-		}
-	}
-	// Guided self-scheduling: chunk k covers 1/(2w) of the remaining
-	// items, floored at minChunk.
-	minChunk := n / (w * guidedMinFactor)
-	if minChunk < 1 {
-		minChunk = 1
-	}
-	spans := make([]Range, 0, 4*w+8)
-	for start := 0; start < n; {
-		rem := n - start
-		size := (rem + 2*w - 1) / (2 * w)
-		if size < minChunk {
-			size = minChunk
-		}
-		if size > rem {
-			size = rem
-		}
-		spans = append(spans, Range{start, start + size})
-		start += size
-	}
-	return spans
-}
-
-// costBufPool recycles the per-item cost buffer costRanges fills, so
-// the single pass over the (possibly expensive) cost closure is paid
-// once per sweep and warm sweeps allocate nothing for it.
-var costBufPool = sync.Pool{New: func() any { return new([]float64) }}
-
-// costRanges is the cost-hinted guided schedule: each chunk closes once
-// it has accumulated 1/(2w) of the remaining cost (floored at
-// 1/(w*guidedMinFactor) of the total), so a run of expensive items is
-// spread across many chunks while a cheap prefix globs into few. The
-// cost closure is evaluated exactly once per item into a pooled
-// buffer; the accumulation walk is sequential in index order, so every
-// boundary is deterministic. ok is false when the hints are degenerate
-// (no positive cost anywhere).
-func costRanges(n, w int, cost func(int) float64) ([]Range, bool) {
-	bufp := costBufPool.Get().(*[]float64)
-	buf := *bufp
-	if cap(buf) < n {
-		buf = make([]float64, n)
-	}
-	buf = buf[:n]
-	defer func() {
-		*bufp = buf
-		costBufPool.Put(bufp)
-	}()
-	total := 0.0
-	for i := 0; i < n; i++ {
-		c := cost(i)
-		if c < 0 {
-			c = 0
-		}
-		buf[i] = c
-		total += c
-	}
-	if !(total > 0) {
-		return nil, false
-	}
-	minCost := total / float64(w*guidedMinFactor)
-	spans := make([]Range, 0, 4*w+8)
-	remaining := total
-	for start := 0; start < n; {
-		target := remaining / float64(2*w)
-		if target < minCost {
-			target = minCost
-		}
-		acc := 0.0
-		end := start
-		for end < n && (end == start || acc < target) {
-			acc += buf[end]
-			end++
-		}
-		spans = append(spans, Range{start, end})
-		remaining -= acc
-		start = end
-	}
-	return spans, true
-}
-
 // SweepStats summarizes the execution of one parallel sweep: how the
 // dispatched chunks spread across workers and how unbalanced their
 // runtime was.
 type SweepStats struct {
 	// Items is the sweep's index-space size.
 	Items int
-	// Chunks is how many chunks actually executed (less than the
-	// schedule's chunk count when the sweep was canceled).
+	// Chunks is how many chunks actually executed (less than
+	// NumChunks(Items) when the sweep was canceled).
 	Chunks int
 	// Workers is the goroutine count the sweep ran on (caller plus
 	// acquired helpers).

@@ -69,41 +69,31 @@ func testVolume(n int) *data.ImageData {
 
 // TestRenderFBParallelEquivalence pins the tile-parallel rasterizer's
 // determinism contract: the framebuffer (color AND depth planes) is
-// byte-identical across the full scheduling matrix — worker counts
-// {1, 4, 8} under both the adaptive and the static chunking schedule.
-// GOMAXPROCS is raised so multi-worker frames truly interleave even on
-// a one-core runner.
+// byte-identical at worker counts {1, 2, 4, 8}. GOMAXPROCS is raised so
+// multi-worker frames truly interleave even on a one-core runner.
 func TestRenderFBParallelEquivalence(t *testing.T) {
 	r := testScene(t)
 	prev := runtime.GOMAXPROCS(8)
 	defer func() {
 		runtime.GOMAXPROCS(prev)
 		par.SetWorkers(0)
-		par.SetSchedule(par.SchedAdaptive)
 	}()
 	par.SetWorkers(1)
-	par.SetSchedule(par.SchedAdaptive)
 	ref := r.RenderFB(200, 130)
-	for _, sched := range []par.Sched{par.SchedAdaptive, par.SchedStatic} {
-		for _, w := range []int{1, 4, 8} {
-			if sched == par.SchedAdaptive && w == 1 {
-				continue // the reference frame
-			}
-			par.SetSchedule(sched)
-			par.SetWorkers(w)
-			got := r.RenderFB(200, 130)
-			if !reflect.DeepEqual(ref.Color, got.Color) {
-				diff := 0
-				for i := range ref.Color {
-					if ref.Color[i] != got.Color[i] {
-						diff++
-					}
+	for _, w := range []int{2, 4, 8} {
+		par.SetWorkers(w)
+		got := r.RenderFB(200, 130)
+		if !reflect.DeepEqual(ref.Color, got.Color) {
+			diff := 0
+			for i := range ref.Color {
+				if ref.Color[i] != got.Color[i] {
+					diff++
 				}
-				t.Fatalf("sched=%s workers=%d: %d/%d pixels differ from serial render", sched, w, diff, len(ref.Color))
 			}
-			if !reflect.DeepEqual(ref.Depth, got.Depth) {
-				t.Fatalf("sched=%s workers=%d: depth buffer differs from serial render", sched, w)
-			}
+			t.Fatalf("workers=%d: %d/%d pixels differ from serial render", w, diff, len(ref.Color))
+		}
+		if !reflect.DeepEqual(ref.Depth, got.Depth) {
+			t.Fatalf("workers=%d: depth buffer differs from serial render", w)
 		}
 	}
 }

@@ -461,7 +461,7 @@ func (r *Renderer) emitActor(ctx context.Context, fb *Framebuffer, a *Actor, vie
 		// an arena-pooled command buffer; the ordered conveyor
 		// concatenates completed buffers into the frame command list in
 		// chunk order while later chunks still emit.
-		err := par.OrderedSweep(ctx, len(mesh.Polys), cmdArena, nil, func(cc *cmdChunk, start, end int) {
+		err := par.OrderedSweep(ctx, len(mesh.Polys), cmdArena, func(cc *cmdChunk, start, end int) {
 			out := cc.cmds
 			for _, poly := range mesh.Polys[start:end] {
 				for ti := 2; ti < len(poly); ti++ {

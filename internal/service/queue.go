@@ -262,8 +262,10 @@ func (q *Queue) SubmitCtx(ctx context.Context, req JobRequest) (*Job, Submission
 	}
 
 	// Store lookup: a previously executed identical request is answered
-	// without touching the queue (or an LLM).
-	if res, ok := q.store.GetResult(key); ok {
+	// without touching the queue (or an LLM) — as long as every object
+	// its result names is still stored. A stale result is a miss: the
+	// request executes again and its PutResult replaces the result.
+	if res, ok := q.store.GetResult(key); ok && q.store.HasResultObjects(res) {
 		job := q.newJobLocked(key, req)
 		job.TraceID = obs.TraceID(ctx)
 		job.mu.Lock()

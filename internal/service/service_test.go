@@ -181,9 +181,11 @@ type stubPipeline struct {
 	fail bool
 	// block, when true, waits for ctx cancellation instead of returning.
 	block bool
+	// screenshot, when true, saves one fixed PNG through the sink.
+	screenshot bool
 }
 
-func (p *stubPipeline) run(ctx context.Context, req JobRequest, _ pvsim.ScreenshotSink) (*chatvis.Artifact, error) {
+func (p *stubPipeline) run(ctx context.Context, req JobRequest, shots pvsim.ScreenshotSink) (*chatvis.Artifact, error) {
 	p.executions.Add(1)
 	if p.gate != nil {
 		select {
@@ -199,12 +201,20 @@ func (p *stubPipeline) run(ctx context.Context, req JobRequest, _ pvsim.Screensh
 	if p.fail {
 		return nil, fmt.Errorf("stub pipeline failure")
 	}
-	return &chatvis.Artifact{
+	art := &chatvis.Artifact{
 		UserPrompt:  req.Prompt,
 		FinalScript: "print('script for: " + req.Prompt + "')\n",
 		Success:     true,
 		Iterations:  []chatvis.Iteration{{Script: "s"}},
-	}, nil
+	}
+	if p.screenshot {
+		ref, err := shots.PutScreenshot("shot.png", []byte("\x89PNG stub screenshot for: "+req.Prompt))
+		if err != nil {
+			return nil, err
+		}
+		art.Screenshots = []string{ref}
+	}
+	return art, nil
 }
 
 func newTestQueue(t *testing.T, p *stubPipeline, workers int) *Queue {
@@ -367,6 +377,73 @@ func TestQueueFailedJobAllowsRetry(t *testing.T) {
 	waitJob(t, retry)
 	if retry.Status() != StatusSucceeded {
 		t.Errorf("retry status = %s", retry.Status())
+	}
+}
+
+// TestQueueStoreHitNeedsEveryObject pins that a stored result is only
+// a store hit while every object it names is still stored: with one
+// screenshot deleted, a resubmission executes again and its result
+// replaces the stale one.
+func TestQueueStoreHitNeedsEveryObject(t *testing.T) {
+	dir := t.TempDir()
+	p := &stubPipeline{screenshot: true}
+	open := func() *Queue {
+		store, err := NewStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := NewQueue(QueueOptions{Workers: 1, Pipeline: p.run, Store: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			_ = q.Shutdown(ctx)
+		})
+		return q
+	}
+	req := JobRequest{Prompt: "stale screenshot"}
+	q := open()
+	job, _, err := q.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, job)
+	res := job.Result()
+	if res == nil || len(res.ScreenshotHashes) != 1 {
+		t.Fatalf("first run stored no screenshot: %+v", res)
+	}
+	if err := os.Remove(q.store.objectPath(res.ScreenshotHashes[0], "image/png")); err != nil {
+		t.Fatal(err)
+	}
+
+	q = open()
+	job, outcome, err := q.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outcome != SubmissionNew {
+		t.Fatalf("resubmission over a result with a missing screenshot = %s, want %s", outcome, SubmissionNew)
+	}
+	waitJob(t, job)
+	if got := p.executions.Load(); got != 2 {
+		t.Fatalf("%d executions, want 2", got)
+	}
+	res = job.Result()
+	if res == nil || job.Status() != StatusSucceeded {
+		t.Fatalf("re-execution: status %s, result %+v", job.Status(), res)
+	}
+	for _, h := range append([]string{res.ScriptHash, res.ArtifactHash}, res.ScreenshotHashes...) {
+		if _, _, err := q.store.Get(h); err != nil {
+			t.Errorf("new result names an object that does not Get: %v", err)
+		}
+	}
+	if _, outcome, err := q.Submit(req); err != nil || outcome != SubmissionStoreHit {
+		t.Fatalf("submission after the repair = %s, %v; want %s", outcome, err, SubmissionStoreHit)
+	}
+	if got := p.executions.Load(); got != 2 {
+		t.Errorf("the repaired result was not a store hit: %d executions", got)
 	}
 }
 

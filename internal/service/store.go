@@ -251,6 +251,21 @@ func (s *Store) Has(hash string) bool {
 	return ok
 }
 
+// HasResultObjects reports whether every object a result names — its
+// script, its artifact and each screenshot — is still stored. A result
+// missing any of them would answer with hashes that no longer Get.
+func (s *Store) HasResultObjects(r *Result) bool {
+	if !s.Has(r.ScriptHash) || !s.Has(r.ArtifactHash) {
+		return false
+	}
+	for _, h := range r.ScreenshotHashes {
+		if !s.Has(h) {
+			return false
+		}
+	}
+	return true
+}
+
 // indexFromDisk looks a hash up on the filesystem (any known type tag)
 // and adds it to the index on a hit. This is the shared-store path: a
 // peer node may have written the object after our index loaded.
