@@ -20,6 +20,8 @@ ci: fmt vet plan-validate lint-metrics calibrate-smoke test-race fuzz-smoke benc
 # panic; accepted datasets have in-range cell ids and full-length point
 # fields); its seeds are whole DataSmall datasets (up to ~280 KB), so
 # minimizing each new input is capped at 1s or it would eat the budget.
+# FuzzReadExodus does the same for the Exodus-II reader, seeded with the
+# DataSmall disk grid (header counts never size an allocation).
 # FuzzEncodePNG decodes the screenshot encoder's output of
 # random opaque images with the stdlib decoder. FuzzOpenWAL opens
 # arbitrary bytes as a WAL segment (no panic, every recovered record has
@@ -29,6 +31,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanPathImpliesInterpreter$$' -fuzztime 20s -parallel 2 ./internal/eval
 	$(GO) test -run '^$$' -fuzz '^FuzzExtractSurface$$' -fuzztime 10s -parallel 2 ./internal/filters
 	$(GO) test -run '^$$' -fuzz '^FuzzReadLegacyVTK$$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/vtkio
+	$(GO) test -run '^$$' -fuzz '^FuzzReadExodus$$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/vtkio
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodePNG$$' -fuzztime 10s -parallel 2 ./internal/render
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenWAL$$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/cluster
 
@@ -39,11 +42,14 @@ fuzz-smoke:
 bench-e2e-test:
 	$(GO) -C e2ebench vet ./... && $(GO) -C e2ebench test ./...
 
-# Metrics contract gate: scrape a fully-attached in-memory daemon and
-# fail on any chatvis_* name that is not snake_case, lacks HELP/TYPE
-# metadata, or is registered more than once.
+# Metrics contract gate. The obs registry panics at declare time on a
+# name outside ^chatvis_[a-z][a-z0-9_]*$, a duplicate, or a counter
+# without _total (or a _total non-counter); TestMetricsContract scrapes
+# a fully-attached in-memory daemon under both negotiations and fails
+# unless the scrape is exactly the declared set of families, with no
+# undeclared sample and no repeated series.
 lint-metrics:
-	$(GO) run ./cmd/metriclint
+	$(GO) test -run '^TestMetricsContract$$' -count=1 ./internal/service
 
 # Routing calibration gate: probe the sim registry twice over a fixed
 # 2-scenario slice into a scratch directory and fail unless the

@@ -478,7 +478,7 @@ func BenchmarkServiceThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pipeline := service.NewChatVisPipeline(service.PipelineConfig{
+		pipeline, _ := service.NewServingBackend(service.PipelineConfig{
 			DataDir: b.TempDir(),
 		})
 		q, err := service.NewQueue(service.QueueOptions{
@@ -515,7 +515,7 @@ func BenchmarkServiceThroughput(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			submitAndWait(b, q, service.JobRequest{
-				Prompt: prompt(i), Model: "oracle", Width: 320, Height: 180,
+				Prompt: prompt(i), SessionRequest: service.SessionRequest{Model: "oracle", Width: 320, Height: 180},
 			})
 		}
 		b.StopTimer()
@@ -534,7 +534,7 @@ func BenchmarkServiceThroughput(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			req := service.JobRequest{
-				Prompt: prompt(i), Model: "oracle", Width: 320, Height: 180,
+				Prompt: prompt(i), SessionRequest: service.SessionRequest{Model: "oracle", Width: 320, Height: 180},
 			}
 			var wg sync.WaitGroup
 			jobs := make([]*service.Job, burst)
@@ -570,7 +570,7 @@ func BenchmarkServiceThroughput(b *testing.B) {
 	b.Run("store-hit", func(b *testing.B) {
 		q := newQueue(b)
 		req := service.JobRequest{
-			Prompt: prompt(0), Model: "oracle", Width: 320, Height: 180,
+			Prompt: prompt(0), SessionRequest: service.SessionRequest{Model: "oracle", Width: 320, Height: 180},
 		}
 		submitAndWait(b, q, req) // prime the store
 		b.ResetTimer()

@@ -75,7 +75,7 @@ func TestDaemonSmoke(t *testing.T) {
 
 	// Submit against the stub profile and poll to completion.
 	body, _ := json.Marshal(service.JobRequest{
-		Prompt: prompt, Model: "oracle", Width: 320, Height: 180,
+		Prompt: prompt, SessionRequest: service.SessionRequest{Model: "oracle", Width: 320, Height: 180},
 	})
 	resp, err = http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -247,8 +247,8 @@ func TestDaemonConcurrentIdenticalSubmissions(t *testing.T) {
 	defer srv.Close()
 
 	body, _ := json.Marshal(service.JobRequest{
-		Prompt: "Please generate a ParaView Python script for the following operations. Read in the file named ml-100.vtk. Generate an isosurface of the variable var0 at value 0.5. Save a screenshot of the result in the filename iso.png. The rendered view and saved screenshot should be 320 x 180 pixels.",
-		Model:  "oracle", Width: 320, Height: 180,
+		Prompt:         "Please generate a ParaView Python script for the following operations. Read in the file named ml-100.vtk. Generate an isosurface of the variable var0 at value 0.5. Save a screenshot of the result in the filename iso.png. The rendered view and saved screenshot should be 320 x 180 pixels.",
+		SessionRequest: service.SessionRequest{Model: "oracle", Width: 320, Height: 180},
 	})
 	const n = 10
 	errs := make(chan error, n)
@@ -491,8 +491,8 @@ func TestDaemonComputeFlagsAndDatasetCache(t *testing.T) {
 	submit := func(iso string) {
 		t.Helper()
 		body, _ := json.Marshal(service.JobRequest{
-			Prompt: "Please generate a ParaView Python script for the following operations. Read in the file named ml-100.vtk. Generate an isosurface of the variable var0 at value " + iso + ". Save a screenshot of the result in the filename iso.png. The rendered view and saved screenshot should be 320 x 180 pixels.",
-			Model:  "oracle", Width: 320, Height: 180,
+			Prompt:         "Please generate a ParaView Python script for the following operations. Read in the file named ml-100.vtk. Generate an isosurface of the variable var0 at value " + iso + ". Save a screenshot of the result in the filename iso.png. The rendered view and saved screenshot should be 320 x 180 pixels.",
+			SessionRequest: service.SessionRequest{Model: "oracle", Width: 320, Height: 180},
 		})
 		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 		if err != nil {
@@ -615,7 +615,7 @@ func TestClusterSmoke3Nodes(t *testing.T) {
 	// all three to one owner, which coalesces them onto one execution.
 	prompt := "Please generate a ParaView Python script for the following operations. Read in the file named ml-100.vtk. Generate an isosurface of the variable var0 at value 0.5. Save a screenshot of the result in the filename iso.png. The rendered view and saved screenshot should be 320 x 180 pixels."
 	body, _ := json.Marshal(service.JobRequest{
-		Prompt: prompt, Model: "oracle", Width: 320, Height: 180,
+		Prompt: prompt, SessionRequest: service.SessionRequest{Model: "oracle", Width: 320, Height: 180},
 	})
 	type submitResult struct {
 		id   string
@@ -815,8 +815,8 @@ func TestClusterTracePropagation(t *testing.T) {
 	})
 
 	req := service.JobRequest{
-		Prompt: "Please generate a ParaView Python script for the following operations. Read in the file named ml-100.vtk. Generate an isosurface of the variable var0 at value 0.3100. Save a screenshot of the result in the filename iso.png. The rendered view and saved screenshot should be 320 x 180 pixels.",
-		Model:  "oracle", Width: 320, Height: 180,
+		Prompt:         "Please generate a ParaView Python script for the following operations. Read in the file named ml-100.vtk. Generate an isosurface of the variable var0 at value 0.3100. Save a screenshot of the result in the filename iso.png. The rendered view and saved screenshot should be 320 x 180 pixels.",
+		SessionRequest: service.SessionRequest{Model: "oracle", Width: 320, Height: 180},
 	}
 	// Enter through a node that does NOT own the job's content key, so
 	// acceptance crosses the fleet; read the trace back from the third

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"chatvis/internal/errext"
 	"chatvis/internal/llm"
@@ -230,11 +229,10 @@ func (s *Session) Turn(ctx context.Context, prompt string) (*Turn, error) {
 // counts and cache/retry provenance from the middleware chain.
 func (s *Session) complete(ctx context.Context, trace *Trace, stage string, req llm.Request) (string, error) {
 	_, span := obs.Start(ctx, "llm."+stage)
-	defer span.End()
-	start := time.Now()
 	resp, err := s.model.Complete(ctx, req)
 	if err != nil {
 		span.SetError(err)
+		span.End()
 		return "", err
 	}
 	span.SetAttr("model", resp.Model)
@@ -248,7 +246,7 @@ func (s *Session) complete(ctx context.Context, trace *Trace, stage string, req 
 	if req.Escalation > 0 {
 		span.SetAttr("escalation", req.Escalation)
 	}
-	trace.addLLM(stage, req, resp, time.Since(start))
+	trace.addLLM(stage, req, resp, span.End())
 	return resp.Text, nil
 }
 
@@ -262,8 +260,6 @@ func (s *Session) complete(ctx context.Context, trace *Trace, stage string, req 
 func (s *Session) exec(ctx context.Context, art *Artifact, round int, script string, compiled *plan.Compiled) (ok bool, shots []string, onEngine bool) {
 	ctx, span := obs.Start(ctx, "script.exec")
 	span.SetAttr("round", round)
-	defer span.End()
-	start := time.Now()
 	it := Iteration{Script: script}
 	art.Plan, art.FinalScript = nil, script
 	var err error
@@ -294,7 +290,7 @@ func (s *Session) exec(ctx context.Context, art *Artifact, round int, script str
 	art.Iterations = append(art.Iterations, it)
 	art.Trace.add(StageTrace{
 		Stage:    fmt.Sprintf("%s-%d", StageExec, round),
-		Duration: time.Since(start),
+		Duration: span.End(),
 		PlanHash: it.PlanHash,
 	})
 	return ok, shots, onEngine
@@ -311,7 +307,6 @@ func (s *Session) planRepair(ctx context.Context, trace *Trace, script string) (
 	for round := 1; round <= 2; round++ {
 		_, vspan := obs.Start(ctx, "plan.validate")
 		vspan.SetAttr("round", round)
-		start := time.Now()
 		compiled, err := plan.Compile(script, pvsim.PlanSchema())
 		if err != nil {
 			// Unparsable: the execution loop's SyntaxError path owns it.
@@ -321,10 +316,9 @@ func (s *Session) planRepair(ctx context.Context, trace *Trace, script string) (
 		}
 		diags := plan.Errors(compiled.Diags)
 		vspan.SetAttr("diagnostics", len(diags))
-		vspan.End()
 		trace.add(StageTrace{
 			Stage:    fmt.Sprintf("%s-%d", StageValidate, round),
-			Duration: time.Since(start),
+			Duration: vspan.End(),
 			PlanHash: compiled.Plan.Hash(),
 		})
 		if len(diags) == 0 {
@@ -558,13 +552,11 @@ func (s *Session) editTurn(ctx context.Context, idx int, prompt string) (*Turn, 
 	for round := 1; round <= 2; round++ {
 		_, vspan := obs.Start(ctx, "plan.validate")
 		vspan.SetAttr("round", round)
-		start := time.Now()
 		diags := plan.Errors(plan.Validate(proposed, schema))
 		vspan.SetAttr("diagnostics", len(diags))
-		vspan.End()
 		art.Trace.add(StageTrace{
 			Stage:    fmt.Sprintf("%s-%d", StageEditValidate, round),
-			Duration: time.Since(start),
+			Duration: vspan.End(),
 			PlanHash: proposed.Hash(),
 		})
 		if len(diags) == 0 {
@@ -600,13 +592,11 @@ func (s *Session) editTurn(ctx context.Context, idx int, prompt string) (*Turn, 
 	eng := s.engine()
 	before := eng.Executions()
 	execCtx, execSpan := obs.Start(ctx, "engine.exec-plan")
-	start := time.Now()
 	shots, execErr := eng.ExecPlan(execCtx, next)
 	execSpan.SetError(execErr)
-	execSpan.End()
 	art.Trace.add(StageTrace{
 		Stage:    StageExec + "-1",
-		Duration: time.Since(start),
+		Duration: execSpan.End(),
 		PlanHash: next.Hash(),
 	})
 	turn.ExecutionsDelta = eng.Executions() - before

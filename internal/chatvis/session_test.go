@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"chatvis/internal/llm"
+	"chatvis/internal/obs"
 	"chatvis/internal/plan"
 )
 
@@ -324,4 +325,59 @@ func filterStages(t *testing.T, p *plan.Plan) string {
 		}
 	}
 	return strings.Join(out, "\n")
+}
+
+// TestStageDurationsComeFromSpans pins one clock per stage: in a traced
+// two-turn session, every StageTrace's Duration is exactly the duration
+// its span ended with (llm.<stage> for model calls, plan.validate for
+// validation, script.exec or engine.exec-plan for execution).
+func TestStageDurationsComeFromSpans(t *testing.T) {
+	s := newSession(t, "gpt-4", WithPlanValidation(true))
+	tr := obs.NewTracer("test", 8)
+	ctx, root := obs.Start(obs.WithTracer(context.Background(), tr), "test")
+	var stages []StageTrace
+	for _, prompt := range []string{testPrompts()["isosurface"], "Raise the isovalue to 0.7."} {
+		turn, err := s.Turn(ctx, prompt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !turn.Artifact.Success {
+			t.Fatalf("turn %d failed", turn.Index)
+		}
+		stages = append(stages, turn.Artifact.Trace.Stages...)
+	}
+	root.End()
+	td, ok := tr.Get(root.Context().TraceID)
+	if !ok {
+		t.Fatal("trace not retained")
+	}
+	spanFor := func(st StageTrace) string {
+		switch {
+		case strings.HasPrefix(st.Stage, StageExec+"-"):
+			return "exec"
+		case strings.HasPrefix(st.Stage, StageValidate+"-"), strings.HasPrefix(st.Stage, StageEditValidate+"-"):
+			return "plan.validate"
+		}
+		return "llm." + st.Stage
+	}
+	used := map[string]bool{}
+	for _, st := range stages {
+		want, found := spanFor(st), false
+		for _, sp := range td.Spans {
+			name := sp.Name
+			if name == "script.exec" || name == "engine.exec-plan" {
+				name = "exec"
+			}
+			if name == want && sp.Duration == st.Duration && !used[sp.SpanID] {
+				used[sp.SpanID], found = true, true
+				break
+			}
+		}
+		if !found {
+			t.Errorf("stage %s (%v) has no %s span of the same duration", st.Stage, st.Duration, want)
+		}
+	}
+	if len(stages) < 6 {
+		t.Errorf("%d stages over two turns, want rewrite, generate, validate and exec, then edit, validate and exec", len(stages))
+	}
 }

@@ -79,13 +79,6 @@ func NewRing(nodes []string, vnodes int) *Ring {
 	return r
 }
 
-// Nodes returns the ring membership (sorted, deduplicated).
-func (r *Ring) Nodes() []string {
-	out := make([]string, len(r.nodes))
-	copy(out, r.nodes)
-	return out
-}
-
 // Owners returns up to n distinct nodes in preference order for key:
 // the clockwise walk from the key's ring position, with same-position
 // collisions ordered by rendezvous score. The first entry is the key's

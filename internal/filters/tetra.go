@@ -79,13 +79,6 @@ func GridTets(ug *data.UnstructuredGrid) [][4]int {
 	return out
 }
 
-// ImageTets enumerates the Kuhn tetrahedra of every cube of an ImageData
-// without materializing them: fn is called with the 4 flat point indices of
-// each tet.
-func ImageTets(im *data.ImageData, fn func(t [4]int)) {
-	imageTetsRange(im, 0, imageCubeCount(im), fn)
-}
-
 // imageCubeCount returns the number of cells (cubes) of an ImageData —
 // the unit the parallel marching sweep chunks over.
 func imageCubeCount(im *data.ImageData) int {
@@ -96,9 +89,10 @@ func imageCubeCount(im *data.ImageData) int {
 	return (nx - 1) * (ny - 1) * (nz - 1)
 }
 
-// imageTetsRange enumerates the Kuhn tetrahedra of the cubes with flat
-// cube index in [start, end), in the same i-fastest order as a full
-// sweep — so concatenating ranges in order reproduces ImageTets exactly.
+// imageTetsRange enumerates, without materializing them, the Kuhn
+// tetrahedra of the cubes with flat cube index in [start, end): fn is
+// called with the 4 flat point indices of each tet, cubes in i-fastest
+// order, so concatenating ranges in order enumerates the whole grid.
 func imageTetsRange(im *data.ImageData, start, end int, fn func(t [4]int)) {
 	nx, ny := im.Dims[0], im.Dims[1]
 	cx, cy := nx-1, ny-1

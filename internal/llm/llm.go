@@ -36,7 +36,7 @@ type Request struct {
 // in where the paper used the OpenAI Python API. Complete honours the
 // context (cancellation, deadlines) and returns a Response carrying
 // usage, latency and cache provenance alongside the text, so middlewares
-// (WithCache, WithRetry, WithMetrics, WithRateLimit) and the traced
+// (WithCache, WithRetry, WithMetrics) and the traced
 // assistant sessions have something to hang observability on.
 type Client interface {
 	// Name identifies the model (e.g. "gpt-4").

@@ -210,35 +210,3 @@ func (c *metricsClient) Complete(ctx context.Context, req Request) (Response, er
 	c.m.completionTokens.Add(int64(resp.Usage.CompletionTokens))
 	return resp, nil
 }
-
-// --- WithRateLimit -----------------------------------------------------------
-
-// WithRateLimit bounds the number of in-flight completions to n,
-// queueing excess callers until a slot frees up (or their context is
-// cancelled). This is the knob a network-backed client uses to respect
-// provider concurrency limits while the grid runner fans out.
-func WithRateLimit(n int) Middleware {
-	if n < 1 {
-		n = 1
-	}
-	return func(next Client) Client {
-		return &rateLimitClient{next: next, slots: make(chan struct{}, n)}
-	}
-}
-
-type rateLimitClient struct {
-	next  Client
-	slots chan struct{}
-}
-
-func (c *rateLimitClient) Name() string { return c.next.Name() }
-
-func (c *rateLimitClient) Complete(ctx context.Context, req Request) (Response, error) {
-	select {
-	case c.slots <- struct{}{}:
-	case <-ctx.Done():
-		return Response{}, ctx.Err()
-	}
-	defer func() { <-c.slots }()
-	return c.next.Complete(ctx, req)
-}

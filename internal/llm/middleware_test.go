@@ -198,40 +198,6 @@ func TestWithMetricsAccumulates(t *testing.T) {
 	}
 }
 
-func TestWithRateLimitBoundsConcurrency(t *testing.T) {
-	var inFlight, peak atomic.Int64
-	base := &ClientFunc{
-		ModelName: "gauge",
-		Fn: func(ctx context.Context, req Request) (Response, error) {
-			cur := inFlight.Add(1)
-			for {
-				p := peak.Load()
-				if cur <= p || peak.CompareAndSwap(p, cur) {
-					break
-				}
-			}
-			time.Sleep(2 * time.Millisecond)
-			inFlight.Add(-1)
-			return Response{Text: "ok", Attempts: 1}, nil
-		},
-	}
-	c := Chain(base, WithRateLimit(2))
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := c.Complete(context.Background(), Request{User: "u"}); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	if peak.Load() > 2 {
-		t.Errorf("peak in-flight = %d, want <= 2", peak.Load())
-	}
-}
-
 func TestChainOrderOutermostFirst(t *testing.T) {
 	var order []string
 	mw := func(tag string) Middleware {

@@ -410,9 +410,6 @@ func WriteScript(spec TaskSpec, p Profile, g Grounding) string {
 	return injectSyntaxDefect(script, p.SyntaxDefect)
 }
 
-// OmitsVolumeRepresentation reports the GPT-4 volume-rendering behaviour.
-func (p Profile) OmitsVolumeRepresentation() bool { return p.Hallucinates }
-
 func boolToInt(v bool) int {
 	if v {
 		return 1

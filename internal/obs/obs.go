@@ -12,9 +12,10 @@
 //	ctx, span := obs.Start(ctx, "llm.generate")
 //	defer span.End()
 //
-// A context without a tracer produces inert spans, so libraries
-// instrumented with obs cost one context lookup when tracing is off —
-// the eval harness and CLI paths run untraced for free.
+// A context without a tracer produces spans that only time, so
+// libraries instrumented with obs cost one context lookup and a clock
+// read when tracing is off — the eval harness and CLI paths run
+// untraced, and span end still times each stage.
 //
 // Spans cross process boundaries as `traceparent` headers
 // (00-<trace>-<span>-01): the HTTP middleware extracts an incoming
@@ -216,7 +217,8 @@ type SpanData struct {
 	Attrs map[string]string `json:"attrs,omitempty"`
 }
 
-// Span is one in-flight timed operation. A nil *Span is inert: every
+// Span is one in-flight timed operation. An untraced span (no tracer on
+// the context at Start) only times, and a nil *Span is inert: every
 // method no-ops, so instrumented code never branches on "is tracing
 // on".
 type Span struct {
@@ -230,12 +232,13 @@ type Span struct {
 
 // Start begins a span named name as a child of the context's current
 // span (or a new trace root when there is none) and returns a context
-// carrying it. Without a tracer on the context it returns ctx and a
-// nil, inert span.
+// carrying it. Without a tracer on the context it returns ctx unchanged
+// and a span that only times: End reports its duration, but the span
+// keeps no attributes and is exported nowhere.
 func Start(ctx context.Context, name string) (context.Context, *Span) {
 	t := TracerFrom(ctx)
 	if t == nil {
-		return ctx, nil
+		return ctx, &Span{data: SpanData{Start: time.Now()}}
 	}
 	parent := SpanContextFrom(ctx)
 	sc := SpanContext{TraceID: parent.TraceID, SpanID: NewSpanID()}
@@ -268,7 +271,7 @@ func (s *Span) Context() SpanContext {
 
 // SetAttr records one key/value attribute on the span.
 func (s *Span) SetAttr(key string, value any) {
-	if s == nil {
+	if s == nil || s.tracer == nil {
 		return
 	}
 	s.mu.Lock()
@@ -284,7 +287,7 @@ func (s *Span) SetAttr(key string, value any) {
 
 // SetError marks the span failed with err's message (nil err no-ops).
 func (s *Span) SetError(err error) {
-	if s == nil || err == nil {
+	if s == nil || s.tracer == nil || err == nil {
 		return
 	}
 	s.mu.Lock()
@@ -296,7 +299,7 @@ func (s *Span) SetError(err error) {
 
 // Fail marks the span failed with a formatted message.
 func (s *Span) Fail(format string, args ...any) {
-	if s == nil {
+	if s == nil || s.tracer == nil {
 		return
 	}
 	s.mu.Lock()
@@ -306,20 +309,25 @@ func (s *Span) Fail(format string, args ...any) {
 	}
 }
 
-// End finishes the span and hands it to the tracer. Safe to call more
-// than once; only the first call records.
-func (s *Span) End() {
+// End finishes the span, hands it to the tracer and returns its
+// duration, the one clock of the operation it timed. Safe to call more
+// than once; only the first call records, and every call returns the
+// same duration (0 for a nil span).
+func (s *Span) End() time.Duration {
 	if s == nil {
-		return
+		return 0
 	}
 	s.mu.Lock()
 	if s.ended {
 		s.mu.Unlock()
-		return
+		return s.data.Duration
 	}
 	s.ended = true
 	s.data.Duration = time.Since(s.data.Start)
 	data := s.data
 	s.mu.Unlock()
-	s.tracer.spanEnded(data)
+	if s.tracer != nil {
+		s.tracer.spanEnded(data)
+	}
+	return data.Duration
 }

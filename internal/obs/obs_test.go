@@ -36,17 +36,38 @@ func TestTraceparentRoundTrip(t *testing.T) {
 }
 
 func TestStartWithoutTracerIsInert(t *testing.T) {
-	ctx, span := Start(context.Background(), "noop")
-	if span != nil {
-		t.Fatalf("expected nil span without tracer")
+	bg := context.Background()
+	ctx, span := Start(bg, "noop")
+	if ctx != bg {
+		t.Fatalf("untraced Start changed the context")
 	}
-	// All nil-span methods must be safe.
+	if span == nil {
+		t.Fatalf("untraced Start returned no span to time with")
+	}
 	span.SetAttr("k", "v")
 	span.SetError(fmt.Errorf("x"))
 	span.Fail("y")
-	span.End()
+	time.Sleep(time.Millisecond)
+	d := span.End()
+	if d < time.Millisecond {
+		t.Fatalf("untraced span timed %v, want at least 1ms", d)
+	}
+	if again := span.End(); again != d {
+		t.Fatalf("second End = %v, want the first's %v", again, d)
+	}
+	if span.data.Attrs != nil || span.data.Err != "" {
+		t.Fatalf("untraced span kept attrs %v, error %q", span.data.Attrs, span.data.Err)
+	}
 	if id := TraceID(ctx); id != "" {
 		t.Fatalf("untraced ctx has trace id %q", id)
+	}
+	// All nil-span methods must be safe.
+	var none *Span
+	none.SetAttr("k", "v")
+	none.SetError(fmt.Errorf("x"))
+	none.Fail("y")
+	if d := none.End(); d != 0 {
+		t.Fatalf("nil span End = %v", d)
 	}
 }
 
@@ -270,7 +291,7 @@ func TestTracerConcurrentUse(t *testing.T) {
 }
 
 func TestRuntimeStatsAndBuildInfo(t *testing.T) {
-	rs := ReadRuntimeStats()
+	rs := readRuntimeStats()
 	if rs.Goroutines <= 0 || rs.HeapAllocBytes == 0 {
 		t.Fatalf("implausible runtime stats: %+v", rs)
 	}

@@ -5,9 +5,9 @@ import (
 	"runtime/debug"
 )
 
-// RuntimeStats is a point-in-time snapshot of the Go runtime for the
-// /metrics surface — goroutines, heap, and GC activity.
-type RuntimeStats struct {
+// runtimeStats is a point-in-time snapshot of the Go runtime for the
+// chatvis_go_* families — goroutines, heap, and GC activity.
+type runtimeStats struct {
 	Goroutines     int
 	HeapAllocBytes uint64
 	HeapSysBytes   uint64
@@ -17,13 +17,13 @@ type RuntimeStats struct {
 	NextGCBytes    uint64
 }
 
-// ReadRuntimeStats samples the runtime. ReadMemStats briefly
-// stops the world; callers scrape it once per /metrics request, which
-// is well within budget.
-func ReadRuntimeStats() RuntimeStats {
+// readRuntimeStats samples the runtime. ReadMemStats briefly stops the
+// world; the registry reads it once per scrape, which is well within
+// budget.
+func readRuntimeStats() runtimeStats {
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
-	return RuntimeStats{
+	return runtimeStats{
 		Goroutines:     runtime.NumGoroutine(),
 		HeapAllocBytes: m.HeapAlloc,
 		HeapSysBytes:   m.HeapSys,

@@ -65,17 +65,6 @@ func NewCoolToWarm(lo, hi float64) *LookupTable {
 	}
 }
 
-// NewGrayscale builds a black-to-white ramp over [lo, hi].
-func NewGrayscale(lo, hi float64) *LookupTable {
-	if hi <= lo {
-		hi = lo + 1
-	}
-	return &LookupTable{
-		points:   []ctfPoint{{lo, Black}, {hi, White}},
-		NaNColor: Color{1, 1, 0},
-	}
-}
-
 // AddPoint inserts a control point; points are kept sorted by x.
 func (l *LookupTable) AddPoint(x float64, c Color) {
 	l.points = append(l.points, ctfPoint{x, c})

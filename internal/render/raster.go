@@ -67,11 +67,6 @@ type vert struct {
 	c       Color
 }
 
-// Triangle rasterizes a filled triangle with Gouraud-interpolated color.
-func (fb *Framebuffer) Triangle(v0, v1, v2 vert) {
-	fb.triangleBand(v0, v1, v2, 0, fb.H)
-}
-
 // triangleBand rasterizes the triangle restricted to rows [y0, y1).
 func (fb *Framebuffer) triangleBand(v0, v1, v2 vert, y0, y1 int) {
 	minX := int(math.Floor(min3(v0.x, v1.x, v2.x)))

@@ -40,23 +40,39 @@ const (
 )
 
 // WithCluster attaches fleet membership, enabling request forwarding
-// and the cluster endpoints; returns the server for chaining.
+// and the cluster endpoints, and declares the cluster metric families;
+// returns the server for chaining.
 func (s *Server) WithCluster(c *cluster.Cluster) *Server {
 	s.cluster = c
+	if c == nil {
+		return s
+	}
+	reg := s.metrics
+	reg.Value("chatvis_cluster_peers_healthy", "Fleet members currently alive (self included).", obs.Gauge, func() float64 { return float64(c.HealthyCount()) })
+	reg.Value("chatvis_cluster_forwards_total", "Requests relayed to their shard-ring owner.", obs.Counter, func() float64 { return float64(s.forwards.Load()) })
+	reg.Value("chatvis_cluster_remote_coalesce_hits_total", "Executions avoided via a peer's stored or in-flight result.", obs.Counter, func() float64 { return float64(s.queue.m.remoteHits.Load()) })
 	return s
 }
 
-// WithQuotas attaches front-door tenant quotas; returns the server for
+// WithQuotas attaches front-door tenant quotas and, when they are
+// enabled, declares the throttle counter; returns the server for
 // chaining.
 func (s *Server) WithQuotas(q *cluster.Quotas) *Server {
 	s.quotas = q
+	if q.Enabled() {
+		s.metrics.Value("chatvis_tenant_throttled_total", "Requests rejected by tenant quotas (429).", obs.Counter, func() float64 { return float64(q.Throttled()) })
+	}
 	return s
 }
 
 // WithWAL attaches the node's WAL so /healthz and /metrics can report
-// its backlog; returns the server for chaining.
+// its backlog and replays; returns the server for chaining.
 func (s *Server) WithWAL(w *cluster.WAL) *Server {
 	s.wal = w
+	if w != nil {
+		s.metrics.Value("chatvis_wal_replayed_total", "Jobs and session turns re-submitted by the queue's one WAL replay after a restart.", obs.Counter, func() float64 { return float64(s.queue.m.replayed.Load()) })
+		s.metrics.Value("chatvis_wal_backlog", "WAL entries accepted but not yet finished.", obs.Gauge, func() float64 { return float64(w.Backlog()) })
+	}
 	return s
 }
 

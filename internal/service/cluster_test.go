@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -182,22 +183,26 @@ func TestClusterForwardLoopGuard(t *testing.T) {
 }
 
 func TestClusterRemoteCoalesceFallback(t *testing.T) {
-	// Private stores: the ONLY way a node can reuse a peer's result is
-	// the /v1/cluster/result probe.
-	nodes := newTestClusterNodes(t, 2, false, cluster.QuotaConfig{})
+	// One shared store, as deployed: the non-owner's worker finds no
+	// stored result, so before executing it asks the owner over the
+	// /v1/cluster/result probe, waits on the owner's in-flight execution
+	// and reuses its result.
+	nodes := newTestClusterNodes(t, 2, true, cluster.QuotaConfig{})
 	req := JobRequest{Prompt: "remote coalesce probe"}
 	owner, other := ownerOf(t, nodes, req)
+	owner.pipe.gate = make(chan struct{})
 
-	// Owner executes the job normally.
+	// The owner starts the job and holds it in flight.
 	out, _ := postJob(t, owner.srv.URL, req)
-	waitClusterJob(t, owner.srv.URL, out.ID)
-	if owner.pipe.executions.Load() != 1 {
-		t.Fatalf("owner executions = %d", owner.pipe.executions.Load())
+	for deadline := time.Now().Add(5 * time.Second); owner.pipe.executions.Load() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("owner never started the job")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 
 	// The non-owner accepts the same work locally (forwarded marker set,
-	// as if it had arrived via a relay) — before executing, its worker
-	// must ask the owner and reuse the stored result.
+	// as if it had arrived via a relay) while the owner still runs it.
 	body, _ := json.Marshal(req)
 	hr, _ := http.NewRequest(http.MethodPost, other.srv.URL+"/v1/jobs", bytes.NewReader(body))
 	hr.Header.Set(ForwardedHeader, "test")
@@ -208,9 +213,17 @@ func TestClusterRemoteCoalesceFallback(t *testing.T) {
 	var sub submitResponse
 	_ = json.NewDecoder(resp.Body).Decode(&sub)
 	resp.Body.Close()
+	if sub.Submission != SubmissionNew {
+		t.Fatalf("non-owner submission = %q, want %q", sub.Submission, SubmissionNew)
+	}
+	close(owner.pipe.gate)
+	waitClusterJob(t, owner.srv.URL, out.ID)
 	v := waitClusterJob(t, other.srv.URL, sub.ID)
 	if v.Status != StatusSucceeded {
 		t.Fatalf("remote-coalesced job %s: %+v", sub.ID, v)
+	}
+	if got := owner.pipe.executions.Load(); got != 1 {
+		t.Errorf("owner executions = %d, want 1", got)
 	}
 	if got := other.pipe.executions.Load(); got != 0 {
 		t.Errorf("non-owner executed %d times despite remote result", got)
@@ -218,6 +231,66 @@ func TestClusterRemoteCoalesceFallback(t *testing.T) {
 	if snap := other.q.Snapshot(); snap.RemoteHits != 1 {
 		t.Errorf("remote hits = %d, want 1", snap.RemoteHits)
 	}
+}
+
+// TestClusterResultNeedsEveryObject pins that the coalescing probe
+// answers only with results whose objects are all stored: with one
+// screenshot deleted, GET /v1/cluster/result/{key} is a 404.
+func TestClusterResultNeedsEveryObject(t *testing.T) {
+	dir := t.TempDir()
+	store, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shot, err := store.Put([]byte("\x89PNG stub"), "image/png")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := storedResult(t, store, Key(JobRequest{Prompt: "stale probe"}), shot)
+	if err := os.Remove(store.objectPath(shot, "image/png")); err != nil {
+		t.Fatal(err)
+	}
+	// A fresh store over the directory, as after a restart or on a peer
+	// sharing it, sees the screenshot gone.
+	store, err = NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := NewQueue(QueueOptions{Workers: 1, Pipeline: (&stubPipeline{}).run, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Shutdown(context.Background())
+	srv := httptest.NewServer(NewServer(q, store, nil).Handler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/v1/cluster/result/" + res.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /v1/cluster/result over a result missing a screenshot = %d, want 404", resp.StatusCode)
+	}
+}
+
+// storedResult stores a successful result for key whose script and
+// artifact objects exist, naming the given screenshots.
+func storedResult(t *testing.T, store *Store, key string, shots ...string) *Result {
+	t.Helper()
+	script, err := store.Put([]byte("print('stored')\n"), "text/x-python")
+	if err != nil {
+		t.Fatal(err)
+	}
+	artifact, err := store.Put([]byte(`{"stored":true}`), "application/json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &Result{Key: key, Model: "gpt-4", Success: true, ScriptHash: script,
+		ArtifactHash: artifact, ScreenshotHashes: shots, CreatedAt: time.Now()}
+	if err := store.PutResult(res); err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestClusterLookupFailsOverToNextOwner(t *testing.T) {
@@ -245,10 +318,7 @@ func TestClusterLookupFailsOverToNextOwner(t *testing.T) {
 		}
 	}
 	// Seed the fail-over target with a result for the key.
-	res := &Result{Key: key, Model: "gpt-4", Success: true, CreatedAt: time.Now()}
-	if err := live[1].q.store.PutResult(res); err != nil {
-		t.Fatal(err)
-	}
+	storedResult(t, live[1].q.store, key)
 	lookup := ClusterLookup(cl)
 	got, ok := lookup(context.Background(), key)
 	if !ok || got == nil || got.Key != key {
@@ -483,7 +553,7 @@ func TestClusterSessionTurnForwarding(t *testing.T) {
 	// POSTed to the non-owner must relay to the session's ring owner.
 	nodes := newTestClusterNodes(t, 2, true, cluster.QuotaConfig{})
 	for _, node := range nodes {
-		factory := NewSessionFactory(PipelineConfig{DataDir: t.TempDir()})
+		_, factory := NewServingBackend(PipelineConfig{DataDir: t.TempDir()})
 		store := node.q.store
 		cl := node.cl
 		sessions := NewSessions(node.q, factory).WithOwnership(func(id string) bool {

@@ -48,34 +48,9 @@ import (
 type JobRequest struct {
 	// Prompt is the natural-language visualization request (required).
 	Prompt string `json:"prompt"`
-	// Model names the LLM backend (default "gpt-4").
-	Model string `json:"model,omitempty"`
-	// Width, Height of the rendered view (default 480x270).
-	Width  int `json:"width,omitempty"`
-	Height int `json:"height,omitempty"`
-	// MaxIterations bounds the correction loop (default 5).
-	MaxIterations int `json:"max_iterations,omitempty"`
-	// FewShot truncates the example library (0 = full, negative = none).
-	FewShot int `json:"few_shot,omitempty"`
-	// NoRewrite skips the prompt-generation stage.
-	NoRewrite bool `json:"no_rewrite,omitempty"`
-	// Unassisted runs the bare model with no assistant loop.
-	Unassisted bool `json:"unassisted,omitempty"`
-}
-
-// withDefaults normalizes a request so that spelling a default
-// explicitly and omitting it produce the same coalescing key.
-func (r JobRequest) withDefaults() JobRequest {
-	if r.Model == "" {
-		r.Model = "gpt-4"
-	}
-	if r.Width <= 0 || r.Height <= 0 {
-		r.Width, r.Height = 480, 270
-	}
-	if r.MaxIterations <= 0 {
-		r.MaxIterations = 5
-	}
-	return r
+	// SessionRequest configures the one-turn session the job runs; its
+	// fields are flattened into the JSON body beside the prompt.
+	SessionRequest
 }
 
 // Validate rejects requests the pipeline cannot run.
@@ -128,7 +103,7 @@ func promptKeyField(prompt string) string {
 // share a key, which is what the queue coalesces on and the store
 // indexes by.
 func Key(r JobRequest) string {
-	r = r.withDefaults()
+	r.SessionRequest = r.withDefaults()
 	h := sha256.New()
 	writeField := func(s string) {
 		var n [8]byte

@@ -129,76 +129,20 @@ func (p *clientProvider) client(model string) (llm.Client, error) {
 	return c, nil
 }
 
-// NewChatVisPipeline builds the production PipelineFunc: per-model
-// client stacks (metrics → retry → cache, shared across jobs so
-// repeated stages hit the response cache underneath job-level
-// coalescing) and datasets generated on first use.
-func NewChatVisPipeline(cfg PipelineConfig) PipelineFunc {
-	prov := newClientProvider(cfg)
-	return newPipelineFromProvider(prov)
-}
-
-func newPipelineFromProvider(prov *clientProvider) PipelineFunc {
-	cfg := prov.cfg
-	return func(ctx context.Context, req JobRequest, shots pvsim.ScreenshotSink) (*chatvis.Artifact, error) {
-		if err := prov.ensureData(); err != nil {
-			return nil, err
-		}
-		runner := &pvpython.Runner{DataDir: cfg.DataDir, Sink: shots, Cache: cfg.DatasetCache}
-		if req.Unassisted {
-			// Unassisted jobs measure the named model itself — never
-			// routed.
-			model, err := prov.stack(req.Model)
-			if err != nil {
-				return nil, err
-			}
-			return chatvis.Unassisted(ctx, model, runner, req.Prompt)
-		}
-		model, err := prov.client(req.Model)
-		if err != nil {
-			return nil, err
-		}
-		// Serving is plan-aware: candidate scripts are schema-validated
-		// and repaired from structured diagnostics before the first
-		// engine run, saving exec+repair rounds under load.
-		assistant, err := chatvis.NewAssistant(model, runner,
-			chatvis.WithMaxIterations(req.MaxIterations),
-			chatvis.WithFewShot(req.FewShot),
-			chatvis.WithRewrite(!req.NoRewrite),
-			chatvis.WithPlanValidation(true))
-		if err != nil {
-			return nil, err
-		}
-		return assistant.Run(ctx, req.Prompt)
-	}
-}
-
 // SessionFactory builds the conversational session behind one
 // /v1/sessions resource: its own model stack, the sink its turns'
 // screenshots go to, an optional seed plan (restart rehydration) and an
 // observer for SSE streaming.
 type SessionFactory func(req SessionRequest, shots pvsim.ScreenshotSink, seed *plan.Plan, observer func(chatvis.Event)) (*chatvis.Session, error)
 
-// NewServingBackend builds both serving surfaces — the one-shot job
-// pipeline and the session factory — over ONE shared client provider,
-// so a prompt already answered on either path hits the same per-model
-// LLM response caches on the other. This is what chatvisd wires.
+// NewServingBackend builds both serving surfaces over ONE shared client
+// provider: the session factory, and the job pipeline, which runs each
+// job as a fresh one-turn session from that factory. A prompt already
+// answered on either path hits the same per-model LLM response caches on
+// the other. This is what chatvisd wires.
 func NewServingBackend(cfg PipelineConfig) (PipelineFunc, SessionFactory) {
 	prov := newClientProvider(cfg)
-	return newPipelineFromProvider(prov), newSessionFactoryFromProvider(prov)
-}
-
-// NewSessionFactory builds a standalone session factory over the same
-// pipeline configuration (and the same middleware semantics) the job
-// path uses. Prefer NewServingBackend when both surfaces serve
-// together.
-func NewSessionFactory(cfg PipelineConfig) SessionFactory {
-	return newSessionFactoryFromProvider(newClientProvider(cfg))
-}
-
-func newSessionFactoryFromProvider(prov *clientProvider) SessionFactory {
-	cfg := prov.cfg
-	return func(req SessionRequest, shots pvsim.ScreenshotSink, seed *plan.Plan, observer func(chatvis.Event)) (*chatvis.Session, error) {
+	factory := func(req SessionRequest, shots pvsim.ScreenshotSink, seed *plan.Plan, observer func(chatvis.Event)) (*chatvis.Session, error) {
 		if err := prov.ensureData(); err != nil {
 			return nil, err
 		}
@@ -206,7 +150,8 @@ func newSessionFactoryFromProvider(prov *clientProvider) SessionFactory {
 		var model llm.Client
 		var err error
 		if req.Unassisted {
-			// The unassisted condition names its model explicitly; keep it.
+			// Unassisted sessions measure the named model itself — never
+			// routed.
 			model, err = prov.stack(req.Model)
 		} else {
 			model, err = prov.client(req.Model)
@@ -214,15 +159,16 @@ func newSessionFactoryFromProvider(prov *clientProvider) SessionFactory {
 		if err != nil {
 			return nil, err
 		}
-		runner := &pvpython.Runner{DataDir: cfg.DataDir, Sink: shots, Cache: cfg.DatasetCache}
+		runner := &pvpython.Runner{DataDir: prov.cfg.DataDir, Sink: shots, Cache: prov.cfg.DatasetCache}
+		// Serving is plan-aware: candidate scripts are schema-validated
+		// and repaired from structured diagnostics before the first
+		// engine run, saving exec+repair rounds under load.
 		opts := []chatvis.Option{
 			chatvis.WithMaxIterations(req.MaxIterations),
 			chatvis.WithFewShot(req.FewShot),
 			chatvis.WithRewrite(!req.NoRewrite),
 			chatvis.WithPlanValidation(true),
-		}
-		if req.Unassisted {
-			opts = append(opts, chatvis.WithUnassisted(true))
+			chatvis.WithUnassisted(req.Unassisted),
 		}
 		if observer != nil {
 			opts = append(opts, chatvis.WithObserver(observer))
@@ -232,4 +178,16 @@ func newSessionFactoryFromProvider(prov *clientProvider) SessionFactory {
 		}
 		return chatvis.NewSession(model, runner, opts...)
 	}
+	pipeline := func(ctx context.Context, req JobRequest, shots pvsim.ScreenshotSink) (*chatvis.Artifact, error) {
+		s, err := factory(req.SessionRequest, shots, nil, nil)
+		if err != nil {
+			return nil, err
+		}
+		turn, err := s.Turn(ctx, req.Prompt)
+		if err != nil {
+			return nil, err
+		}
+		return turn.Artifact, nil
+	}
+	return pipeline, factory
 }

@@ -111,6 +111,9 @@ type Queue struct {
 	wg      sync.WaitGroup
 
 	m queueMetrics
+	// latency is the chatvis_job_duration_seconds histogram of every
+	// executed job and turn, exemplared by trace ID.
+	latency *obs.Histogram
 }
 
 // queueMetrics are the queue's atomically-updated counters.
@@ -129,31 +132,7 @@ type queueMetrics struct {
 	remoteHits atomic.Int64
 	// replayed counts jobs re-submitted from the WAL at startup.
 	replayed atomic.Int64
-
-	latencyNanos atomic.Int64
-	latencyCount atomic.Int64
-	buckets      [numLatencyBuckets + 1]atomic.Int64
-
-	// exemplars keeps the most recent traced observation per histogram
-	// bucket, linking chatvis_job_duration_seconds to a trace ID in the
-	// OpenMetrics exposition.
-	exMu      sync.Mutex
-	exemplars [numLatencyBuckets + 1]Exemplar
 }
-
-// Exemplar links one histogram bucket to the trace of a recent
-// observation that landed in it.
-type Exemplar struct {
-	TraceID string
-	// Value is the observed duration in seconds.
-	Value float64
-}
-
-// latencyBuckets are the job-duration histogram upper bounds (seconds);
-// the histogram has one extra +Inf overflow slot.
-const numLatencyBuckets = 7
-
-var latencyBuckets = [numLatencyBuckets]float64{0.01, 0.05, 0.1, 0.5, 1, 5, 10}
 
 // QueueSnapshot is a point-in-time copy of the queue counters.
 type QueueSnapshot struct {
@@ -171,17 +150,6 @@ type QueueSnapshot struct {
 	// at startup.
 	RemoteHits int64
 	Replayed   int64
-	// LatencyTotal / LatencyCount summarize executed-job durations.
-	LatencyTotal time.Duration
-	LatencyCount int64
-	// BucketCounts[i] counts jobs whose duration fell in the interval
-	// (latencyBuckets[i-1], latencyBuckets[i]] — per-interval, NOT
-	// cumulative; the final slot is the +Inf overflow. The /metrics
-	// handler re-accumulates these into Prometheus cumulative buckets.
-	BucketCounts []int64
-	// BucketExemplars[i] is the latest traced observation in bucket i
-	// (zero TraceID when the bucket has seen no traced job).
-	BucketExemplars []Exemplar
 }
 
 // NewQueue builds a queue and starts its workers.
@@ -213,6 +181,7 @@ func NewQueue(opts QueueOptions) (*Queue, error) {
 		jobs:       map[string]*Job{},
 		byKey:      map[string]*Job{},
 		work:       make(chan func(), opts.Capacity),
+		latency:    obs.NewHistogram(0.01, 0.05, 0.1, 0.5, 1, 5, 10),
 	}
 	for i := 0; i < opts.Workers; i++ {
 		q.wg.Add(1)
@@ -236,7 +205,7 @@ func (q *Queue) SubmitCtx(ctx context.Context, req JobRequest) (*Job, Submission
 	if err := req.Validate(); err != nil {
 		return nil, "", err
 	}
-	req = req.withDefaults()
+	req.SessionRequest = req.withDefaults()
 	key := Key(req)
 
 	q.mu.Lock()
@@ -262,10 +231,9 @@ func (q *Queue) SubmitCtx(ctx context.Context, req JobRequest) (*Job, Submission
 	}
 
 	// Store lookup: a previously executed identical request is answered
-	// without touching the queue (or an LLM) — as long as every object
-	// its result names is still stored. A stale result is a miss: the
-	// request executes again and its PutResult replaces the result.
-	if res, ok := q.store.GetResult(key); ok && q.store.HasResultObjects(res) {
+	// without touching the queue (or an LLM), while every object its
+	// result names is still stored (GetResult's rule).
+	if res, ok := q.store.GetResult(key); ok {
 		job := q.newJobLocked(key, req)
 		job.TraceID = obs.TraceID(ctx)
 		job.mu.Lock()
@@ -456,9 +424,10 @@ func (q *Queue) run(job *Job) {
 
 	// Fleet-wide coalescing: before spending a pipeline execution, ask
 	// the ring owner of this key whether an identical request is already
-	// in flight or stored anywhere in the cluster.
+	// in flight or stored anywhere in the cluster. A peer's result is
+	// taken only when the (shared) store holds every object it names.
 	if rl := q.opts.RemoteLookup; rl != nil {
-		if res, ok := rl(ctx, job.Key); ok && res != nil {
+		if res, ok := rl(ctx, job.Key); ok && res != nil && q.store.hasResultObjects(res) {
 			_ = q.store.PutResult(res)
 			execSpan.SetAttr("outcome", "remote-hit")
 			q.m.remoteHits.Add(1)
@@ -511,7 +480,7 @@ func (q *Queue) execute(ctx context.Context, kind cluster.RecordKind, session, i
 	}
 	start := time.Now()
 	art, err := run(ctx)
-	q.recordLatency(time.Since(start), obs.TraceID(ctx))
+	q.latency.Observe(time.Since(start), obs.TraceID(ctx))
 	if err != nil {
 		return err
 	}
@@ -665,53 +634,21 @@ func (q *Queue) storeArtifact(ctx context.Context, art *chatvis.Artifact, res *R
 	return q.store.PutResult(res)
 }
 
-// recordLatency updates the duration histogram and, when the job was
-// traced, stamps the bucket's exemplar with its trace ID.
-func (q *Queue) recordLatency(d time.Duration, traceID string) {
-	q.m.latencyNanos.Add(int64(d))
-	q.m.latencyCount.Add(1)
-	secs := d.Seconds()
-	slot := len(latencyBuckets)
-	for i, ub := range latencyBuckets {
-		if secs <= ub {
-			slot = i
-			break
-		}
-	}
-	q.m.buckets[slot].Add(1)
-	if traceID != "" {
-		q.m.exMu.Lock()
-		q.m.exemplars[slot] = Exemplar{TraceID: traceID, Value: secs}
-		q.m.exMu.Unlock()
-	}
-}
-
 // Snapshot returns the queue counters.
 func (q *Queue) Snapshot() QueueSnapshot {
-	s := QueueSnapshot{
-		Submitted:    q.m.submitted.Load(),
-		Coalesced:    q.m.coalesced.Load(),
-		StoreHits:    q.m.storeHits.Load(),
-		Executed:     q.m.executed.Load(),
-		Succeeded:    q.m.succeeded.Load(),
-		Failed:       q.m.failed.Load(),
-		Canceled:     q.m.canceled.Load(),
-		Running:      q.m.running.Load(),
-		Depth:        q.backlog.Load(),
-		RemoteHits:   q.m.remoteHits.Load(),
-		Replayed:     q.m.replayed.Load(),
-		LatencyTotal: time.Duration(q.m.latencyNanos.Load()),
-		LatencyCount: q.m.latencyCount.Load(),
+	return QueueSnapshot{
+		Submitted:  q.m.submitted.Load(),
+		Coalesced:  q.m.coalesced.Load(),
+		StoreHits:  q.m.storeHits.Load(),
+		Executed:   q.m.executed.Load(),
+		Succeeded:  q.m.succeeded.Load(),
+		Failed:     q.m.failed.Load(),
+		Canceled:   q.m.canceled.Load(),
+		Running:    q.m.running.Load(),
+		Depth:      q.backlog.Load(),
+		RemoteHits: q.m.remoteHits.Load(),
+		Replayed:   q.m.replayed.Load(),
 	}
-	s.BucketCounts = make([]int64, len(q.m.buckets))
-	for i := range q.m.buckets {
-		s.BucketCounts[i] = q.m.buckets[i].Load()
-	}
-	s.BucketExemplars = make([]Exemplar, len(q.m.exemplars))
-	q.m.exMu.Lock()
-	copy(s.BucketExemplars, q.m.exemplars[:])
-	q.m.exMu.Unlock()
-	return s
 }
 
 // Shutdown stops accepting submissions and drains the queue: workers

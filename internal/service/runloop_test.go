@@ -24,7 +24,7 @@ import (
 // gatedFactory wraps the production session factory so every turn
 // reports its start on started and then blocks until gate closes.
 func gatedFactory(t *testing.T, started chan<- struct{}, gate <-chan struct{}) SessionFactory {
-	base := NewSessionFactory(PipelineConfig{DataDir: t.TempDir()})
+	_, base := NewServingBackend(PipelineConfig{DataDir: t.TempDir()})
 	return func(req SessionRequest, shots pvsim.ScreenshotSink, seed *plan.Plan, observer func(chatvis.Event)) (*chatvis.Session, error) {
 		return base(req, shots, seed, func(ev chatvis.Event) {
 			if ev.Type == chatvis.EventTurnStarted {
@@ -121,7 +121,8 @@ func TestConcurrentSessionsAndJobsShareWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewSessions(q, NewSessionFactory(PipelineConfig{DataDir: t.TempDir()}))
+	_, factory := NewServingBackend(PipelineConfig{DataDir: t.TempDir()})
+	m := NewSessions(q, factory)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 		defer cancel()
@@ -192,7 +193,8 @@ func TestTurnAtCapacityIsRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewSessions(q, NewSessionFactory(PipelineConfig{DataDir: t.TempDir()}))
+	_, factory := NewServingBackend(PipelineConfig{DataDir: t.TempDir()})
+	m := NewSessions(q, factory)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 		defer cancel()
@@ -316,7 +318,7 @@ func TestTurnLatencyHistogramExemplar(t *testing.T) {
 // ReplayWAL.
 func TestReplayWALJobAndTurn(t *testing.T) {
 	storeDir, walDir := t.TempDir(), t.TempDir()
-	factory := NewSessionFactory(PipelineConfig{DataDir: t.TempDir()})
+	_, factory := NewServingBackend(PipelineConfig{DataDir: t.TempDir()})
 
 	// Boot 1: a session exists; a job and a turn are accepted, then the
 	// node "crashes" before either runs.

@@ -43,12 +43,6 @@ import (
 type Server struct {
 	queue *Queue
 	store *Store
-	// llmMetrics is the shared middleware metrics the pipeline records
-	// into; may be nil.
-	llmMetrics *llm.Metrics
-	// datasetCache is the shared compute-substrate cache surfaced at
-	// /metrics; may be nil.
-	datasetCache *data.Cache
 	// sessions serves the conversational endpoints; may be nil (the
 	// endpoints then answer 503).
 	sessions *Sessions
@@ -68,37 +62,109 @@ type Server struct {
 	// logger receives structured access/lifecycle logs; may be nil
 	// (slog.Default is used).
 	logger *slog.Logger
-	// buildVersion labels chatvis_build_info ("" omits the gauge).
+	// metrics holds every /metrics family, each declared where its
+	// subsystem attaches (NewServer and the With* methods).
+	metrics *obs.Registry
+	// buildVersion labels chatvis_build_info ("" reads the binary's
+	// module version).
 	buildVersion string
 	// forwards counts requests relayed to their ring owner.
 	forwards atomic.Int64
 	started  time.Time
 }
 
-// NewServer builds a server over its subsystems.
+// NewServer builds a server over its subsystems and declares their
+// metric families: the queue, the store, the compute substrate, the LLM
+// metrics (when m is set) and the build identity.
 func NewServer(q *Queue, s *Store, m *llm.Metrics) *Server {
-	return &Server{queue: q, store: s, llmMetrics: m, started: time.Now()}
+	srv := &Server{queue: q, store: s, started: time.Now(), metrics: obs.NewRegistry()}
+	reg := srv.metrics
+	load := func(v *atomic.Int64) func() float64 { return func() float64 { return float64(v.Load()) } }
+	reg.Value("chatvis_jobs_submitted_total", "Job submissions received.", obs.Counter, load(&q.m.submitted))
+	reg.Value("chatvis_jobs_coalesced_total", "Submissions coalesced onto an in-flight job.", obs.Counter, load(&q.m.coalesced))
+	reg.Value("chatvis_jobs_store_hits_total", "Submissions answered from the artifact store.", obs.Counter, load(&q.m.storeHits))
+	reg.Value("chatvis_jobs_executed_total", "Pipeline executions started.", obs.Counter, load(&q.m.executed))
+	reg.Value("chatvis_jobs_succeeded_total", "Jobs that finished successfully.", obs.Counter, load(&q.m.succeeded))
+	reg.Value("chatvis_jobs_failed_total", "Jobs that failed.", obs.Counter, load(&q.m.failed))
+	reg.Value("chatvis_jobs_canceled_total", "Jobs canceled before or during execution.", obs.Counter, load(&q.m.canceled))
+	reg.Value("chatvis_queue_depth", "Jobs and session turns queued and not yet picked up.", obs.Gauge, load(&q.backlog))
+	reg.Value("chatvis_jobs_running", "Jobs (not session turns) executing right now.", obs.Gauge, load(&q.m.running))
+	reg.Histogram("chatvis_job_duration_seconds", "Pipeline execution latency of jobs and session turns.", q.latency)
+
+	reg.Value("chatvis_store_objects", "Objects in the content-addressed store.", obs.Gauge, func() float64 { return float64(s.Stats().Objects) })
+	reg.Value("chatvis_store_bytes", "Bytes stored across all objects.", obs.Gauge, func() float64 { return float64(s.Stats().Bytes) })
+	reg.Value("chatvis_store_results", "Job results indexed by key.", obs.Gauge, func() float64 { return float64(s.Stats().Results) })
+
+	reg.Value("chatvis_compute_workers", "Configured worker count of the parallel compute substrate.", obs.Gauge, func() float64 { return float64(par.Workers()) })
+	reg.Value("chatvis_par_parallelism", "Effective sweep goroutine fan-out (workers clamped to GOMAXPROCS).", obs.Gauge, func() float64 { return float64(par.Parallelism()) })
+	reg.Value("chatvis_par_sweeps_total", "Parallel sweeps executed by the compute substrate.", obs.Counter, func() float64 { return float64(par.Snapshot().Sweeps) })
+	reg.Value("chatvis_par_chunks_total", "Chunks dispatched across all sweeps.", obs.Counter, func() float64 { return float64(par.Snapshot().Chunks) })
+	reg.Value("chatvis_par_busy_seconds_total", "Chunk execution time summed over all sweep workers.", obs.Counter, func() float64 { return par.Snapshot().Busy.Seconds() })
+	reg.Value("chatvis_par_imbalance_avg", "Mean per-sweep imbalance ratio (max/mean worker busy time) over multi-worker sweeps; 1.0 is balanced.", obs.Gauge, func() float64 { return par.Snapshot().AvgImbalance })
+
+	if m != nil {
+		reg.Value("chatvis_llm_calls_total", "LLM completions attempted.", obs.Counter, func() float64 { return float64(m.Snapshot().Calls) })
+		reg.Value("chatvis_llm_errors_total", "LLM completions that errored.", obs.Counter, func() float64 { return float64(m.Snapshot().Errors) })
+		reg.Value("chatvis_llm_cache_hits_total", "Completions served from the response cache.", obs.Counter, func() float64 { return float64(m.Snapshot().CacheHits) })
+		reg.Value("chatvis_llm_prompt_tokens_total", "Prompt tokens consumed.", obs.Counter, func() float64 { return float64(m.Snapshot().PromptTokens) })
+		reg.Value("chatvis_llm_completion_tokens_total", "Completion tokens produced.", obs.Counter, func() float64 { return float64(m.Snapshot().CompletionTokens) })
+		reg.Value("chatvis_llm_latency_seconds_total", "Cumulative LLM call latency.", obs.Counter, func() float64 { return m.Snapshot().TotalLatency.Seconds() })
+	}
+
+	// Build identity, all facts in labels (value is always 1).
+	reg.Labeled("chatvis_build_info", "Build and runtime identity of this daemon.", obs.Gauge, func() []obs.Sample {
+		bi := obs.ReadBuildInfo(srv.buildVersion)
+		node := ""
+		if srv.cluster != nil {
+			node = srv.cluster.Self().ID
+		} else if srv.tracer != nil {
+			node = srv.tracer.Node()
+		}
+		return []obs.Sample{{Labels: []string{"version", bi.Version, "go_version", bi.GoVersion, "node_id", node}, Value: 1}}
+	})
+	return srv
 }
 
-// WithDatasetCache attaches the shared dataset cache so /metrics can
-// report its gauges; returns the server for chaining.
+// WithDatasetCache attaches the shared dataset cache and declares its
+// metric families; returns the server for chaining.
 func (s *Server) WithDatasetCache(c *data.Cache) *Server {
-	s.datasetCache = c
+	if c == nil {
+		return s
+	}
+	reg := s.metrics
+	reg.Value("chatvis_dataset_cache_entries", "Datasets held in the shared content-hash cache.", obs.Gauge, func() float64 { return float64(c.Stats().Entries) })
+	reg.Value("chatvis_dataset_cache_bytes", "Approximate bytes of cached datasets.", obs.Gauge, func() float64 { return float64(c.Stats().Bytes) })
+	reg.Value("chatvis_dataset_cache_capacity_bytes", "Configured dataset cache capacity.", obs.Gauge, func() float64 { return float64(c.Stats().MaxBytes) })
+	reg.Value("chatvis_dataset_cache_hits_total", "Pipeline stages and render surfaces answered from the dataset cache.", obs.Counter, func() float64 { return float64(c.Stats().Hits) })
+	reg.Value("chatvis_dataset_cache_misses_total", "Pipeline stages and render surfaces computed on a cache miss.", obs.Counter, func() float64 { return float64(c.Stats().Misses) })
+	reg.Value("chatvis_dataset_cache_evictions_total", "Datasets evicted to stay under the byte bound.", obs.Counter, func() float64 { return float64(c.Stats().Evictions) })
 	return s
 }
 
 // WithSessions attaches the conversational-session registry, enabling
-// the /v1/sessions endpoints; returns the server for chaining.
+// the /v1/sessions endpoints, and declares its metric families; returns
+// the server for chaining.
 func (s *Server) WithSessions(m *Sessions) *Server {
 	s.sessions = m
+	if m == nil {
+		return s
+	}
+	reg := s.metrics
+	reg.Value("chatvis_sessions_active", "Hydrated conversational sessions (live engine in this process).", obs.Gauge, func() float64 { return float64(m.Snapshot().Active) })
+	reg.Value("chatvis_sessions_tracked", "Sessions known to the daemon, hydrated or restored cold.", obs.Gauge, func() float64 { return float64(m.Snapshot().Tracked) })
+	reg.Value("chatvis_session_turns_total", "Conversational turns executed.", obs.Counter, func() float64 { return float64(m.Snapshot().Turns) })
+	reg.Value("chatvis_sse_subscribers", "Connected session event streams.", obs.Gauge, func() float64 { return float64(m.Snapshot().SSESubscribers) })
 	return s
 }
 
 // WithTracer attaches the node's tracer: Handler gains the tracing
-// middleware and the /v1/traces endpoints; returns the server for
-// chaining.
+// middleware and the /v1/traces endpoints, and /metrics the retained
+// trace count; returns the server for chaining.
 func (s *Server) WithTracer(t *obs.Tracer) *Server {
 	s.tracer = t
+	if t != nil {
+		s.metrics.Value("chatvis_traces_retained", "Finished traces held in the retention ring.", obs.Gauge, func() float64 { return float64(t.Len()) })
+	}
 	return s
 }
 
@@ -109,6 +175,33 @@ func (s *Server) WithTracer(t *obs.Tracer) *Server {
 func (s *Server) WithRouter(r *route.Router, profilesPath string) *Server {
 	s.router = r
 	s.profilesPath = profilesPath
+	if r == nil {
+		return s
+	}
+	reg := s.metrics
+	reg.Value("chatvis_route_decisions_total", "LLM completions routed by measured profile.", obs.Counter, func() float64 { return float64(r.Snapshot().Decisions) })
+	reg.Value("chatvis_route_escalations_total", "Routed completions served above the primary rung.", obs.Counter, func() float64 { return float64(r.Snapshot().Escalations) })
+	reg.Value("chatvis_route_fallbacks_total", "Completions sent to the configured model (untagged or unprofiled).", obs.Counter, func() float64 { return float64(r.Snapshot().Fallbacks) })
+	reg.Value("chatvis_route_profiles", "Measured model profiles compiled into routing ladders.", obs.Gauge, func() float64 {
+		n := 0
+		for _, v := range r.Routes() {
+			n += len(v.Ladder)
+		}
+		return float64(n)
+	})
+	// Every (task, serving model) pair on the compiled ladders, zero-valued
+	// until served, so the exposition is deterministic from the first
+	// scrape.
+	reg.Labeled("chatvis_route_task_decisions_total", "Routed completions per task per serving model.", obs.Counter, func() []obs.Sample {
+		taskModel := r.Snapshot().TaskModel
+		var out []obs.Sample
+		for _, v := range r.Routes() {
+			for _, p := range v.Ladder {
+				out = append(out, obs.Sample{Labels: []string{"task", string(v.Task), "model", p.Model}, Value: float64(taskModel[v.Task][p.Model])})
+			}
+		}
+		return out
+	})
 	return s
 }
 
@@ -609,166 +702,11 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var b strings.Builder
-	emit := func(name, help string, value any) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n%s %v\n",
-			name, help, name, metricType(name), name, value)
-	}
-	q := s.queue.Snapshot()
-	emit("chatvis_jobs_submitted_total", "Job submissions received.", q.Submitted)
-	emit("chatvis_jobs_coalesced_total", "Submissions coalesced onto an in-flight job.", q.Coalesced)
-	emit("chatvis_jobs_store_hits_total", "Submissions answered from the artifact store.", q.StoreHits)
-	emit("chatvis_jobs_executed_total", "Pipeline executions started.", q.Executed)
-	emit("chatvis_jobs_succeeded_total", "Jobs that finished successfully.", q.Succeeded)
-	emit("chatvis_jobs_failed_total", "Jobs that failed.", q.Failed)
-	emit("chatvis_jobs_canceled_total", "Jobs canceled before or during execution.", q.Canceled)
-	emit("chatvis_queue_depth", "Jobs and session turns queued and not yet picked up.", q.Depth)
-	emit("chatvis_jobs_running", "Jobs (not session turns) executing right now.", q.Running)
-
-	// Job duration histogram (Prometheus cumulative buckets). Under the
-	// OpenMetrics exposition each bucket carries an exemplar linking it
-	// to the trace ID of a recent observation that landed in it.
 	openMetrics := strings.Contains(r.Header.Get("Accept"), "application/openmetrics-text")
-	exemplar := func(i int) string {
-		if !openMetrics || len(q.BucketExemplars) <= i || q.BucketExemplars[i].TraceID == "" {
-			return ""
-		}
-		ex := q.BucketExemplars[i]
-		return fmt.Sprintf(" # {trace_id=\"%s\"} %g", ex.TraceID, ex.Value)
-	}
-	fmt.Fprintf(&b, "# HELP chatvis_job_duration_seconds Pipeline execution latency of jobs and session turns.\n")
-	fmt.Fprintf(&b, "# TYPE chatvis_job_duration_seconds histogram\n")
-	var cum int64
-	for i, ub := range latencyBuckets {
-		cum += q.BucketCounts[i]
-		fmt.Fprintf(&b, "chatvis_job_duration_seconds_bucket{le=\"%g\"} %d%s\n", ub, cum, exemplar(i))
-	}
-	cum += q.BucketCounts[len(latencyBuckets)]
-	fmt.Fprintf(&b, "chatvis_job_duration_seconds_bucket{le=\"+Inf\"} %d%s\n", cum, exemplar(len(latencyBuckets)))
-	fmt.Fprintf(&b, "chatvis_job_duration_seconds_sum %g\n", q.LatencyTotal.Seconds())
-	fmt.Fprintf(&b, "chatvis_job_duration_seconds_count %d\n", q.LatencyCount)
-
-	st := s.store.Stats()
-	emit("chatvis_store_objects", "Objects in the content-addressed store.", st.Objects)
-	emit("chatvis_store_bytes", "Bytes stored across all objects.", st.Bytes)
-	emit("chatvis_store_results", "Job results indexed by key.", st.Results)
-
-	// Conversational sessions.
-	if s.sessions != nil {
-		ss := s.sessions.Snapshot()
-		emit("chatvis_sessions_active", "Hydrated conversational sessions (live engine in this process).", ss.Active)
-		emit("chatvis_sessions_tracked", "Sessions known to the daemon, hydrated or restored cold.", ss.Tracked)
-		emit("chatvis_session_turns_total", "Conversational turns executed.", ss.Turns)
-		emit("chatvis_sse_subscribers", "Connected session event streams.", ss.SSESubscribers)
-	}
-
-	// Cluster mode.
-	if s.cluster != nil {
-		emit("chatvis_cluster_peers_healthy", "Fleet members currently alive (self included).", s.cluster.HealthyCount())
-		emit("chatvis_cluster_forwards_total", "Requests relayed to their shard-ring owner.", s.forwards.Load())
-		emit("chatvis_cluster_remote_coalesce_hits_total", "Executions avoided via a peer's stored or in-flight result.", q.RemoteHits)
-	}
-	if s.wal != nil {
-		emit("chatvis_wal_replayed_total", "Jobs and session turns re-submitted by the queue's one WAL replay after a restart.", q.Replayed)
-		emit("chatvis_wal_backlog", "WAL entries accepted but not yet finished.", s.wal.Backlog())
-	}
-	if s.quotas.Enabled() {
-		emit("chatvis_tenant_throttled_total", "Requests rejected by tenant quotas (429).", s.quotas.Throttled())
-	}
-
-	// Parallel compute substrate.
-	emit("chatvis_compute_workers", "Configured worker count of the parallel compute substrate.", par.Workers())
-	emit("chatvis_par_parallelism", "Effective sweep goroutine fan-out (workers clamped to GOMAXPROCS).", par.Parallelism())
-	ps := par.Snapshot()
-	emit("chatvis_par_sweeps_total", "Parallel sweeps executed by the compute substrate.", ps.Sweeps)
-	emit("chatvis_par_chunks_total", "Chunks dispatched across all sweeps.", ps.Chunks)
-	emit("chatvis_par_busy_seconds_total", "Chunk execution time summed over all sweep workers.", ps.Busy.Seconds())
-	emit("chatvis_par_imbalance_avg", "Mean per-sweep imbalance ratio (max/mean worker busy time) over multi-worker sweeps; 1.0 is balanced.", ps.AvgImbalance)
-	if s.datasetCache != nil {
-		cs := s.datasetCache.Stats()
-		emit("chatvis_dataset_cache_entries", "Datasets held in the shared content-hash cache.", cs.Entries)
-		emit("chatvis_dataset_cache_bytes", "Approximate bytes of cached datasets.", cs.Bytes)
-		emit("chatvis_dataset_cache_capacity_bytes", "Configured dataset cache capacity.", cs.MaxBytes)
-		emit("chatvis_dataset_cache_hits_total", "Pipeline stages and render surfaces answered from the dataset cache.", cs.Hits)
-		emit("chatvis_dataset_cache_misses_total", "Pipeline stages and render surfaces computed on a cache miss.", cs.Misses)
-		emit("chatvis_dataset_cache_evictions_total", "Datasets evicted to stay under the byte bound.", cs.Evictions)
-	}
-
-	if s.llmMetrics != nil {
-		m := s.llmMetrics.Snapshot()
-		emit("chatvis_llm_calls_total", "LLM completions attempted.", m.Calls)
-		emit("chatvis_llm_errors_total", "LLM completions that errored.", m.Errors)
-		emit("chatvis_llm_cache_hits_total", "Completions served from the response cache.", m.CacheHits)
-		emit("chatvis_llm_prompt_tokens_total", "Prompt tokens consumed.", m.PromptTokens)
-		emit("chatvis_llm_completion_tokens_total", "Completion tokens produced.", m.CompletionTokens)
-		emit("chatvis_llm_latency_seconds_total", "Cumulative LLM call latency.", m.TotalLatency.Seconds())
-	}
-
-	// Model routing. The labeled per-task family lists every (task,
-	// serving model) pair on the compiled ladders, zero-valued until
-	// served, so the exposition is deterministic from the first scrape.
-	if s.router != nil {
-		rs := s.router.Snapshot()
-		emit("chatvis_route_decisions_total", "LLM completions routed by measured profile.", rs.Decisions)
-		emit("chatvis_route_escalations_total", "Routed completions served above the primary rung.", rs.Escalations)
-		emit("chatvis_route_fallbacks_total", "Completions sent to the configured model (untagged or unprofiled).", rs.Fallbacks)
-		routes := s.router.Routes()
-		var ladderEntries int
-		for _, v := range routes {
-			ladderEntries += len(v.Ladder)
-		}
-		emit("chatvis_route_profiles", "Measured model profiles compiled into routing ladders.", ladderEntries)
-		fmt.Fprintf(&b, "# HELP chatvis_route_task_decisions_total Routed completions per task per serving model.\n")
-		fmt.Fprintf(&b, "# TYPE chatvis_route_task_decisions_total counter\n")
-		for _, v := range routes {
-			for _, p := range v.Ladder {
-				fmt.Fprintf(&b, "chatvis_route_task_decisions_total{task=%q,model=%q} %d\n",
-					string(v.Task), p.Model, rs.TaskModel[v.Task][p.Model])
-			}
-		}
-	}
-
-	// Tracing subsystem.
-	if s.tracer != nil {
-		emit("chatvis_traces_retained", "Finished traces held in the retention ring.", s.tracer.Len())
-	}
-
-	// Go runtime.
-	rs := obs.ReadRuntimeStats()
-	emit("chatvis_go_goroutines", "Live goroutines.", rs.Goroutines)
-	emit("chatvis_go_heap_alloc_bytes", "Heap bytes allocated and in use.", rs.HeapAllocBytes)
-	emit("chatvis_go_heap_sys_bytes", "Heap bytes obtained from the OS.", rs.HeapSysBytes)
-	emit("chatvis_go_heap_objects", "Live heap objects.", rs.HeapObjects)
-	emit("chatvis_go_gc_cycles_total", "Completed GC cycles.", rs.GCCycles)
-	emit("chatvis_go_gc_pause_seconds_total", "Cumulative stop-the-world GC pause.", float64(rs.GCPauseNsTotal)/1e9)
-	emit("chatvis_go_next_gc_bytes", "Heap size that triggers the next GC cycle.", rs.NextGCBytes)
-
-	// Build identity, all facts in labels (value is always 1).
-	bi := obs.ReadBuildInfo(s.buildVersion)
-	node := ""
-	if s.cluster != nil {
-		node = s.cluster.Self().ID
-	} else if s.tracer != nil {
-		node = s.tracer.Node()
-	}
-	fmt.Fprintf(&b, "# HELP chatvis_build_info Build and runtime identity of this daemon.\n")
-	fmt.Fprintf(&b, "# TYPE chatvis_build_info gauge\n")
-	fmt.Fprintf(&b, "chatvis_build_info{version=%q,go_version=%q,node_id=%q} 1\n",
-		bi.Version, bi.GoVersion, node)
-
 	if openMetrics {
-		fmt.Fprintf(&b, "# EOF\n")
 		w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
 	} else {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	}
-	_, _ = w.Write([]byte(b.String()))
-}
-
-// metricType classifies a metric name for the TYPE line.
-func metricType(name string) string {
-	if strings.HasSuffix(name, "_total") {
-		return "counter"
-	}
-	return "gauge"
+	_ = s.metrics.Write(w, openMetrics)
 }

@@ -28,13 +28,13 @@ func TestKeyDistinctAcrossInputs(t *testing.T) {
 	variants := []JobRequest{
 		base,
 		{Prompt: "isosurface of var0 at 0.6"},
-		{Prompt: "isosurface of var0 at 0.5", Model: "oracle"},
-		{Prompt: "isosurface of var0 at 0.5", Width: 640, Height: 360},
-		{Prompt: "isosurface of var0 at 0.5", Width: 1920, Height: 1080},
-		{Prompt: "isosurface of var0 at 0.5", MaxIterations: 3},
-		{Prompt: "isosurface of var0 at 0.5", FewShot: -1},
-		{Prompt: "isosurface of var0 at 0.5", NoRewrite: true},
-		{Prompt: "isosurface of var0 at 0.5", Unassisted: true},
+		{Prompt: "isosurface of var0 at 0.5", SessionRequest: SessionRequest{Model: "oracle"}},
+		{Prompt: "isosurface of var0 at 0.5", SessionRequest: SessionRequest{Width: 640, Height: 360}},
+		{Prompt: "isosurface of var0 at 0.5", SessionRequest: SessionRequest{Width: 1920, Height: 1080}},
+		{Prompt: "isosurface of var0 at 0.5", SessionRequest: SessionRequest{MaxIterations: 3}},
+		{Prompt: "isosurface of var0 at 0.5", SessionRequest: SessionRequest{FewShot: -1}},
+		{Prompt: "isosurface of var0 at 0.5", SessionRequest: SessionRequest{NoRewrite: true}},
+		{Prompt: "isosurface of var0 at 0.5", SessionRequest: SessionRequest{Unassisted: true}},
 	}
 	seen := map[string]int{}
 	for i, v := range variants {
@@ -51,7 +51,7 @@ func TestKeyDistinctAcrossInputs(t *testing.T) {
 
 func TestKeyNormalizesDefaults(t *testing.T) {
 	implicit := JobRequest{Prompt: "p"}
-	explicit := JobRequest{Prompt: "p", Model: "gpt-4", Width: 480, Height: 270, MaxIterations: 5}
+	explicit := JobRequest{Prompt: "p", SessionRequest: SessionRequest{Model: "gpt-4", Width: 480, Height: 270, MaxIterations: 5}}
 	if Key(implicit) != Key(explicit) {
 		t.Error("spelled-out defaults must produce the same key as omitted ones")
 	}
@@ -103,8 +103,8 @@ func TestStoreTornObjectIsAMissThatPutRepairs(t *testing.T) {
 func TestKeyFieldFraming(t *testing.T) {
 	// Length framing: moving bytes across a field boundary must change
 	// the key even though the concatenation is identical.
-	a := JobRequest{Prompt: "ab", Model: "cd"}
-	b := JobRequest{Prompt: "abc", Model: "d"}
+	a := JobRequest{Prompt: "ab", SessionRequest: SessionRequest{Model: "cd"}}
+	b := JobRequest{Prompt: "abc", SessionRequest: SessionRequest{Model: "d"}}
 	if Key(a) == Key(b) {
 		t.Error("field boundary shift must not collide")
 	}
@@ -144,7 +144,11 @@ func TestStoreRoundTripAndDedup(t *testing.T) {
 		t.Error("unknown hash should fail")
 	}
 
-	res := &Result{Key: Key(JobRequest{Prompt: "p"}), Model: "gpt-4", Success: true, ScriptHash: h1}
+	ha, err := s.Put([]byte(`{"artifact":true}`), "application/json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &Result{Key: Key(JobRequest{Prompt: "p"}), Model: "gpt-4", Success: true, ScriptHash: h1, ArtifactHash: ha}
 	if err := s.PutResult(res); err != nil {
 		t.Fatal(err)
 	}
@@ -447,6 +451,43 @@ func TestQueueStoreHitNeedsEveryObject(t *testing.T) {
 	}
 }
 
+// TestQueueRemoteHitNeedsEveryObject pins that a peer's result finishes
+// a job only when the store holds every object it names: a remote
+// lookup answering with a missing screenshot is ignored and the job
+// executes.
+func TestQueueRemoteHitNeedsEveryObject(t *testing.T) {
+	store, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &stubPipeline{}
+	req := JobRequest{Prompt: "remote result with a missing screenshot"}
+	key := Key(req)
+	q, err := NewQueue(QueueOptions{Workers: 1, Pipeline: p.run, Store: store,
+		RemoteLookup: func(context.Context, string) (*Result, bool) {
+			return &Result{Key: key, Model: "gpt-4", Success: true, ScriptHash: HashBytes([]byte("s")),
+				ArtifactHash: HashBytes([]byte("a")), ScreenshotHashes: []string{HashBytes([]byte("png"))}}, true
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Shutdown(context.Background())
+	job, _, err := q.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, job)
+	if got := p.executions.Load(); got != 1 {
+		t.Fatalf("%d executions, want 1", got)
+	}
+	if snap := q.Snapshot(); snap.RemoteHits != 0 || snap.Succeeded != 1 {
+		t.Fatalf("remote hits %d, succeeded %d; want 0 and 1", snap.RemoteHits, snap.Succeeded)
+	}
+	if res := job.Result(); res == nil || res.ScriptHash == HashBytes([]byte("s")) {
+		t.Fatalf("job kept the peer's result: %+v", res)
+	}
+}
+
 func TestQueueGracefulDrain(t *testing.T) {
 	p := &stubPipeline{}
 	store, err := NewStore(t.TempDir())
@@ -681,7 +722,7 @@ func TestHTTPValidationAndNotFound(t *testing.T) {
 	if _, code := postJob(t, srv.URL, JobRequest{}); code != http.StatusBadRequest {
 		t.Errorf("empty prompt = %d", code)
 	}
-	if _, code := postJob(t, srv.URL, JobRequest{Prompt: "p", Model: "nope"}); code != http.StatusBadRequest {
+	if _, code := postJob(t, srv.URL, JobRequest{Prompt: "p", SessionRequest: SessionRequest{Model: "nope"}}); code != http.StatusBadRequest {
 		t.Errorf("unknown model = %d", code)
 	}
 	if code := getJSON(t, srv.URL+"/v1/jobs/job-999", nil); code != http.StatusNotFound {
@@ -787,7 +828,7 @@ func TestHTTPScenariosHealthMetrics(t *testing.T) {
 // the pipeline but is fully served by the shared LLM response cache.
 func TestCacheAndCoalescingCompose(t *testing.T) {
 	metrics := &llm.Metrics{}
-	pipeline := NewChatVisPipeline(PipelineConfig{
+	pipeline, _ := NewServingBackend(PipelineConfig{
 		DataDir: t.TempDir(),
 		Metrics: metrics,
 	})
@@ -806,7 +847,7 @@ func TestCacheAndCoalescingCompose(t *testing.T) {
 	}()
 
 	prompt := "Please generate a ParaView Python script for the following operations. Read in the file named ml-100.vtk. Generate an isosurface of the variable var0 at value 0.5. Save a screenshot of the result in the filename iso.png. The rendered view and saved screenshot should be 320 x 180 pixels."
-	reqA := JobRequest{Prompt: prompt, Model: "oracle", Width: 320, Height: 180}
+	reqA := JobRequest{Prompt: prompt, SessionRequest: SessionRequest{Model: "oracle", Width: 320, Height: 180}}
 
 	jobA, _, err := q.Submit(reqA)
 	if err != nil {

@@ -25,7 +25,7 @@ func newTestSessions(t *testing.T) (*Sessions, *Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory := NewSessionFactory(PipelineConfig{
+	_, factory := NewServingBackend(PipelineConfig{
 		DataDir: t.TempDir(),
 	})
 	return NewSessions(newTestQueueForSessions(t, store), factory), store
@@ -119,7 +119,7 @@ func TestServiceSessionSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	dataDir := t.TempDir()
-	factory := NewSessionFactory(PipelineConfig{DataDir: dataDir})
+	_, factory := NewServingBackend(PipelineConfig{DataDir: dataDir})
 
 	m1 := NewSessions(newTestQueueForSessions(t, store), factory)
 	sess, err := m1.Create(SessionRequest{Model: "oracle", Width: 320, Height: 180})
@@ -137,7 +137,8 @@ func TestServiceSessionSurvivesRestart(t *testing.T) {
 	planHash := sess.View().PlanHash
 
 	// "Restart": a fresh registry over the same store.
-	m2 := NewSessions(newTestQueueForSessions(t, store), NewSessionFactory(PipelineConfig{DataDir: dataDir}))
+	_, factory2 := NewServingBackend(PipelineConfig{DataDir: dataDir})
+	m2 := NewSessions(newTestQueueForSessions(t, store), factory2)
 	if restored := m2.Restore(); restored != 1 {
 		t.Fatalf("restored %d sessions, want 1", restored)
 	}

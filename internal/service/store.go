@@ -251,10 +251,10 @@ func (s *Store) Has(hash string) bool {
 	return ok
 }
 
-// HasResultObjects reports whether every object a result names — its
+// hasResultObjects reports whether every object a result names — its
 // script, its artifact and each screenshot — is still stored. A result
 // missing any of them would answer with hashes that no longer Get.
-func (s *Store) HasResultObjects(r *Result) bool {
+func (s *Store) hasResultObjects(r *Result) bool {
 	if !s.Has(r.ScriptHash) || !s.Has(r.ArtifactHash) {
 		return false
 	}
@@ -310,31 +310,29 @@ func (s *Store) PutResult(r *Result) error {
 	return nil
 }
 
-// GetResult returns the stored result for a job key, if any. Like Get,
-// an index miss re-checks the filesystem so nodes sharing one store
-// directory see each other's results (fleet-wide store hits).
+// GetResult returns the stored result for a job key, if any, as long as
+// every object it names is still stored: a stale result is a miss, so
+// the request executes again and its PutResult replaces the result.
+// Like Get, an index miss re-checks the filesystem so nodes sharing one
+// store directory see each other's results (fleet-wide store hits).
 func (s *Store) GetResult(key string) (*Result, bool) {
 	s.mu.RLock()
 	r, ok := s.results[key]
 	s.mu.RUnlock()
-	if ok {
-		return r, true
+	if !ok && validHash(key) {
+		var res Result
+		b, err := os.ReadFile(filepath.Join(s.dir, resultsSubdir, key+".json"))
+		if err == nil && json.Unmarshal(b, &res) == nil && res.Key == key {
+			s.mu.Lock()
+			s.results[key] = &res
+			s.mu.Unlock()
+			r, ok = &res, true
+		}
 	}
-	if !validHash(key) {
+	if !ok || !s.hasResultObjects(r) {
 		return nil, false
 	}
-	b, err := os.ReadFile(filepath.Join(s.dir, resultsSubdir, key+".json"))
-	if err != nil {
-		return nil, false
-	}
-	var res Result
-	if json.Unmarshal(b, &res) != nil || res.Key != key {
-		return nil, false
-	}
-	s.mu.Lock()
-	s.results[key] = &res
-	s.mu.Unlock()
-	return &res, true
+	return r, true
 }
 
 // atomicWriteFile writes bytes via a temp file + rename so concurrent

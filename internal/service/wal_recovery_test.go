@@ -192,7 +192,7 @@ func TestTurnWALReplay(t *testing.T) {
 	// Boot 1: create a session, accept a turn into the WAL, then "crash"
 	// before anything executes. Writing the records directly keeps the
 	// crash point deterministic.
-	factory := NewSessionFactory(PipelineConfig{DataDir: t.TempDir()})
+	_, factory := NewServingBackend(PipelineConfig{DataDir: t.TempDir()})
 	m1 := NewSessions(newTestQueueForSessions(t, store), factory)
 	sess, err := m1.Create(SessionRequest{Model: "oracle", Width: 320, Height: 180})
 	if err != nil {
@@ -295,7 +295,7 @@ func TestRestoredDeadTurnDoesNotSwallowReplay(t *testing.T) {
 	if err := store.PutSessionRecord(rec); err != nil {
 		t.Fatal(err)
 	}
-	factory := NewSessionFactory(PipelineConfig{DataDir: t.TempDir()})
+	_, factory := NewServingBackend(PipelineConfig{DataDir: t.TempDir()})
 	m := NewSessions(newTestQueueForSessions(t, store), factory)
 	if got := m.Restore(); got != 1 {
 		t.Fatal("restore failed")

@@ -33,6 +33,9 @@ import (
 const (
 	exodusMagic   = "SEX2"
 	exodusVersion = 1
+	// exodusPrealloc caps the capacity a header count can reserve up
+	// front (points or field values); longer arrays grow by append.
+	exodusPrealloc = 1 << 12
 )
 
 // WriteExodus writes an unstructured grid to w in the simulated Exodus-II
@@ -170,9 +173,12 @@ func ReadExodus(r io.Reader) (*data.UnstructuredGrid, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
+	// Header counts are never trusted as allocation sizes: a hostile
+	// header may declare billions of points in a few bytes. Slices start
+	// at a bounded capacity and grow by append as values actually arrive.
 	ug := data.NewUnstructuredGrid()
-	ug.Pts = make([]vmath.Vec3, nPts)
-	for i := range ug.Pts {
+	ug.Pts = make([]vmath.Vec3, 0, min(nPts, exodusPrealloc))
+	for i := uint32(0); i < nPts; i++ {
 		var p vmath.Vec3
 		if p.X, err = readF64(); err != nil {
 			return nil, "", err
@@ -186,7 +192,7 @@ func ReadExodus(r io.Reader) (*data.UnstructuredGrid, string, error) {
 		if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsNaN(p.Z) {
 			return nil, "", fmt.Errorf("vtkio: NaN coordinate at point %d", i)
 		}
-		ug.Pts[i] = p
+		ug.Pts = append(ug.Pts, p)
 	}
 	nCells, err := readU32()
 	if err != nil {
@@ -227,11 +233,17 @@ func ReadExodus(r io.Reader) (*data.UnstructuredGrid, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		f := data.NewField(name, int(comps), int(nPts))
-		for j := range f.Data {
-			if f.Data[j], err = readF64(); err != nil {
+		if comps == 0 {
+			return nil, "", fmt.Errorf("vtkio: variable %q has no components", name)
+		}
+		n := uint64(comps) * uint64(nPts)
+		f := &data.Field{Name: name, NumComponents: int(comps), Data: make([]float64, 0, min(n, exodusPrealloc))}
+		for j := uint64(0); j < n; j++ {
+			v, err := readF64()
+			if err != nil {
 				return nil, "", err
 			}
+			f.Data = append(f.Data, v)
 		}
 		ug.Points.Add(f)
 	}
