@@ -51,18 +51,20 @@ bench-e2e-test:
 lint-metrics:
 	$(GO) test -run '^TestMetricsContract$$' -count=1 ./internal/service
 
-# Routing calibration gate: probe the sim registry twice over a fixed
-# 2-scenario slice into a scratch directory and fail unless the
-# measurements are deterministic and the compiled routes price
-# edit-intent below cold writes (docs/routing.md). Writes no profiles.
+# Routing calibration gate: calibrate the sim registry twice over a
+# fixed 2-scenario slice and fail unless the measurements are
+# deterministic and the compiled routes price edit-intent and plan
+# tasks below cold writes (docs/routing.md). Writes no profiles.
 calibrate-smoke:
-	$(GO) run ./cmd/calibrate -smoke -q 		-data $${TMPDIR:-/tmp}/chatvis-calibrate-smoke/data 		-out $${TMPDIR:-/tmp}/chatvis-calibrate-smoke/out
+	$(GO) test -run '^(TestCalibrateDeterministic|TestCalibrateSimRegistry)$$' -count=1 ./internal/route
 
-# Compile + schema-validate every example pipeline (scenario ground
-# truths, plan-native IRs, writer/intent agreement) — fails fast on any
-# schema or IR drift, before the test suite renders anything.
+# Compile + schema-validate every example pipeline: each scenario
+# ground truth compiles with zero diagnostics and round-trips through
+# Script(), plan-native IRs validate, and the writer's intended plan
+# matches its script — fails fast on any schema or IR drift, before the
+# test suite renders anything.
 plan-validate:
-	$(GO) run ./cmd/planlint
+	$(GO) test -run '^(TestGroundTruthGoldenPlans|TestIntendedPlanMatchesWriterAllScenarios|TestPlanNativeScenariosValidate)$$' -count=1 ./internal/eval
 
 build:
 	$(GO) build ./...

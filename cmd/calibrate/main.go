@@ -10,12 +10,9 @@
 //
 //	calibrate -data ./data -out ./out -profiles profiles.json
 //	calibrate -models gpt-4,codegemma -scenarios iso,slice
-//	calibrate -smoke        # deterministic 2-scenario CI gate, writes nothing
 //
-// -smoke calibrates twice over the iso and slice scenarios and exits
-// non-zero unless the two runs measure identically AND the resulting
-// routes serve edit-intent from a measurably cheaper profile than cold
-// writes — the invariant the routing subsystem exists to deliver.
+// Determinism and the cost ordering of the compiled routes are checked
+// by the internal/route tests (`make calibrate-smoke`).
 package main
 
 import (
@@ -28,7 +25,6 @@ import (
 	"syscall"
 
 	"chatvis/internal/eval"
-	"chatvis/internal/llm"
 	"chatvis/internal/route"
 )
 
@@ -41,7 +37,6 @@ func main() {
 		scns     = flag.String("scenarios", "", "comma-separated probe scenario IDs (default: every registered scenario)")
 		width    = flag.Int("width", 480, "render width")
 		height   = flag.Int("height", 270, "render height")
-		smoke    = flag.Bool("smoke", false, "run the deterministic CI smoke gate instead of writing profiles")
 		quiet    = flag.Bool("q", false, "suppress per-probe progress")
 	)
 	flag.Parse()
@@ -64,14 +59,6 @@ func main() {
 		}
 	}
 
-	if *smoke {
-		if err := runSmoke(ctx, cfg); err != nil {
-			fatal(err)
-		}
-		fmt.Println("calibrate smoke: ok")
-		return
-	}
-
 	store, err := route.OpenProfileStore(*profiles)
 	if err != nil {
 		fatal(err)
@@ -86,55 +73,6 @@ func main() {
 	fmt.Printf("appended %d records to %s (%d total)\n\n", len(records), store.Path(), store.Len())
 	router := route.NewRouter(store.Latest(), nil)
 	fmt.Println(route.Report(router, store.Path()).Format())
-}
-
-// runSmoke is the CI gate: two calibrations over a fixed 2-scenario
-// slice must agree exactly, and the compiled routes must price
-// edit-intent below cold writes.
-func runSmoke(ctx context.Context, cfg route.CalibrateConfig) error {
-	cfg.Scenarios = []string{"iso", "slice"}
-	a, err := route.Calibrate(ctx, cfg)
-	if err != nil {
-		return err
-	}
-	b, err := route.Calibrate(ctx, cfg)
-	if err != nil {
-		return err
-	}
-	if len(a) != len(b) {
-		return fmt.Errorf("smoke: record counts differ across runs: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Model != b[i].Model || a[i].Task != b[i].Task ||
-			a[i].Score != b[i].Score || a[i].ProbeHash != b[i].ProbeHash {
-			return fmt.Errorf("smoke: calibration not deterministic at %s/%s: score %v vs %v, hash %s vs %s",
-				a[i].Model, a[i].Task, a[i].Score, b[i].Score, a[i].ProbeHash, b[i].ProbeHash)
-		}
-	}
-	for i := range a {
-		a[i].Seq = i + 1
-	}
-	router := route.NewRouter(route.NewProfileSet(a), nil)
-	var editCost, writeCost float64
-	var editModel, writeModel string
-	for _, v := range router.Routes() {
-		switch v.Task {
-		case llm.TaskEditIntent:
-			editCost, editModel = v.Ladder[0].CostWeight, v.Ladder[0].Model
-		case llm.TaskWrite:
-			writeCost, writeModel = v.Ladder[0].CostWeight, v.Ladder[0].Model
-		}
-	}
-	if editModel == "" || writeModel == "" {
-		return fmt.Errorf("smoke: missing route (edit-intent=%q write=%q)", editModel, writeModel)
-	}
-	if editCost >= writeCost {
-		return fmt.Errorf("smoke: edit-intent routes to %s (cost %.2f), not cheaper than write's %s (%.2f)",
-			editModel, editCost, writeModel, writeCost)
-	}
-	fmt.Printf("smoke: %d records deterministic; edit-intent→%s (%.2f) < write→%s (%.2f)\n",
-		len(a), editModel, editCost, writeModel, writeCost)
-	return nil
 }
 
 func splitList(s string) []string {

@@ -15,9 +15,9 @@ import (
 
 // The write-ahead log extends the artifact store's restart-surviving
 // property to in-flight work: every accepted job or session turn is
-// appended (and fsynced) before it is enqueued, state transitions
-// follow as the work starts and finishes, and on startup the unfinished
-// suffix is replayed into the queue so a crash loses no accepted work.
+// appended (and fsynced) before it is enqueued, a terminal record
+// follows when the work finishes, and on startup the unfinished suffix
+// is replayed into the queue so a crash loses no accepted work.
 //
 // On-disk format, one segment file ("wal.log"), records back to back:
 //
@@ -42,12 +42,12 @@ const (
 // RecordState is one WAL lifecycle transition.
 type RecordState string
 
-// Record states. Accepted and Started entries without a matching
-// terminal entry are replayed after a crash; Completed and Failed are
-// terminal.
+// Record states. Accepted entries without a matching terminal entry
+// are replayed after a crash; Completed and Failed are terminal. Any
+// other state (such as the "started" records older builds wrote) is
+// ignored on replay.
 const (
 	StateAccepted  RecordState = "accepted"
-	StateStarted   RecordState = "started"
 	StateCompleted RecordState = "completed"
 	StateFailed    RecordState = "failed"
 )
@@ -76,12 +76,6 @@ func walIdentity(kind RecordKind, session, id string) string {
 	return string(kind) + "\x00" + session + "\x00" + id
 }
 
-// pendingEntry tracks one accepted-but-unfinished piece of work.
-type pendingEntry struct {
-	accepted Record
-	started  bool
-}
-
 // WAL is a per-node durable log of accepted work. All methods are safe
 // for concurrent use. Appends fsync before returning, so an accepted
 // submission acknowledged to a client survives power loss.
@@ -92,8 +86,8 @@ type WAL struct {
 	mu        sync.Mutex
 	f         *os.File
 	closed    bool
-	pending   map[string]*pendingEntry
-	order     []string // pending identities in accept order
+	pending   map[string]Record // accepted records, by identity
+	order     []string          // pending identities in accept order
 	recovered []Record
 	terminal  int // terminal records in the current segment
 }
@@ -117,18 +111,13 @@ func OpenWAL(dir string) (*WAL, error) {
 	w := &WAL{
 		dir:     dir,
 		path:    filepath.Join(dir, walSegment),
-		pending: map[string]*pendingEntry{},
+		pending: map[string]Record{},
 	}
 	if err := w.replay(); err != nil {
 		return nil, err
 	}
 	for _, id := range w.order {
-		e := w.pending[id]
-		rec := e.accepted
-		if e.started {
-			rec.State = StateStarted
-		}
-		w.recovered = append(w.recovered, rec)
+		w.recovered = append(w.recovered, w.pending[id])
 	}
 	// Rewrite the segment to just the unfinished entries, dropping the
 	// completed history a long-lived node accumulates.
@@ -181,12 +170,8 @@ func (w *WAL) applyLocked(rec Record) {
 	switch rec.State {
 	case StateAccepted:
 		if _, dup := w.pending[id]; !dup {
-			w.pending[id] = &pendingEntry{accepted: rec}
+			w.pending[id] = rec
 			w.order = append(w.order, id)
-		}
-	case StateStarted:
-		if e, ok := w.pending[id]; ok {
-			e.started = true
 		}
 	case StateCompleted, StateFailed:
 		if _, ok := w.pending[id]; ok {
@@ -274,33 +259,22 @@ func (w *WAL) openSegmentLocked() error {
 	return nil
 }
 
-// compactLocked rewrites the segment with only the pending entries
-// (their accepted records, plus a started marker where execution had
-// begun), dropping terminal history. Callers hold w.mu.
+// compactLocked rewrites the segment with only the pending entries'
+// accepted records, dropping terminal history. Callers hold w.mu.
 func (w *WAL) compactLocked() error {
 	tmp, err := os.CreateTemp(w.dir, ".wal-*")
 	if err != nil {
 		return fmt.Errorf("cluster: compacting wal: %w", err)
 	}
 	for _, id := range w.order {
-		e := w.pending[id]
-		recs := []Record{e.accepted}
-		if e.started {
-			started := e.accepted
-			started.State = StateStarted
-			started.Request = nil
-			recs = append(recs, started)
+		buf, err := encode(w.pending[id])
+		if err != nil {
+			continue
 		}
-		for _, rec := range recs {
-			buf, err := encode(rec)
-			if err != nil {
-				continue
-			}
-			if _, err := tmp.Write(buf); err != nil {
-				tmp.Close()
-				os.Remove(tmp.Name())
-				return fmt.Errorf("cluster: compacting wal: %w", err)
-			}
+		if _, err := tmp.Write(buf); err != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+			return fmt.Errorf("cluster: compacting wal: %w", err)
 		}
 	}
 	if err := tmp.Sync(); err != nil {
@@ -333,11 +307,6 @@ func (w *WAL) Accepted(kind RecordKind, session, id, key string, request any) er
 		return fmt.Errorf("cluster: encoding wal request: %w", err)
 	}
 	return w.append(Record{Kind: kind, State: StateAccepted, ID: id, Session: session, Key: key, Request: blob})
-}
-
-// Started marks execution as begun.
-func (w *WAL) Started(kind RecordKind, session, id string) error {
-	return w.append(Record{Kind: kind, State: StateStarted, ID: id, Session: session})
 }
 
 // Completed marks work delivered; it will never replay.

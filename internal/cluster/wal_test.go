@@ -28,8 +28,8 @@ func TestWALReplaysExactlyUnfinished(t *testing.T) {
 	type req struct {
 		Prompt string `json:"prompt"`
 	}
-	// j1 runs to completion, j2 starts but never finishes, j3 is
-	// accepted but never picked up, t1 is a finished turn.
+	// j1 runs to completion, j2 runs but never finishes, j3 is accepted
+	// but never picked up, t1 is a finished turn.
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
@@ -39,26 +39,23 @@ func TestWALReplaysExactlyUnfinished(t *testing.T) {
 	must(w.Accepted(KindJob, "", "j1", "key1", req{Prompt: "one"}))
 	must(w.Accepted(KindJob, "", "j2", "key2", req{Prompt: "two"}))
 	must(w.Accepted(KindTurn, "s-1", "turn-1", "tkey", req{Prompt: "edit"}))
-	must(w.Started(KindJob, "", "j1"))
-	must(w.Started(KindJob, "", "j2"))
 	must(w.Completed(KindJob, "", "j1"))
 	must(w.Accepted(KindJob, "", "j3", "key3", req{Prompt: "three"}))
-	must(w.Started(KindTurn, "s-1", "turn-1"))
 	must(w.Completed(KindTurn, "s-1", "turn-1"))
 	if got := w.Backlog(); got != 2 {
 		t.Fatalf("backlog = %d, want 2", got)
 	}
 	must(w.Close())
 
-	// "Crash" and reopen: exactly j2 (started) and j3 (accepted) replay,
-	// in accept order; completed work never does.
+	// "Crash" and reopen: exactly j2 and j3 replay, as their accepted
+	// records, in accept order; completed work never does.
 	w2 := openWAL(t, dir)
 	recs := w2.Recovered()
 	if len(recs) != 2 {
 		t.Fatalf("recovered %d records, want 2: %+v", len(recs), recs)
 	}
-	if recs[0].ID != "j2" || recs[0].State != StateStarted {
-		t.Errorf("recovered[0] = %s/%s, want j2/started", recs[0].ID, recs[0].State)
+	if recs[0].ID != "j2" || recs[0].State != StateAccepted {
+		t.Errorf("recovered[0] = %s/%s, want j2/accepted", recs[0].ID, recs[0].State)
 	}
 	if recs[1].ID != "j3" || recs[1].State != StateAccepted {
 		t.Errorf("recovered[1] = %s/%s, want j3/accepted", recs[1].ID, recs[1].State)
@@ -82,6 +79,72 @@ func TestWALReplaysExactlyUnfinished(t *testing.T) {
 		t.Fatalf("third open recovered %d records, want 0: %+v", len(got), got)
 	}
 	w3.Close()
+}
+
+// legacySegment returns a segment as older builds wrote it: besides
+// accepted and terminal records it holds the "started" record those
+// builds appended when work began executing. j1 completed; j2 and
+// turn-1 started and never finished; j3 was accepted only.
+func legacySegment(t testing.TB) []byte {
+	t.Helper()
+	type req struct {
+		Prompt string `json:"prompt"`
+	}
+	accepted := func(kind RecordKind, session, id, prompt string) Record {
+		blob, err := json.Marshal(req{Prompt: prompt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Record{Kind: kind, State: StateAccepted, ID: id, Session: session, Key: "key-" + id, Request: blob}
+	}
+	const started RecordState = "started"
+	var seg []byte
+	for _, rec := range []Record{
+		accepted(KindJob, "", "j1", "one"),
+		accepted(KindJob, "", "j2", "two"),
+		accepted(KindTurn, "s-1", "turn-1", "edit"),
+		{Kind: KindJob, State: started, ID: "j1"},
+		{Kind: KindJob, State: started, ID: "j2"},
+		{Kind: KindJob, State: StateCompleted, ID: "j1"},
+		accepted(KindJob, "", "j3", "three"),
+		{Kind: KindTurn, State: started, ID: "turn-1", Session: "s-1"},
+	} {
+		buf, err := encode(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg = append(seg, buf...)
+	}
+	return seg
+}
+
+// TestWALOpensLegacyStartedRecords pins compatibility with segments
+// that carry "started" records: they open, the same work replays (as
+// its accepted records), and the compacted segment reopens to the same
+// list.
+func TestWALOpensLegacyStartedRecords(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, walSegment), legacySegment(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for open := 1; open <= 2; open++ {
+		w := openWAL(t, dir)
+		recs := w.Recovered()
+		var ids []string
+		for _, rec := range recs {
+			if rec.State != StateAccepted || len(rec.Request) == 0 {
+				t.Errorf("open %d: recovered %s as %s with request %q, want its accepted record", open, rec.ID, rec.State, rec.Request)
+			}
+			ids = append(ids, rec.Session+"/"+rec.ID)
+		}
+		if want := []string{"/j2", "s-1/turn-1", "/j3"}; !reflect.DeepEqual(ids, want) {
+			t.Errorf("open %d: recovered %v, want %v", open, ids, want)
+		}
+		if got := w.Backlog(); got != 3 {
+			t.Errorf("open %d: backlog = %d, want 3", open, got)
+		}
+		w.Close()
+	}
 }
 
 func TestWALTornTailIsDiscarded(t *testing.T) {
@@ -217,7 +280,6 @@ func FuzzOpenWAL(f *testing.F) {
 	for _, err := range []error{
 		w.Accepted(KindJob, "", "j1", "key1", req{Prompt: "iso <0.5> & more"}),
 		w.Accepted(KindTurn, "s-1", "turn-1", "tkey", req{Prompt: "edit"}),
-		w.Started(KindTurn, "s-1", "turn-1"),
 		w.Accepted(KindJob, "", "j2", "key2", req{Prompt: "done"}),
 		w.Completed(KindJob, "", "j2"),
 	} {
@@ -234,6 +296,7 @@ func FuzzOpenWAL(f *testing.F) {
 	}
 	f.Add(seg)
 	f.Add(seg[:len(seg)-3]) // torn tail
+	f.Add(legacySegment(f))
 
 	f.Fuzz(func(t *testing.T, segment []byte) {
 		dir := t.TempDir()

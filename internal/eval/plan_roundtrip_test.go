@@ -98,12 +98,32 @@ func TestScriptPlanScriptRoundTripAllProfiles(t *testing.T) {
 	}
 }
 
-// TestGroundTruthGoldenPlans compares every scenario's normalized
-// reference plan against its committed JSON fixture (testdata/plans).
-// Run with -update to regenerate after intentional IR changes.
+// TestGroundTruthGoldenPlans checks every scenario's reference
+// pipeline: its ground-truth script compiles with zero diagnostics of
+// any severity, the normalized plan round-trips through Script(), and
+// the normalized reference plan equals its committed JSON fixture
+// (testdata/plans). Run with -update to regenerate the fixtures after
+// intentional IR changes.
 func TestGroundTruthGoldenPlans(t *testing.T) {
+	schema := pvsim.PlanSchema()
 	for _, scn := range Scenarios() {
 		t.Run(scn.ID, func(t *testing.T) {
+			compiled, err := plan.Compile(scn.GroundTruthScript(rtW, rtH), schema)
+			if err != nil {
+				t.Fatalf("ground truth does not compile: %v", err)
+			}
+			if len(compiled.Diags) > 0 {
+				t.Errorf("ground truth has diagnostics:\n%s", plan.FormatDiagnostics(compiled.Diags))
+			}
+			p1 := plan.Normalize(compiled.Plan, schema)
+			rendered, err := plan.Compile(p1.Script(), schema)
+			if err != nil {
+				t.Fatalf("rendered ground truth does not compile: %v\n%s", err, p1.Script())
+			}
+			if !p1.Equal(plan.Normalize(rendered.Plan, schema)) {
+				t.Errorf("ground truth plan does not round-trip through Script():\n%s", p1.Script())
+			}
+
 			ref := scn.referencePlan(rtW, rtH)
 			if ref == nil {
 				t.Fatal("scenario has no reference plan")

@@ -69,8 +69,8 @@ func TestCalibrateSimRegistry(t *testing.T) {
 }
 
 // TestCalibrateDeterministic runs the same probe corpus twice and
-// expects identical measurements — the property the smoke gate in CI
-// asserts end-to-end.
+// expects identical measurements. `make calibrate-smoke` runs it with
+// TestCalibrateSimRegistry.
 func TestCalibrateDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")

@@ -444,7 +444,7 @@ func (q *Queue) run(job *Job) {
 	q.m.running.Add(1)
 	q.m.executed.Add(1)
 	res := &Result{Key: job.Key, Model: job.Req.Model, TraceID: job.TraceID}
-	err := q.execute(ctx, cluster.KindJob, "", job.ID, res, func(ctx context.Context) (*chatvis.Artifact, error) {
+	err := q.execute(ctx, res, func(ctx context.Context) (*chatvis.Artifact, error) {
 		return q.opts.Pipeline(ctx, job.Req, q.store)
 	})
 	q.m.running.Add(-1)
@@ -467,16 +467,12 @@ func (q *Queue) run(job *Job) {
 	job.mu.Unlock()
 }
 
-// execute is the one execution path of jobs and turns: it marks the WAL
-// record started, runs the pipeline, records the run in the
-// chatvis_job_duration_seconds histogram and stores the artifact,
-// filling res with its hashes.
-func (q *Queue) execute(ctx context.Context, kind cluster.RecordKind, session, id string, res *Result, run func(context.Context) (*chatvis.Artifact, error)) error {
+// execute is the one execution path of jobs and turns: it runs the
+// pipeline, records the run in the chatvis_job_duration_seconds
+// histogram and stores the artifact, filling res with its hashes.
+func (q *Queue) execute(ctx context.Context, res *Result, run func(context.Context) (*chatvis.Artifact, error)) error {
 	if err := ctx.Err(); err != nil {
 		return err // a forced drain reached the run before it started
-	}
-	if w := q.opts.WAL; w != nil {
-		_ = w.Started(kind, session, id)
 	}
 	start := time.Now()
 	art, err := run(ctx)

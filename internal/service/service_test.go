@@ -153,13 +153,13 @@ func TestStoreRoundTripAndDedup(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A fresh store over the same directory reloads both indexes.
+	// A fresh store over the same directory serves both.
 	s2, err := NewStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !s2.Has(h1) {
-		t.Error("reloaded store lost the object index")
+		t.Error("reloaded store lost the object")
 	}
 	got2, info2, err := s2.Get(h1)
 	if err != nil {
@@ -170,7 +170,7 @@ func TestStoreRoundTripAndDedup(t *testing.T) {
 	}
 	r2, ok := s2.GetResult(res.Key)
 	if !ok || r2.ScriptHash != h1 || !r2.Success {
-		t.Errorf("reloaded store lost the result index: %+v", r2)
+		t.Errorf("reloaded store lost the result: %+v", r2)
 	}
 }
 

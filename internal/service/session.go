@@ -524,7 +524,7 @@ func (s *SvcSession) runTurn(tr *turnRec) {
 	var turn *chatvis.Turn
 	res := &Result{}
 	if err == nil {
-		err = q.execute(ctx, cluster.KindTurn, s.ID, id, res, func(ctx context.Context) (*chatvis.Artifact, error) {
+		err = q.execute(ctx, res, func(ctx context.Context) (*chatvis.Artifact, error) {
 			t, err := sess.Turn(ctx, prompt)
 			if err != nil {
 				return nil, err

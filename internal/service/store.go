@@ -13,18 +13,22 @@ import (
 
 // Store is the content-addressed artifact store: opaque objects
 // (scripts, screenshots, serialized artifacts) keyed by the SHA-256 of
-// their bytes, plus a result index keyed by job key. Objects live on
-// the filesystem (two-level fan-out directories, written atomically via
-// rename); an in-memory index makes lookups and existence checks cheap.
-// The store is safe for concurrent use and survives daemon restarts:
-// NewStore reloads both indexes from disk.
+// their bytes, plus results keyed by job key. Its directories are the
+// only index: every lookup stats or reads the file it asks about, so an
+// object deleted under a running daemon is a miss at once, and nodes
+// sharing one store directory see each other's writes. Objects are
+// written atomically via rename into two-level fan-out directories. The
+// store is safe for concurrent use and survives daemon restarts.
 type Store struct {
 	dir string
 
-	mu      sync.RWMutex
-	objects map[string]ObjectInfo
-	results map[string]*Result
+	// mu guards the size ledger behind the chatvis_store_* gauges. It
+	// is counted at open and then moved by this process's own writes
+	// and torn-object removals; no lookup reads it.
+	mu      sync.Mutex
+	sizes   map[string]int64 // object hash -> bytes
 	bytes   int64
+	results int
 }
 
 // ObjectInfo describes one stored object.
@@ -33,7 +37,7 @@ type ObjectInfo struct {
 	Hash string `json:"hash"`
 	// Size in bytes.
 	Size int64 `json:"size"`
-	// ContentType is the MIME type recorded at Put time.
+	// ContentType is the MIME type named by the object's type tag.
 	ContentType string `json:"content_type"`
 }
 
@@ -45,14 +49,10 @@ const (
 	sessionsSubdir = "sessions"
 )
 
-// NewStore opens (creating if needed) a store rooted at dir and loads
-// the indexes of any objects and results already on disk.
+// NewStore opens (creating if needed) a store rooted at dir and counts
+// the objects and results already on disk for the size gauges.
 func NewStore(dir string) (*Store, error) {
-	s := &Store{
-		dir:     dir,
-		objects: map[string]ObjectInfo{},
-		results: map[string]*Result{},
-	}
+	s := &Store{dir: dir, sizes: map[string]int64{}}
 	for _, sub := range []string{objectsSubdir, resultsSubdir, sessionsSubdir} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("service: creating store: %w", err)
@@ -64,7 +64,9 @@ func NewStore(dir string) (*Store, error) {
 	return s, nil
 }
 
-// load rebuilds the in-memory indexes from the filesystem.
+// load counts the objects and result files on disk. Writes a peer
+// makes to a shared store directory later enter the counts at the next
+// open; lookups see them at once.
 func (s *Store) load() error {
 	objRoot := filepath.Join(s.dir, objectsSubdir)
 	err := filepath.Walk(objRoot, func(path string, info os.FileInfo, err error) error {
@@ -72,42 +74,36 @@ func (s *Store) load() error {
 			return err
 		}
 		// Layout: objects/<hh>/<hash>.<type-tag>
-		base := filepath.Base(path)
-		hash, tag, _ := strings.Cut(base, ".")
-		if !validHash(hash) {
-			return nil
+		hash, _, _ := strings.Cut(filepath.Base(path), ".")
+		if validHash(hash) {
+			s.count(hash, info.Size())
 		}
-		s.objects[hash] = ObjectInfo{
-			Hash:        hash,
-			Size:        info.Size(),
-			ContentType: typeForTag(tag),
-		}
-		s.bytes += info.Size()
 		return nil
 	})
 	if err != nil {
-		return fmt.Errorf("service: loading object index: %w", err)
+		return fmt.Errorf("service: counting objects: %w", err)
 	}
-	resRoot := filepath.Join(s.dir, resultsSubdir)
-	entries, err := os.ReadDir(resRoot)
+	entries, err := os.ReadDir(filepath.Join(s.dir, resultsSubdir))
 	if err != nil {
-		return fmt.Errorf("service: loading result index: %w", err)
+		return fmt.Errorf("service: counting results: %w", err)
 	}
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
-			continue
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".json") {
+			s.results++
 		}
-		b, err := os.ReadFile(filepath.Join(resRoot, e.Name()))
-		if err != nil {
-			continue // a torn write from a crashed daemon; skip it
-		}
-		var r Result
-		if json.Unmarshal(b, &r) != nil || r.Key == "" {
-			continue
-		}
-		s.results[r.Key] = &r
 	}
 	return nil
+}
+
+// count adds an object to the size ledger once, however many times its
+// bytes are written.
+func (s *Store) count(hash string, size int64) {
+	s.mu.Lock()
+	if _, dup := s.sizes[hash]; !dup {
+		s.sizes[hash] = size
+		s.bytes += size
+	}
+	s.mu.Unlock()
 }
 
 func validHash(h string) bool {
@@ -118,28 +114,23 @@ func validHash(h string) bool {
 	return err == nil
 }
 
-// typeTags maps content types to the file-extension tag objects carry on
-// disk, so the index can be rebuilt without a sidecar metadata file.
-var typeTags = map[string]string{
-	"text/x-python":    "py",
-	"image/png":        "png",
-	"application/json": "json",
+// objectTypes maps content types to the file-extension tag objects
+// carry on disk, so a lookup finds an object by its name alone, without
+// a sidecar metadata file. Any other content type is stored as "bin".
+var objectTypes = []struct{ tag, contentType string }{
+	{"png", "image/png"},
+	{"py", "text/x-python"},
+	{"json", "application/json"},
+	{"bin", "application/octet-stream"},
 }
 
 func tagForType(ct string) string {
-	if t, ok := typeTags[ct]; ok {
-		return t
-	}
-	return "bin"
-}
-
-func typeForTag(tag string) string {
-	for ct, t := range typeTags {
-		if t == tag {
-			return ct
+	for _, t := range objectTypes {
+		if t.contentType == ct {
+			return t.tag
 		}
 	}
-	return "application/octet-stream"
+	return "bin"
 }
 
 // HashBytes returns the store's content address for a byte string.
@@ -152,50 +143,41 @@ func (s *Store) objectPath(hash, ct string) string {
 	return filepath.Join(s.dir, objectsSubdir, hash[:2], hash+"."+tagForType(ct))
 }
 
+// locate returns the path and content type of the object stored under
+// hash, trying each type tag in turn. The hash is validated before any
+// path is built from it: hashes arrive over HTTP.
+func (s *Store) locate(hash string) (path, contentType string, ok bool) {
+	if !validHash(hash) {
+		return "", "", false
+	}
+	for _, t := range objectTypes {
+		path = s.objectPath(hash, t.contentType)
+		if _, err := os.Stat(path); err == nil {
+			return path, t.contentType, true
+		}
+	}
+	return "", "", false
+}
+
 // Put stores content under its SHA-256 address and returns the hash.
 // Storing the same bytes twice is a no-op (that is the point of content
 // addressing): the existing object is reused whatever its content type.
 func (s *Store) Put(content []byte, contentType string) (string, error) {
 	hash := HashBytes(content)
-	s.mu.RLock()
-	_, exists := s.objects[hash]
-	s.mu.RUnlock()
-	if exists {
+	if s.Has(hash) {
 		return hash, nil
 	}
 	path := s.objectPath(hash, contentType)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return "", fmt.Errorf("service: storing object: %w", err)
 	}
-	// Write-then-rename keeps readers and concurrent writers of the
-	// same content from observing a half-written object. The data is
-	// synced before the rename, so it is durable before the object is
-	// visible, and so before the WAL records the request that made it
-	// done.
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
+	// Objects are synced before their rename, so an object is durable
+	// before it is visible, and so before the WAL records the request
+	// that made it done.
+	if err := atomicWriteFile(path, content, true); err != nil {
 		return "", fmt.Errorf("service: storing object: %w", err)
 	}
-	_, err = tmp.Write(content)
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("service: storing object: %w", err)
-	}
-	s.mu.Lock()
-	if _, dup := s.objects[hash]; !dup {
-		s.objects[hash] = ObjectInfo{Hash: hash, Size: int64(len(content)), ContentType: contentType}
-		s.bytes += int64(len(content))
-	}
-	s.mu.Unlock()
+	s.count(hash, int64(len(content)))
 	return hash, nil
 }
 
@@ -205,29 +187,21 @@ func (s *Store) PutScreenshot(_ string, png []byte) (string, error) {
 	return s.Put(png, "image/png")
 }
 
-// Get returns the content and metadata for a hash. An index miss falls
-// back to the filesystem: in cluster mode several nodes share one store
-// directory, and objects written by a peer after this node loaded its
-// index are still addressable. Content whose SHA-256 is not its hash (an
-// object torn by a crash) is a miss: the index entry and the file are
-// dropped, so the next Put of those bytes writes the object afresh.
+// Get returns the content and metadata for a hash, read from its file.
+// Content whose SHA-256 is not its hash (an object torn by a crash) is
+// a miss: the file is removed, so the next Put of those bytes writes
+// the object afresh.
 func (s *Store) Get(hash string) ([]byte, ObjectInfo, error) {
-	s.mu.RLock()
-	info, ok := s.objects[hash]
-	s.mu.RUnlock()
-	if !ok {
-		info, ok = s.indexFromDisk(hash)
-	}
+	path, ct, ok := s.locate(hash)
 	if !ok {
 		return nil, ObjectInfo{}, fmt.Errorf("service: unknown object %s", hash)
 	}
-	path := s.objectPath(hash, info.ContentType)
 	b, err := os.ReadFile(path)
 	if err == nil && HashBytes(b) != hash {
 		s.mu.Lock()
-		if _, indexed := s.objects[hash]; indexed {
-			delete(s.objects, hash)
-			s.bytes -= info.Size
+		if size, counted := s.sizes[hash]; counted {
+			delete(s.sizes, hash)
+			s.bytes -= size
 		}
 		s.mu.Unlock()
 		// Best effort: a file left behind fails this check again.
@@ -237,17 +211,12 @@ func (s *Store) Get(hash string) ([]byte, ObjectInfo, error) {
 	if err != nil {
 		return nil, ObjectInfo{}, fmt.Errorf("service: reading object %s: %w", hash, err)
 	}
-	return b, info, nil
+	return b, ObjectInfo{Hash: hash, Size: int64(len(b)), ContentType: ct}, nil
 }
 
 // Has reports whether the hash is stored.
 func (s *Store) Has(hash string) bool {
-	s.mu.RLock()
-	_, ok := s.objects[hash]
-	s.mu.RUnlock()
-	if !ok {
-		_, ok = s.indexFromDisk(hash)
-	}
+	_, _, ok := s.locate(hash)
 	return ok
 }
 
@@ -266,96 +235,73 @@ func (s *Store) hasResultObjects(r *Result) bool {
 	return true
 }
 
-// indexFromDisk looks a hash up on the filesystem (any known type tag)
-// and adds it to the index on a hit. This is the shared-store path: a
-// peer node may have written the object after our index loaded.
-func (s *Store) indexFromDisk(hash string) (ObjectInfo, bool) {
-	if !validHash(hash) {
-		return ObjectInfo{}, false
-	}
-	for ct := range typeTags {
-		fi, err := os.Stat(s.objectPath(hash, ct))
-		if err != nil {
-			continue
-		}
-		info := ObjectInfo{Hash: hash, Size: fi.Size(), ContentType: ct}
-		s.mu.Lock()
-		if _, dup := s.objects[hash]; !dup {
-			s.objects[hash] = info
-			s.bytes += fi.Size()
-		}
-		s.mu.Unlock()
-		return info, true
-	}
-	return ObjectInfo{}, false
+func (s *Store) resultPath(key string) string {
+	return filepath.Join(s.dir, resultsSubdir, key+".json")
 }
 
-// PutResult indexes a finished pipeline's result under its job key and
-// persists it so restarts keep serving it.
+// PutResult persists a finished pipeline's result under its job key, so
+// repeats and restarts are answered from it.
 func (s *Store) PutResult(r *Result) error {
-	if r == nil || r.Key == "" {
+	if r == nil || !validHash(r.Key) {
 		return fmt.Errorf("service: result must carry a job key")
 	}
 	b, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		return fmt.Errorf("service: encoding result: %w", err)
 	}
-	path := filepath.Join(s.dir, resultsSubdir, r.Key+".json")
-	if err := atomicWriteFile(path, b); err != nil {
+	path := s.resultPath(r.Key)
+	_, statErr := os.Stat(path)
+	if err := atomicWriteFile(path, b, false); err != nil {
 		return fmt.Errorf("service: storing result: %w", err)
 	}
-	s.mu.Lock()
-	s.results[r.Key] = r
-	s.mu.Unlock()
+	if os.IsNotExist(statErr) {
+		s.mu.Lock()
+		s.results++
+		s.mu.Unlock()
+	}
 	return nil
 }
 
-// GetResult returns the stored result for a job key, if any, as long as
+// GetResult reads the stored result for a job key, if any, as long as
 // every object it names is still stored: a stale result is a miss, so
 // the request executes again and its PutResult replaces the result.
-// Like Get, an index miss re-checks the filesystem so nodes sharing one
-// store directory see each other's results (fleet-wide store hits).
 func (s *Store) GetResult(key string) (*Result, bool) {
-	s.mu.RLock()
-	r, ok := s.results[key]
-	s.mu.RUnlock()
-	if !ok && validHash(key) {
-		var res Result
-		b, err := os.ReadFile(filepath.Join(s.dir, resultsSubdir, key+".json"))
-		if err == nil && json.Unmarshal(b, &res) == nil && res.Key == key {
-			s.mu.Lock()
-			s.results[key] = &res
-			s.mu.Unlock()
-			r, ok = &res, true
-		}
-	}
-	if !ok || !s.hasResultObjects(r) {
+	if !validHash(key) {
 		return nil, false
 	}
-	return r, true
+	b, err := os.ReadFile(s.resultPath(key))
+	if err != nil {
+		return nil, false
+	}
+	var r Result
+	if json.Unmarshal(b, &r) != nil || r.Key != key || !s.hasResultObjects(&r) {
+		return nil, false
+	}
+	return &r, true
 }
 
 // atomicWriteFile writes bytes via a temp file + rename so concurrent
-// readers never observe a torn document.
-func atomicWriteFile(path string, b []byte) error {
+// readers and writers of the same path never observe a torn document;
+// when durable, the data reaches disk before the rename.
+func atomicWriteFile(path string, b []byte, durable bool) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	_, err = tmp.Write(b)
+	if err == nil && durable {
+		err = tmp.Sync()
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	return nil
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // PutSessionRecord persists a conversational session's durable state
@@ -370,7 +316,7 @@ func (s *Store) PutSessionRecord(r *SessionRecord) error {
 		return fmt.Errorf("service: encoding session record: %w", err)
 	}
 	path := filepath.Join(s.dir, sessionsSubdir, r.ID+".json")
-	if err := atomicWriteFile(path, b); err != nil {
+	if err := atomicWriteFile(path, b, false); err != nil {
 		return fmt.Errorf("service: storing session record: %w", err)
 	}
 	return nil
@@ -417,7 +363,7 @@ type Stats struct {
 
 // Stats returns the current store sizes.
 func (s *Store) Stats() Stats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return Stats{Objects: len(s.objects), Bytes: s.bytes, Results: len(s.results)}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return Stats{Objects: len(s.sizes), Bytes: s.bytes, Results: s.results}
 }

@@ -54,7 +54,7 @@ func TestWALCrashReplaysExactlyUnfinished(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait until j2 is actually executing so its Started record is down.
+	// Wait until j2 is actually executing.
 	deadline := time.Now().Add(5 * time.Second)
 	for j2.Status() != StatusRunning && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
