@@ -14,8 +14,12 @@ ci: fmt vet plan-validate lint-metrics calibrate-smoke test-race fuzz-smoke benc
 # property one execution per turn rests on: whenever a script's plan
 # runs successfully, the interpreter runs the script successfully too
 # (seeded from every scenario corpus script; fuzzed views are capped at
-# 400 pixels a side). FuzzExtractSurface checks the map-free surface
-# kernel against the map-based reference on arbitrary valid cells.
+# 400 pixels a side). FuzzPlanDeltaJSON feeds arbitrary model text down
+# an edit turn's plan path (parse, validate, normalize, diff against a
+# parent, ExecPlan when it validates with views of at most 400 pixels);
+# every input must end in an error or a clean run (seeded from
+# internal/eval/testdata/plans). FuzzExtractSurface checks the map-free
+# surface kernel against the map-based reference on arbitrary valid cells.
 # FuzzReadLegacyVTK feeds arbitrary bytes to the legacy VTK reader (no
 # panic; accepted datasets have in-range cell ids and full-length point
 # fields); its seeds are whole DataSmall datasets (up to ~280 KB), so
@@ -29,6 +33,7 @@ ci: fmt vet plan-validate lint-metrics calibrate-smoke test-race fuzz-smoke benc
 # fsynced opens, so minimizing is capped at 1s like the VTK target.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanPathImpliesInterpreter$$' -fuzztime 20s -parallel 2 ./internal/eval
+	$(GO) test -run '^$$' -fuzz '^FuzzPlanDeltaJSON$$' -fuzztime 10s -parallel 2 ./internal/eval
 	$(GO) test -run '^$$' -fuzz '^FuzzExtractSurface$$' -fuzztime 10s -parallel 2 ./internal/filters
 	$(GO) test -run '^$$' -fuzz '^FuzzReadLegacyVTK$$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/vtkio
 	$(GO) test -run '^$$' -fuzz '^FuzzReadExodus$$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/vtkio
@@ -136,7 +141,7 @@ bench-diff:
 bench-smoke:
 	$(GO) test -run TestBenchSmokeAllocs -count=1 -v .
 
-# Just the serial-vs-concurrent grid sweep comparison.
+# Just the grid sweep comparison: one worker vs 2xNumCPU workers.
 bench-grid:
 	$(GO) test -run xxx -bench BenchmarkGridThroughput -benchtime 3x .
 

@@ -112,7 +112,7 @@ func BenchmarkTable2_LLMComparison(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		t2, err = cfg.RunTable2(context.Background())
+		t2, err = cfg.RunGrid(context.Background(), 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -299,15 +299,12 @@ func BenchmarkScriptEval(b *testing.B) {
 	}
 }
 
-// --- Grid throughput: serial sweep vs concurrent grid runner -----------------
+// --- Grid throughput: one worker vs the concurrent grid runner ---------------
 
-// BenchmarkGridThroughput compares the paper-style serial Table II sweep
-// (one cell at a time, ground truth re-rendered for every cell) against
-// the concurrent grid runner (worker pool + shared ground-truth cache)
-// on the full 5-scenario x 5-model (+ChatVis) grid. The grid runner
-// renders each reference image once instead of once per cell and overlaps
-// cells across workers, so it should finish the sweep at least ~2x faster
-// even on a single core; multi-core machines gain more from the pool.
+// BenchmarkGridThroughput sweeps the full 5-scenario x 5-model (+ChatVis)
+// Table II grid with one worker and with 2xNumCPU workers. Both share
+// one ground-truth render per scenario; the difference is how far the
+// worker pool overlaps cells.
 func BenchmarkGridThroughput(b *testing.B) {
 	run := func(b *testing.B, sweep func(cfg eval.Config) (*eval.Table2, error)) {
 		cfg := benchConfig(b)
@@ -325,9 +322,9 @@ func BenchmarkGridThroughput(b *testing.B) {
 			}
 		}
 	}
-	b.Run("serial", func(b *testing.B) {
+	b.Run("1-worker", func(b *testing.B) {
 		run(b, func(cfg eval.Config) (*eval.Table2, error) {
-			return cfg.RunTable2(context.Background())
+			return cfg.RunGrid(context.Background(), 1)
 		})
 	})
 	b.Run("grid", func(b *testing.B) {

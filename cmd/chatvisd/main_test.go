@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"chatvis/internal/chatvis"
 	"chatvis/internal/par"
 	"chatvis/internal/service"
 )
@@ -119,9 +120,6 @@ func TestDaemonSmoke(t *testing.T) {
 	if !view.Result.Success {
 		t.Fatal("oracle pipeline should produce a working script")
 	}
-	if len(view.Result.Trace.Stages) == 0 {
-		t.Error("job result carries no session trace")
-	}
 
 	// Artifacts are retrievable by hash with the right content types.
 	fetch := func(hash, wantType string) []byte {
@@ -150,6 +148,13 @@ func TestDaemonSmoke(t *testing.T) {
 	png := fetch(view.Result.ScreenshotHashes[0], "image/png")
 	if len(png) < 8 || !bytes.HasPrefix(png, []byte("\x89PNG")) {
 		t.Error("stored screenshot is not a PNG")
+	}
+	art, err := chatvis.DecodeArtifact(fetch(view.Result.ArtifactHash, "application/json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(art.Trace.Stages) == 0 {
+		t.Error("stored artifact carries no session trace")
 	}
 
 	// An identical resubmission is answered from the store (HTTP 200,

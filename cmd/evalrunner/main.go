@@ -10,7 +10,6 @@
 //	evalrunner -data ./data -out ./out                 # everything
 //	evalrunner -task iso                               # one figure
 //	evalrunner -table2 -workers 8                      # only the grid
-//	evalrunner -table2 -serial                         # paper-style serial sweep
 //	evalrunner -full -width 1920 -height 1080          # paper scale
 package main
 
@@ -43,7 +42,6 @@ func main() {
 		table1  = flag.Bool("table1", false, "run only the Table I script pair")
 		multi   = flag.Bool("multiturn", false, "run only the multi-turn conversation track")
 		workers = flag.Int("workers", 2*runtime.NumCPU(), "grid worker pool size")
-		serial  = flag.Bool("serial", false, "paper-style serial sweep (no worker pool, no shared ground truth)")
 		stats   = flag.Bool("stats", true, "print per-cell session traces (duration, LLM calls, tokens)")
 		routed  = flag.Bool("route", false, "route assisted-pipeline calls through measured model profiles")
 		prof    = flag.String("profiles", "profiles.json", "calibrated profile store (see cmd/calibrate)")
@@ -88,21 +86,11 @@ func main() {
 	}
 	runGrid := func() (*eval.Table2, error) {
 		start := time.Now()
-		var t2 *eval.Table2
-		var err error
-		if *serial {
-			t2, err = cfg.RunTable2(ctx)
-		} else {
-			t2, err = cfg.RunGrid(ctx, *workers)
-		}
+		t2, err := cfg.RunGrid(ctx, *workers)
 		if err != nil {
 			return nil, err
 		}
-		mode := fmt.Sprintf("%d workers, shared ground truth", *workers)
-		if *serial {
-			mode = "serial sweep"
-		}
-		fmt.Printf("grid completed in %v (%s)\n\n", time.Since(start).Round(time.Millisecond), mode)
+		fmt.Printf("grid completed in %v (%d workers, shared ground truth)\n\n", time.Since(start).Round(time.Millisecond), *workers)
 		return t2, nil
 	}
 

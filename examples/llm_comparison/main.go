@@ -29,9 +29,8 @@ func main() {
 	// rendered once and shared.
 	start := time.Now()
 	t2, err := cfg.RunGridOpts(context.Background(), eval.GridOptions{
-		Workers:          2 * runtime.NumCPU(),
-		ShareGroundTruth: true,
-		Scenarios:        []eval.Scenario{scn},
+		Workers:   2 * runtime.NumCPU(),
+		Scenarios: []eval.Scenario{scn},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -69,7 +69,8 @@ type Artifact struct {
 	// parent ("added Slice; changed contour1").
 	DeltaSummary string `json:"delta_summary,omitempty"`
 	// Trace records every stage of the session (LLM calls and script
-	// executions) with durations, usage and cache provenance.
+	// executions) with usage and cache provenance, and, in memory only,
+	// durations.
 	Trace Trace `json:"trace"`
 }
 

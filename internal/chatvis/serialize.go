@@ -8,7 +8,10 @@ import (
 // Artifact serialization: the stable wire format chatvisd's artifact
 // store persists and serves. The encoding is plain JSON over the
 // exported fields (scripts, outputs, screenshots, the per-stage trace);
-// a version tag guards against silently decoding a future layout.
+// a version tag guards against silently decoding a future layout. Two
+// runs of the same request encode to the same bytes: stage durations and
+// trace IDs live in spans, not here. Decoding ignores fields it does not
+// know, so artifacts that still carry them (duration_ns, trace_id) read.
 
 // artifactEnvelope wraps an Artifact with a format version for storage.
 type artifactEnvelope struct {

@@ -1,6 +1,7 @@
 package chatvis
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -8,8 +9,10 @@ import (
 	"chatvis/internal/llm"
 )
 
-func TestArtifactEncodeDecodeRoundTrip(t *testing.T) {
-	art := &Artifact{
+// testArtifact is a two-round session artifact whose stages took the
+// given durations.
+func testArtifact(rewrite, generate, exec time.Duration) *Artifact {
+	return &Artifact{
 		UserPrompt:      "make an isosurface",
 		GeneratedPrompt: "step-by-step prompt",
 		Iterations: []Iteration{
@@ -24,12 +27,21 @@ func TestArtifactEncodeDecodeRoundTrip(t *testing.T) {
 		Screenshots: []string{"/tmp/out/iso.png"},
 		Success:     true,
 		Trace: Trace{Stages: []StageTrace{
-			{Stage: StageRewrite, Model: "gpt-4", Duration: 3 * time.Millisecond,
+			{Stage: StageRewrite, Model: "gpt-4", Duration: rewrite,
 				Usage: llm.Usage{PromptTokens: 10, CompletionTokens: 20}, Attempts: 1},
-			{Stage: StageGenerate, Model: "gpt-4", Duration: 5 * time.Millisecond, CacheHit: true},
-			{Stage: StageExec + "-1", Duration: time.Millisecond},
+			{Stage: StageGenerate, Model: "gpt-4", Duration: generate, CacheHit: true},
+			{Stage: StageExec + "-1", Duration: exec},
 		}},
 	}
+}
+
+// TestArtifactEncodeDecodeRoundTrip checks that an artifact survives a
+// round trip in everything but the stage durations, and that two runs
+// which differ only in stage timing encode to identical bytes: the
+// artifact store is content-addressed, and a timing in the object would
+// give every run its own hash.
+func TestArtifactEncodeDecodeRoundTrip(t *testing.T) {
+	art := testArtifact(3*time.Millisecond, 5*time.Millisecond, time.Millisecond)
 	b, err := EncodeArtifact(art)
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +59,7 @@ func TestArtifactEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	s0 := got.Trace.Stages[0]
 	if s0.Stage != StageRewrite || s0.Model != "gpt-4" ||
-		s0.Duration != 3*time.Millisecond || s0.Usage.PromptTokens != 10 {
+		s0.Duration != 0 || s0.Usage.PromptTokens != 10 {
 		t.Errorf("stage 0 mangled: %+v", s0)
 	}
 	if !got.Trace.Stages[1].CacheHit {
@@ -55,6 +67,17 @@ func TestArtifactEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if got.Iterations[0].Errors[0].Kind != "AttributeError" {
 		t.Error("iteration error reports lost")
+	}
+
+	other, err := EncodeArtifact(testArtifact(7*time.Second, time.Nanosecond, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b, other) {
+		t.Errorf("artifacts differing only in stage durations encode differently:\n%s\n---\n%s", b, other)
+	}
+	if bytes.Contains(b, []byte("duration_ns")) || bytes.Contains(b, []byte("trace_id")) {
+		t.Errorf("encoded artifact carries a run-specific field:\n%s", b)
 	}
 }
 

@@ -38,9 +38,12 @@ type Session struct {
 	runner *pvpython.Runner
 	opt    options
 
-	mu     sync.Mutex
-	eng    *pvsim.Engine
-	turns  []*Turn
+	mu    sync.Mutex
+	eng   *pvsim.Engine
+	turns []*Turn
+	// prior counts the turns the conversation had before this Session
+	// took it over (NewSessionFrom).
+	prior  int
 	curr   *plan.Plan
 	closed bool
 }
@@ -113,16 +116,19 @@ func NewSession(model llm.Client, runner *pvpython.Runner, opts ...Option) (*Ses
 	return &Session{model: model, runner: runner, opt: o}, nil
 }
 
-// NewSessionFrom builds a session seeded with an existing canonical
-// plan — how chatvisd rehydrates a persisted session after a restart.
-// The first turn on a seeded session is an edit turn; the engine is
-// cold, so that turn re-executes the full plan once and later turns are
-// incremental again.
-func NewSessionFrom(model llm.Client, runner *pvpython.Runner, seed *plan.Plan, opts ...Option) (*Session, error) {
+// NewSessionFrom builds a session that continues a conversation of
+// `turns` earlier turns, seeded with its canonical plan — how chatvisd
+// rehydrates a persisted session after a restart. Its next turn is
+// numbered turns+1, as it would have been without the restart. The first
+// turn on a seeded session is an edit turn; the engine is cold, so that
+// turn re-executes the full plan once and later turns are incremental
+// again.
+func NewSessionFrom(model llm.Client, runner *pvpython.Runner, seed *plan.Plan, turns int, opts ...Option) (*Session, error) {
 	s, err := NewSession(model, runner, opts...)
 	if err != nil {
 		return nil, err
 	}
+	s.prior = turns
 	if seed != nil {
 		s.curr = plan.Normalize(seed, pvsim.PlanSchema())
 	}
@@ -186,7 +192,7 @@ func (s *Session) observe(ev Event) {
 func (s *Session) Turn(ctx context.Context, prompt string) (*Turn, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	idx := len(s.turns) + 1
+	idx := s.prior + len(s.turns) + 1
 
 	ctx, span := obs.Start(ctx, "chatvis.turn")
 	span.SetAttr("turn", idx)
@@ -210,9 +216,6 @@ func (s *Session) Turn(ctx context.Context, prompt string) (*Turn, error) {
 		s.observe(Event{Turn: idx, Type: EventTurnFinished, Error: err.Error(), TraceID: tid})
 		return nil, err
 	}
-	// Stamp the trace on the per-stage record so the stored artifact can
-	// be joined back to its distributed trace.
-	turn.Artifact.Trace.TraceID = tid
 	s.turns = append(s.turns, turn)
 	s.observe(Event{
 		Turn: idx, Type: EventTurnFinished,

@@ -218,8 +218,9 @@ func TestSessionObserverStreamsEvents(t *testing.T) {
 }
 
 // TestSessionSeededFromPlan: a rehydrated session (NewSessionFrom) edits
-// without re-running the generation flow; its first edit turn pays a
-// cold full execution, the next is incremental again.
+// without re-running the generation flow and numbers its turns on from
+// the earlier ones; its first edit turn pays a cold full execution, the
+// next is incremental again.
 func TestSessionSeededFromPlan(t *testing.T) {
 	build := newSession(t, "gpt-4")
 	t1, err := build.Turn(context.Background(), testPrompts()["isosurface"])
@@ -228,7 +229,7 @@ func TestSessionSeededFromPlan(t *testing.T) {
 	}
 
 	model, _ := llm.NewModel("gpt-4")
-	s, err := NewSessionFrom(model, testRunner(t), t1.Artifact.Plan)
+	s, err := NewSessionFrom(model, testRunner(t), t1.Artifact.Plan, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,6 +242,9 @@ func TestSessionSeededFromPlan(t *testing.T) {
 	}
 	if !t2.Artifact.Success {
 		t.Fatalf("seeded edit failed: %s", t2.Artifact.Iterations[0].Output)
+	}
+	if t2.Index != 2 || t2.Artifact.TurnIndex != 2 {
+		t.Errorf("the seeded session's first turn is numbered %d (artifact %d), want 2", t2.Index, t2.Artifact.TurnIndex)
 	}
 	if t2.ExecutionsDelta != 2 {
 		t.Errorf("cold seeded turn executed %d stages, want 2", t2.ExecutionsDelta)

@@ -47,8 +47,11 @@ type StageTrace struct {
 	// N>0 = the Nth rung of the router's strength ladder after repeated
 	// validation/repair failures).
 	Escalation int `json:"escalation,omitempty"`
-	// Duration is the stage's wall-clock time (nanoseconds in JSON).
-	Duration time.Duration `json:"duration_ns"`
+	// Duration is the stage's wall-clock time, read from its span. It is
+	// not encoded: the span is the lasting record of stage time, and an
+	// encoded artifact holds nothing that differs between two runs of the
+	// same request.
+	Duration time.Duration `json:"-"`
 	// Usage is the LLM usage (zero for exec stages).
 	Usage llm.Usage `json:"usage"`
 	// CacheHit marks LLM stages served from a response cache.
@@ -66,10 +69,6 @@ type StageTrace struct {
 // order.
 type Trace struct {
 	Stages []StageTrace `json:"stages"`
-
-	// TraceID names the distributed trace the turn ran under ("" when it
-	// ran untraced), joining the stored artifact to GET /v1/traces/{id}.
-	TraceID string `json:"trace_id,omitempty"`
 
 	// OnAdd, when set, observes every stage as it is recorded — the hook
 	// conversational sessions use to stream live progress events (SSE)

@@ -159,7 +159,7 @@ func TestRunTable2ShapeMatchesPaper(t *testing.T) {
 		t.Skip("full grid is slow")
 	}
 	c := testConfig(t)
-	t2, err := c.RunTable2(context.Background())
+	t2, err := c.RunGrid(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestWriteReport(t *testing.T) {
 		t.Skip("slow")
 	}
 	c := testConfig(t)
-	t2, err := c.RunTable2(context.Background())
+	t2, err := c.RunGrid(context.Background(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,10 +50,6 @@ type GridOptions struct {
 	// Workers is the size of the cell worker pool; values <= 1 run the
 	// cells serially.
 	Workers int
-	// ShareGroundTruth renders each scenario's reference image once for
-	// the whole sweep instead of once per cell (the paper-style serial
-	// baseline re-renders per cell; see RunTable2).
-	ShareGroundTruth bool
 	// Models are the unassisted comparison columns; nil means the
 	// paper's five (llm.PaperModels). The assisted ChatVis column always
 	// runs first.
@@ -87,7 +83,7 @@ type gridJob struct {
 // directories. Cancelling the context aborts in-flight sessions and
 // drains the queue.
 func (c Config) RunGrid(ctx context.Context, workers int) (*Table2, error) {
-	return c.RunGridOpts(ctx, GridOptions{Workers: workers, ShareGroundTruth: true})
+	return c.RunGridOpts(ctx, GridOptions{Workers: workers})
 }
 
 // RunGridOpts is RunGrid with full control over the sweep shape.
@@ -140,16 +136,7 @@ func (c Config) RunGridOpts(ctx context.Context, opts GridOptions) (*Table2, err
 					continue // drain: a failure or cancellation is pending
 				}
 				outDir := filepath.Join(c.OutDir, "grid", job.model, job.scn.ID)
-				cfg, gts := c, shared
-				if !opts.ShareGroundTruth {
-					// Baseline mode: a throwaway cache per cell (one
-					// render per cell, like the original serial sweep),
-					// scoped to the cell's own output dir so concurrent
-					// renders of the same scenario never share files.
-					cfg.OutDir = outDir
-					gts = newGroundTruthCache()
-				}
-				cell, _, err := cfg.runCell(ctx, job.scn, job.model, gts, outDir)
+				cell, _, err := c.runCell(ctx, job.scn, job.model, shared, outDir)
 				if err != nil {
 					fail(fmt.Errorf("eval: %s on %s: %w", job.model, job.scn.ID, err))
 					continue

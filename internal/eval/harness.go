@@ -312,14 +312,6 @@ type Table2 struct {
 	Cells map[string]map[string]CellResult
 }
 
-// RunTable2 evaluates ChatVis plus every unassisted model on every task
-// with the paper's original serial sweep: one cell at a time, ground
-// truth re-rendered per cell. It is the baseline the concurrent grid
-// runner (RunGrid) is benchmarked against.
-func (c Config) RunTable2(ctx context.Context) (*Table2, error) {
-	return c.RunGridOpts(ctx, GridOptions{Workers: 1, ShareGroundTruth: false})
-}
-
 // Format renders the grid in the paper's layout: per model, an Error
 // column ("No" is good) and an SS column ("Yes" is good).
 func (t *Table2) Format() string {

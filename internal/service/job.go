@@ -2,7 +2,7 @@
 // running ChatVis pipelines for jobs and conversational session turns on
 // a worker pool, request coalescing keyed by a content hash of the full
 // pipeline input, and a content-addressed artifact store holding
-// generated scripts, screenshots and session traces.
+// generated scripts, screenshots and session artifacts.
 //
 // The flow:
 //
@@ -15,7 +15,7 @@
 //	                                                   ▼
 //	             Queue (backlog bound, WAL, drain) ──→ worker ──→ pipeline
 //	                                                                 │
-//	                                    Store ←── script/screens/trace
+//	                                 Store ←── script/screens/artifact
 //
 // so N identical concurrent submissions share one pipeline execution,
 // repeat submissions are served from the store without touching an LLM
@@ -35,7 +35,6 @@ import (
 	"sync"
 	"time"
 
-	"chatvis/internal/chatvis"
 	"chatvis/internal/llm"
 	"chatvis/internal/plan"
 	"chatvis/internal/pvsim"
@@ -270,8 +269,8 @@ type View struct {
 	Submitted time.Time  `json:"submitted_at"`
 	Started   *time.Time `json:"started_at,omitempty"`
 	Finished  *time.Time `json:"finished_at,omitempty"`
-	// Result is present once the job succeeds: artifact hashes plus the
-	// per-stage session trace.
+	// Result is present once the job succeeds: the artifact hashes, the
+	// outcome and the plan.
 	Result *Result `json:"result,omitempty"`
 }
 
@@ -329,11 +328,10 @@ type Result struct {
 	// artifact hashes.
 	Plan json.RawMessage `json:"plan,omitempty"`
 	// TraceID names the distributed trace of the execution that produced
-	// this result, retrievable via GET /v1/traces/{id} while retained.
+	// this result, retrievable via GET /v1/traces/{id} while retained;
+	// its spans hold the stage timings. The per-stage record (usage,
+	// cache provenance) is in the artifact ArtifactHash names.
 	TraceID string `json:"trace_id,omitempty"`
-	// Trace is the per-stage session record (durations, usage, cache
-	// provenance), inlined for GET /v1/jobs/{id}.
-	Trace chatvis.Trace `json:"trace"`
 	// CreatedAt is when the pipeline finished.
 	CreatedAt time.Time `json:"created_at"`
 }

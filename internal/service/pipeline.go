@@ -131,9 +131,9 @@ func (p *clientProvider) client(model string) (llm.Client, error) {
 
 // SessionFactory builds the conversational session behind one
 // /v1/sessions resource: its own model stack, the sink its turns'
-// screenshots go to, an optional seed plan (restart rehydration) and an
-// observer for SSE streaming.
-type SessionFactory func(req SessionRequest, shots pvsim.ScreenshotSink, seed *plan.Plan, observer func(chatvis.Event)) (*chatvis.Session, error)
+// screenshots go to, an optional seed plan and the number of turns
+// before it (restart rehydration), and an observer for SSE streaming.
+type SessionFactory func(req SessionRequest, shots pvsim.ScreenshotSink, seed *plan.Plan, turns int, observer func(chatvis.Event)) (*chatvis.Session, error)
 
 // NewServingBackend builds both serving surfaces over ONE shared client
 // provider: the session factory, and the job pipeline, which runs each
@@ -142,7 +142,7 @@ type SessionFactory func(req SessionRequest, shots pvsim.ScreenshotSink, seed *p
 // the other. This is what chatvisd wires.
 func NewServingBackend(cfg PipelineConfig) (PipelineFunc, SessionFactory) {
 	prov := newClientProvider(cfg)
-	factory := func(req SessionRequest, shots pvsim.ScreenshotSink, seed *plan.Plan, observer func(chatvis.Event)) (*chatvis.Session, error) {
+	factory := func(req SessionRequest, shots pvsim.ScreenshotSink, seed *plan.Plan, turns int, observer func(chatvis.Event)) (*chatvis.Session, error) {
 		if err := prov.ensureData(); err != nil {
 			return nil, err
 		}
@@ -173,13 +173,10 @@ func NewServingBackend(cfg PipelineConfig) (PipelineFunc, SessionFactory) {
 		if observer != nil {
 			opts = append(opts, chatvis.WithObserver(observer))
 		}
-		if seed != nil {
-			return chatvis.NewSessionFrom(model, runner, seed, opts...)
-		}
-		return chatvis.NewSession(model, runner, opts...)
+		return chatvis.NewSessionFrom(model, runner, seed, turns, opts...)
 	}
 	pipeline := func(ctx context.Context, req JobRequest, shots pvsim.ScreenshotSink) (*chatvis.Artifact, error) {
-		s, err := factory(req.SessionRequest, shots, nil, nil)
+		s, err := factory(req.SessionRequest, shots, nil, 0, nil)
 		if err != nil {
 			return nil, err
 		}

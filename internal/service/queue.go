@@ -208,6 +208,13 @@ func (q *Queue) SubmitCtx(ctx context.Context, req JobRequest) (*Job, Submission
 	req.SessionRequest = req.withDefaults()
 	key := Key(req)
 
+	// Store lookup, before the lock so its file reads hold up no other
+	// submission: a previously executed identical request is answered
+	// without touching the queue (or an LLM), while every object its
+	// result names is still stored (GetResult's rule).
+	lookup := time.Now()
+	stored, hit := q.store.GetResult(key)
+
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -216,29 +223,31 @@ func (q *Queue) SubmitCtx(ctx context.Context, req JobRequest) (*Job, Submission
 	q.m.submitted.Add(1)
 
 	// Singleflight: an identical job still in flight is shared. A
-	// finished job is not — successes are answered from the store below
-	// (the worker persists the result before marking the job terminal),
-	// and failures/cancellations must not block a retry.
+	// finished job is not — successes are answered from the store (the
+	// worker persists the result before marking the job terminal), and
+	// failures/cancellations must not block a retry. The one exception is
+	// a job that succeeded while the lookup above was reading the store:
+	// its result may have landed too late to be seen, so it answers.
 	if existing := q.byKey[key]; existing != nil {
-		st := existing.Status()
-		if st == StatusQueued || st == StatusRunning {
-			existing.mu.Lock()
+		existing.mu.Lock()
+		switch st := existing.status; {
+		case st == StatusQueued || st == StatusRunning:
 			existing.coalesced++
 			existing.mu.Unlock()
 			q.m.coalesced.Add(1)
 			return existing, SubmissionCoalesced, nil
+		case !hit && st == StatusSucceeded && !existing.finishedAt.Before(lookup):
+			stored, hit = existing.result, true
 		}
+		existing.mu.Unlock()
 	}
 
-	// Store lookup: a previously executed identical request is answered
-	// without touching the queue (or an LLM), while every object its
-	// result names is still stored (GetResult's rule).
-	if res, ok := q.store.GetResult(key); ok {
+	if hit {
 		job := q.newJobLocked(key, req)
 		job.TraceID = obs.TraceID(ctx)
 		job.mu.Lock()
 		job.fromStore = true
-		job.result = res
+		job.result = stored
 		job.finishTerminalLocked(StatusSucceeded, "")
 		job.mu.Unlock()
 		q.m.storeHits.Add(1)
@@ -593,7 +602,7 @@ func (q *Queue) InFlight(key string) (*Job, bool) {
 // storeArtifact is the one writer of the rest of a job's or turn's
 // objects (its run stored the screenshots): under a store.write span it
 // puts the script and serialized artifact into the store and fills all
-// their hashes, with the run's outcome and trace, into res. A job's
+// their hashes, with the run's outcome, into res. A job's
 // result carries its key and is then indexed under it, plan inlined, so
 // repeat submissions are answered from the store; a turn copies the
 // hashes into its TurnView instead.
@@ -617,7 +626,6 @@ func (q *Queue) storeArtifact(ctx context.Context, art *chatvis.Artifact, res *R
 	res.Success = art.Success
 	res.Iterations = art.NumIterations()
 	res.PlanHash = art.PlanHash()
-	res.Trace = art.Trace
 	res.CreatedAt = time.Now()
 	if res.Key == "" {
 		return nil

@@ -25,8 +25,8 @@ import (
 // reports its start on started and then blocks until gate closes.
 func gatedFactory(t *testing.T, started chan<- struct{}, gate <-chan struct{}) SessionFactory {
 	_, base := NewServingBackend(PipelineConfig{DataDir: t.TempDir()})
-	return func(req SessionRequest, shots pvsim.ScreenshotSink, seed *plan.Plan, observer func(chatvis.Event)) (*chatvis.Session, error) {
-		return base(req, shots, seed, func(ev chatvis.Event) {
+	return func(req SessionRequest, shots pvsim.ScreenshotSink, seed *plan.Plan, turns int, observer func(chatvis.Event)) (*chatvis.Session, error) {
+		return base(req, shots, seed, turns, func(ev chatvis.Event) {
 			if ev.Type == chatvis.EventTurnStarted {
 				started <- struct{}{}
 				<-gate

@@ -539,12 +539,13 @@ func (s *SvcSession) runTurn(tr *turnRec) {
 }
 
 // start marks a turn running and returns the session's chatvis session,
-// building it on the first turn (seeded from the persisted plan after a
-// restart). Only the worker running the session's turns touches s.sess
+// building it on the first turn this process runs (after a restart,
+// seeded with the persisted plan and numbered on from the turns before
+// tr). Only the worker running the session's turns touches s.sess
 // outside s.mu, so the factory runs unlocked.
 func (s *SvcSession) start(tr *turnRec) (*chatvis.Session, error) {
 	s.mu.Lock()
-	sess, seedPlan := s.sess, s.seedPlan
+	sess, seedPlan, prior := s.sess, s.seedPlan, tr.view.Index-1
 	s.mu.Unlock()
 	if sess == nil {
 		var seed *plan.Plan
@@ -554,7 +555,7 @@ func (s *SvcSession) start(tr *turnRec) (*chatvis.Session, error) {
 			}
 		}
 		var err error
-		if sess, err = s.m.factory(s.Req, s.m.q.store, seed, s.broadcastEvent); err != nil {
+		if sess, err = s.m.factory(s.Req, s.m.q.store, seed, prior, s.broadcastEvent); err != nil {
 			return nil, err
 		}
 	}
