@@ -18,8 +18,13 @@ ci: fmt vet plan-validate lint-metrics calibrate-smoke test-race fuzz-smoke benc
 # an edit turn's plan path (parse, validate, normalize, diff against a
 # parent, ExecPlan when it validates with views of at most 400 pixels);
 # every input must end in an error or a clean run (seeded from
-# internal/eval/testdata/plans). FuzzExtractSurface checks the map-free
-# surface kernel against the map-based reference on arbitrary valid cells.
+# internal/eval/testdata/plans). FuzzScriptPlanRoundTrip checks the
+# normalize ∘ compile ∘ render fixpoint: compiling, normalizing and
+# rendering any script never panics, and a fully modelled script's
+# normalized plan compiles back from its own script unchanged (seeded
+# from the corpus scripts; minimizing is capped at 1s like the VTK
+# target). FuzzExtractSurface checks the map-free surface kernel against
+# the map-based reference on arbitrary valid cells.
 # FuzzReadLegacyVTK feeds arbitrary bytes to the legacy VTK reader (no
 # panic; accepted datasets have in-range cell ids and full-length point
 # fields); its seeds are whole DataSmall datasets (up to ~280 KB), so
@@ -34,6 +39,7 @@ ci: fmt vet plan-validate lint-metrics calibrate-smoke test-race fuzz-smoke benc
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanPathImpliesInterpreter$$' -fuzztime 20s -parallel 2 ./internal/eval
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanDeltaJSON$$' -fuzztime 10s -parallel 2 ./internal/eval
+	$(GO) test -run '^$$' -fuzz '^FuzzScriptPlanRoundTrip$$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/eval
 	$(GO) test -run '^$$' -fuzz '^FuzzExtractSurface$$' -fuzztime 10s -parallel 2 ./internal/filters
 	$(GO) test -run '^$$' -fuzz '^FuzzReadLegacyVTK$$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/vtkio
 	$(GO) test -run '^$$' -fuzz '^FuzzReadExodus$$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/vtkio

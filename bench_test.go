@@ -26,9 +26,9 @@ import (
 	"chatvis/internal/eval"
 	"chatvis/internal/filters"
 	"chatvis/internal/llm"
+	"chatvis/internal/plan"
 	"chatvis/internal/pvpython"
 	"chatvis/internal/pvsim"
-	"chatvis/internal/scriptcmp"
 	"chatvis/internal/service"
 	"chatvis/internal/vtkio"
 )
@@ -273,9 +273,10 @@ func BenchmarkAblation_Grounding(b *testing.B) {
 	}
 }
 
-// BenchmarkScriptEval exercises the code-level evaluation (scriptcmp) on
-// the streamline scripts — the paper's proposed large-scale evaluation
-// path that needs no rendering.
+// BenchmarkScriptEval exercises the code-level evaluation on the
+// streamline scripts: each is compiled, normalized and scored by
+// plan-graph similarity against the scenario's reference plan — the
+// paper's proposed large-scale evaluation path that needs no rendering.
 func BenchmarkScriptEval(b *testing.B) {
 	cfg := benchConfig(b)
 	t1, err := cfg.RunTable1(context.Background())
@@ -283,17 +284,25 @@ func BenchmarkScriptEval(b *testing.B) {
 		b.Fatal(err)
 	}
 	scn, _ := eval.ScenarioByID("stream")
-	ref := scn.GroundTruthScript(cfg.Width, cfg.Height)
+	ref := scn.ReferencePlan(cfg.Width, cfg.Height)
+	schema := pvsim.PlanSchema()
+	score := func(script string) plan.Score {
+		c, err := plan.Compile(script, schema)
+		if err != nil {
+			return plan.Score{}
+		}
+		return plan.Similarity(plan.Normalize(c.Plan, schema), ref)
+	}
 	b.ResetTimer()
-	var sCV, sG4 scriptcmp.Score
+	var sCV, sG4 plan.Score
 	for i := 0; i < b.N; i++ {
-		sCV, _ = scriptcmp.Compare(t1.ChatVisScript, ref)
-		sG4, _ = scriptcmp.Compare(t1.GPT4Script, ref)
+		sCV = score(t1.ChatVisScript)
+		sG4 = score(t1.GPT4Script)
 	}
 	b.StopTimer()
 	b.ReportMetric(sCV.Overall, "chatvis-score")
 	b.ReportMetric(sG4.Overall, "gpt4-score")
-	b.Logf("script-level accuracy: ChatVis %s | GPT-4 %s", sCV, sG4)
+	b.Logf("plan-graph accuracy: ChatVis %s | GPT-4 %s", sCV, sG4)
 	if sCV.Overall <= sG4.Overall {
 		b.Error("ChatVis script should score above unassisted GPT-4")
 	}

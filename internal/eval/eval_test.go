@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"chatvis/internal/llm"
+	"chatvis/internal/plan"
 	"chatvis/internal/pvpython"
 )
 
@@ -35,6 +37,12 @@ func TestScenariosComplete(t *testing.T) {
 		}
 		if !strings.Contains(p, s.Screenshot) {
 			t.Errorf("%s: prompt does not name its screenshot", s.ID)
+		}
+		for _, size := range [][2]int{{64, 48}, {480, 270}} {
+			spec := llm.ParseIntent(s.UserPrompt(size[0], size[1]))
+			if spec.Width != size[0] || spec.Height != size[1] {
+				t.Errorf("%s: %dx%d prompt parses to %dx%d", s.ID, size[0], size[1], spec.Width, spec.Height)
+			}
 		}
 		gt := s.GroundTruthScript(640, 360)
 		if !strings.Contains(gt, "from paraview.simple import *") {
@@ -288,7 +296,7 @@ func TestWriteReport(t *testing.T) {
 	}
 	text := string(data)
 	for _, want := range []string{"Table II", "Table I", "Fig. 2", "ChatVis",
-		"Multi-turn conversations", "turn 2 plan-sim",
+		"Plan-graph accuracy", "Multi-turn conversations", "turn 2 plan-sim",
 		"Model routing", "codegemma | 1.00 | 0.90"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("report missing %q", want)
@@ -296,37 +304,83 @@ func TestWriteReport(t *testing.T) {
 	}
 }
 
-func TestScriptScoreRanksModels(t *testing.T) {
-	c := testConfig(t)
-	scn, _ := ScenarioByID("stream")
-	cv, _, err := c.RunChatVis(context.Background(), scn)
+// TestPlanScoreRanksModels: the code-level metric, over every scenario
+// and the paper's five unassisted models, ranks ChatVis above unassisted
+// GPT-4, scores ChatVis at least 0.8, and gives 0 to every unassisted
+// output that does not parse.
+func TestPlanScoreRanksModels(t *testing.T) {
+	c := testConfig(t).withDefaults()
+	if err := EnsureData(c.DataDir, c.DataSize); err != nil {
+		t.Fatal(err)
+	}
+	gts := newGroundTruthCache()
+	ctx := context.Background()
+	unparsable := 0
+	for _, scn := range Scenarios() {
+		cells := map[string]CellResult{}
+		for _, m := range append([]string{ChatVisModel}, llm.PaperModels()...) {
+			cell, art, err := c.runCell(ctx, scn, m, gts, filepath.Join(c.OutDir, m, scn.ID))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells[m] = cell
+			if _, perr := plan.Compile(art.FinalScript, nil); perr != nil {
+				unparsable++
+				if cell.PlanScore.Overall != 0 {
+					t.Errorf("%s: unparsable %s script scored %.2f", scn.ID, m, cell.PlanScore.Overall)
+				}
+			}
+		}
+		cv, g4 := cells[ChatVisModel].PlanScore, cells["gpt-4"].PlanScore
+		if cv.Overall <= g4.Overall {
+			t.Errorf("%s: ChatVis %.3f should beat gpt-4 %.3f", scn.ID, cv.Overall, g4.Overall)
+		}
+		if cv.Overall < 0.8 {
+			t.Errorf("%s: ChatVis plan score %.3f suspiciously low: %s", scn.ID, cv.Overall, cv)
+		}
+	}
+	if unparsable == 0 {
+		t.Error("no unassisted output failed to parse; the zero-score check saw nothing")
+	}
+}
+
+// fixedScriptModel answers every request with one fixed script.
+type fixedScriptModel struct{ script string }
+
+func (m fixedScriptModel) Name() string { return "fixed" }
+
+func (m fixedScriptModel) Complete(context.Context, llm.Request) (llm.Response, error) {
+	return llm.Response{Text: m.script, Model: "fixed", Attempts: 1}, nil
+}
+
+// TestUnparsableOutputScoresZero: an output that does not parse has no
+// plan and scores 0, while the reference script run through the same
+// cell path scores 1.
+func TestUnparsableOutputScoresZero(t *testing.T) {
+	c := testConfig(t).withDefaults()
+	if err := EnsureData(c.DataDir, c.DataSize); err != nil {
+		t.Fatal(err)
+	}
+	scn, _ := ScenarioByID("iso")
+	gt, err := newGroundTruthCache().get(c, scn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g4, _, err := c.RunUnassisted(context.Background(), "gpt-4", scn)
-	if err != nil {
-		t.Fatal(err)
+	score := func(script string) plan.Score {
+		t.Helper()
+		art, err := c.runScenario(context.Background(), scn, fixedScriptModel{script}, false, t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cell CellResult
+		cell.fillFromArtifact(c, scn, gt, art)
+		return cell.PlanScore
 	}
-	weak, _, err := c.RunUnassisted(context.Background(), "llama3-8b", scn)
-	if err != nil {
-		t.Fatal(err)
+	if s := score("x = (1 +\n"); s.Overall != 0 {
+		t.Errorf("unparsable output scored %v", s)
 	}
-	// The paper's proposed code-level metric should rank ChatVis above
-	// unassisted GPT-4 above a model that emits unparsable output.
-	if cv.ScriptScore.Overall <= g4.ScriptScore.Overall {
-		t.Errorf("ChatVis %.2f should beat gpt-4 %.2f",
-			cv.ScriptScore.Overall, g4.ScriptScore.Overall)
-	}
-	if g4.ScriptScore.Overall <= weak.ScriptScore.Overall {
-		t.Errorf("gpt-4 %.2f should beat llama3 %.2f",
-			g4.ScriptScore.Overall, weak.ScriptScore.Overall)
-	}
-	if weak.ScriptScore.Overall != 0 {
-		t.Errorf("unparsable script should score 0, got %.2f", weak.ScriptScore.Overall)
-	}
-	if cv.ScriptScore.Overall < 0.8 {
-		t.Errorf("ChatVis stream script score %.2f suspiciously low: %s",
-			cv.ScriptScore.Overall, cv.ScriptScore)
+	if s := score(scn.GroundTruthScript(c.Width, c.Height)); s.Overall < 0.999 {
+		t.Errorf("reference script scored %v", s)
 	}
 }
 

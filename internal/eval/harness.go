@@ -17,7 +17,6 @@ import (
 	"chatvis/internal/pvpython"
 	"chatvis/internal/pvsim"
 	"chatvis/internal/render"
-	"chatvis/internal/scriptcmp"
 )
 
 // ChatVisModel is the grid column name for the assisted condition (the
@@ -96,13 +95,11 @@ type CellResult struct {
 	// Metrics of the final screenshot vs ground truth (zero value when no
 	// screenshot).
 	Metrics imgcmp.Metrics
-	// ScriptScore is the structural similarity of the final script to the
-	// reference script — the paper's proposed code-level evaluation that
-	// works "even without visual output" (§V future work).
-	ScriptScore scriptcmp.Score
 	// PlanScore is the plan-graph similarity of the final script's
-	// compiled plan against the reference plan: the same idea lifted onto
-	// the typed IR, insensitive to variable naming and statement order.
+	// compiled plan against the reference plan: the paper's proposed
+	// code-level evaluation that works "even without visual output" (§V
+	// future work), insensitive to variable naming and statement order.
+	// A script that does not parse has no plan and scores 0.
 	PlanScore plan.Score
 	// FirstError summarizes the first extracted error, if any.
 	FirstError string
@@ -179,11 +176,8 @@ func (cell *CellResult) fillFromArtifact(c Config, scn Scenario, gt image.Image,
 			cell.FirstError = last.Errors[0].Kind
 		}
 	}
-	if score, err := scriptcmp.Compare(art.FinalScript, scn.GroundTruthScript(c.Width, c.Height)); err == nil {
-		cell.ScriptScore = score
-	}
 	if art.Plan != nil {
-		if ref := scn.referencePlan(c.Width, c.Height); ref != nil {
+		if ref := scn.ReferencePlan(c.Width, c.Height); ref != nil {
 			cell.PlanScore = plan.Similarity(art.Plan, ref)
 		}
 	}
@@ -194,10 +188,11 @@ func (cell *CellResult) fillFromArtifact(c Config, scn Scenario, gt image.Image,
 // and purely derived from scenario + resolution).
 var refPlanCache sync.Map // "id@WxH" -> *plan.Plan
 
-// referencePlan returns the scenario's normalized reference plan: the
+// ReferencePlan returns the scenario's normalized reference plan: the
 // native IR when the scenario is plan-native, the compiled ground-truth
-// script otherwise.
-func (s Scenario) referencePlan(w, h int) *plan.Plan {
+// script otherwise (nil if that does not parse). The plan is shared:
+// callers must not modify it.
+func (s Scenario) ReferencePlan(w, h int) *plan.Plan {
 	key := fmt.Sprintf("%s@%dx%d", s.ID, w, h)
 	if cached, ok := refPlanCache.Load(key); ok {
 		return cached.(*plan.Plan)
@@ -492,23 +487,6 @@ func WriteReport(path string, t2 *Table2, t1 *Table1, figs []*FigureResult, mt *
 		}
 	}
 	if t2 != nil {
-		b.WriteString("\n## Script-level accuracy (structural similarity to reference, no rendering)\n\n")
-		b.WriteString("| Task |")
-		for _, m := range t2.Models {
-			fmt.Fprintf(&b, " %s |", m)
-		}
-		b.WriteString("\n|---|")
-		for range t2.Models {
-			b.WriteString("---|")
-		}
-		b.WriteString("\n")
-		for _, task := range t2.Tasks {
-			fmt.Fprintf(&b, "| %s |", task)
-			for _, m := range t2.Models {
-				fmt.Fprintf(&b, " %.2f |", t2.Cells[task][m].ScriptScore.Overall)
-			}
-			b.WriteString("\n")
-		}
 		b.WriteString("\n## Plan-graph accuracy (typed pipeline-DAG similarity to reference)\n\n")
 		b.WriteString("| Task |")
 		for _, m := range t2.Models {

@@ -49,7 +49,7 @@ type MultiTurnScenario struct {
 func (ts TurnSpec) refPlanFor(w, h int) *plan.Plan {
 	if ts.RefScenario != "" {
 		if scn, ok := ScenarioByID(ts.RefScenario); ok {
-			return scn.referencePlan(w, h)
+			return scn.ReferencePlan(w, h)
 		}
 		return nil
 	}

@@ -124,7 +124,7 @@ func TestGroundTruthGoldenPlans(t *testing.T) {
 				t.Errorf("ground truth plan does not round-trip through Script():\n%s", p1.Script())
 			}
 
-			ref := scn.referencePlan(rtW, rtH)
+			ref := scn.ReferencePlan(rtW, rtH)
 			if ref == nil {
 				t.Fatal("scenario has no reference plan")
 			}
@@ -185,4 +185,37 @@ func TestPlanNativeScenariosValidate(t *testing.T) {
 			t.Errorf("%s IR does not round-trip through its rendered script", id)
 		}
 	}
+}
+
+// FuzzScriptPlanRoundTrip checks the normalize ∘ compile ∘ render
+// fixpoint over mutated corpus scripts: compiling, normalizing and
+// rendering any input never panics, and whenever a script compiles
+// fully modelled, its normalized plan compiles back from its own
+// script to the same normalized plan. `make fuzz-smoke` runs it
+// time-boxed.
+func FuzzScriptPlanRoundTrip(f *testing.F) {
+	for _, s := range corpusScripts(f) {
+		f.Add(s)
+	}
+	schema := pvsim.PlanSchema()
+	f.Fuzz(func(t *testing.T, script string) {
+		compiled, err := plan.Compile(script, schema)
+		if err != nil {
+			return
+		}
+		p := plan.Normalize(compiled.Plan, schema)
+		rendered := p.Script()
+		if !plan.FullyModelled(compiled.Diags) {
+			return
+		}
+		again, err := plan.Compile(rendered, schema)
+		if err != nil {
+			t.Fatalf("rendered script does not compile: %v\n--- input ---\n%s\n--- rendered ---\n%s", err, script, rendered)
+		}
+		if q := plan.Normalize(again.Plan, schema); !q.Equal(p) {
+			pb, _ := p.Encode()
+			qb, _ := q.Encode()
+			t.Fatalf("plan changes across a script round trip:\n--- input ---\n%s\n--- plan ---\n%s\n--- round-tripped ---\n%s", script, pb, qb)
+		}
+	})
 }

@@ -109,7 +109,7 @@ const numPat = `(-?\d+(?:\.\d+)?)`
 var (
 	fileRe      = regexp.MustCompile(`(?i)file(?:\s+named)?\s+['"]?([\w\-.]+?\.(?:vtk|ex2|exo|e))['"]?`)
 	shotRe      = regexp.MustCompile(`(?i)(?:filename|file name)\s+['"]?([\w\-.]+?\.png)['"]?`)
-	resRe       = regexp.MustCompile(`(?i)(\d{3,5})\s*[xX×]\s*(\d{3,5})\s*pixels?`)
+	resRe       = regexp.MustCompile(`(?i)(\d{1,5})\s*[xX×]\s*(\d{1,5})\s*pixels?`)
 	isoRe       = regexp.MustCompile(`(?i)isosurface(?:s)?\s+of\s+(?:the\s+)?(?:variable\s+)?['"]?(\w+)['"]?\s+at\s+(?:value\s+)?` + numPat)
 	isoMultiRe  = regexp.MustCompile(`(?i)isosurfaces\s+of\s+(?:the\s+)?(?:variable\s+)?['"]?(\w+)['"]?\s+at\s+(?:the\s+)?values\s+(` + numPat + `(?:(?:\s*,\s*|\s+and\s+)` + numPat + `)*)`)
 	numsRe      = regexp.MustCompile(numPat)

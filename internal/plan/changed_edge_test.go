@@ -3,6 +3,7 @@ package plan
 import (
 	"strings"
 	"testing"
+	"testing/quick"
 )
 
 // Edge-case coverage for ChangedStages / Similarity / DiffSummary — the
@@ -154,5 +155,32 @@ func TestDiffSummaryShapes(t *testing.T) {
 	}
 	if back := DiffSummary(added, p); !strings.Contains(back, "removed Clip") {
 		t.Errorf("removed-stage summary = %q", back)
+	}
+}
+
+func TestMultisetF1Properties(t *testing.T) {
+	if multisetF1(nil, nil) != 1 {
+		t.Error("empty vs empty should be 1")
+	}
+	if multisetF1([]string{"a"}, nil) != 0 || multisetF1(nil, []string{"a"}) != 0 {
+		t.Error("empty vs non-empty should be 0")
+	}
+	// Symmetric and bounded, over a tiny alphabet so collisions happen.
+	f := func(a, b []string) bool {
+		norm := func(in []string) []string {
+			out := make([]string, 0, len(in))
+			for _, s := range in {
+				if len(s) > 0 {
+					out = append(out, string(s[0]%4+'a'))
+				}
+			}
+			return out
+		}
+		na, nb := norm(a), norm(b)
+		d1, d2 := multisetF1(na, nb), multisetF1(nb, na)
+		return d1 == d2 && d1 >= 0 && d1 <= 1
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }

@@ -19,10 +19,6 @@ type Compiled struct {
 	// ones (unknown methods, ColorBy on a pipeline proxy), unmodelled
 	// statements, plus the full schema validation of the extracted plan.
 	Diags []Diagnostic
-	// VarClass maps every script variable the compiler resolved to the
-	// proxy class it holds — the authoritative replacement for
-	// name-pattern guessing in scriptcmp.
-	VarClass map[string]string
 }
 
 // Compile statically compiles ParaView Python script text into a plan.
@@ -36,13 +32,6 @@ func Compile(script string, s *Schema) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	return CompileModule(mod, s), nil
-}
-
-// CompileModule compiles an already-parsed module — for callers (like
-// scriptcmp) that walk the same AST themselves and should not pay for a
-// second parse.
-func CompileModule(mod *pypy.Module, s *Schema) *Compiled {
 	if s == nil {
 		// Schema-less compilation: parse-only extraction, every member
 		// check reports unknown (callers use pvsim.PlanSchema normally).
@@ -60,7 +49,7 @@ func CompileModule(mod *pypy.Module, s *Schema) *Compiled {
 	c.stmts(mod.Body)
 	c.checkOrderEffects()
 	diags := append(c.diags, Validate(c.plan, s)...)
-	return &Compiled{Plan: c.plan, Diags: diags, VarClass: c.varClass}
+	return &Compiled{Plan: c.plan, Diags: diags}, nil
 }
 
 type compiler struct {

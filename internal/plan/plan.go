@@ -159,23 +159,6 @@ func (p *Plan) FindClass(class string) int {
 	return -1
 }
 
-// PipelineEdges lists dataflow edges "UpstreamClass->DownstreamClass"
-// over the pipeline stages, in stage order.
-func (p *Plan) PipelineEdges() []string {
-	var edges []string
-	for _, st := range p.Stages {
-		if !st.IsPipeline() {
-			continue
-		}
-		for _, in := range st.Inputs {
-			if up := p.Stage(in); up != nil && up.IsPipeline() {
-				edges = append(edges, up.Class+"->"+st.Class)
-			}
-		}
-	}
-	return edges
-}
-
 // Encode renders the plan as deterministic, indented JSON (map keys are
 // sorted by encoding/json, so semantically equal normalized plans are
 // byte-equal).

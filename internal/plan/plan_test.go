@@ -54,15 +54,13 @@ func TestCompileExtractsPipeline(t *testing.T) {
 			t.Errorf("missing stage class %s in %v", want, classes)
 		}
 	}
-	edges := p.PipelineEdges()
-	if len(edges) != 1 || edges[0] != "LegacyVTKReader->Contour" {
-		t.Errorf("edges = %v", edges)
+	ci, vi, di := p.FindClass("Contour"), p.FindClass(plan.ViewClass), p.FindClass(plan.DisplayClass)
+	if in := p.Stages[ci].Inputs; len(in) != 1 || p.Stage(in[0]).Class != "LegacyVTKReader" {
+		t.Errorf("contour inputs = %v", in)
 	}
-	if c.VarClass["contour1"] != "Contour" || c.VarClass["renderView1"] != "RenderView" ||
-		c.VarClass["contour1Display"] != plan.DisplayClass {
-		t.Errorf("var classes = %v", c.VarClass)
+	if in := p.Stages[di].Inputs; len(in) != 2 || in[0] != ci || in[1] != vi {
+		t.Errorf("display inputs = %v, want [%d %d]", in, ci, vi)
 	}
-	ci := p.FindClass("Contour")
 	if v, ok := p.Stages[ci].Props["Isosurfaces"]; !ok || v.Kind != plan.KindList || v.List[0].Num != 0.5 {
 		t.Errorf("contour props = %#v", p.Stages[ci].Props)
 	}
@@ -317,5 +315,87 @@ func TestSimilarityScoring(t *testing.T) {
 	empty := plan.New()
 	if z := plan.Similarity(empty, p1); z.Overall != 0 {
 		t.Errorf("empty vs real should be 0: %v", z)
+	}
+}
+
+// isoPlan compiles and normalizes isoScript after applying the given
+// old/new replacements.
+func isoPlan(t *testing.T, replacements ...string) *plan.Plan {
+	t.Helper()
+	script := isoScript
+	for i := 0; i+1 < len(replacements); i += 2 {
+		if !strings.Contains(script, replacements[i]) {
+			t.Fatalf("isoScript lacks %q", replacements[i])
+		}
+		script = strings.Replace(script, replacements[i], replacements[i+1], 1)
+	}
+	return plan.Normalize(mustCompile(t, script).Plan, pvsim.PlanSchema())
+}
+
+func TestSimilarityIdenticalPlansScoreOne(t *testing.T) {
+	ref := isoPlan(t)
+	if s := plan.Similarity(ref, ref); s.Overall < 0.999 || s.StageF1 < 0.999 || s.EdgeF1 < 0.999 || s.PropF1 < 0.999 {
+		t.Errorf("identical plans score %v", s)
+	}
+	// Variable names are not part of the plan.
+	renamed := plan.Normalize(mustCompile(t, strings.ReplaceAll(isoScript, "contour1", "iso")).Plan, pvsim.PlanSchema())
+	if s := plan.Similarity(renamed, ref); s.Overall < 0.999 {
+		t.Errorf("renamed variables score %v", s)
+	}
+}
+
+func TestSimilarityWrongParameterLowersProp(t *testing.T) {
+	ref := isoPlan(t)
+	s := plan.Similarity(isoPlan(t, "Isosurfaces = [0.5]", "Isosurfaces = [0.7]"), ref)
+	if s.PropF1 >= 1 {
+		t.Errorf("wrong isovalue should lower PropF1: %v", s)
+	}
+	if s.StageF1 != 1 || s.EdgeF1 != 1 {
+		t.Errorf("stages unchanged, got %v", s)
+	}
+	if s.Overall >= 0.999 {
+		t.Errorf("overall should drop: %v", s)
+	}
+}
+
+func TestSimilarityMissingFilterLowersScore(t *testing.T) {
+	noContour := plan.Normalize(mustCompile(t, `from paraview.simple import *
+reader = LegacyVTKReader(FileNames=['ml-100.vtk'])
+renderView1 = GetActiveViewOrCreate('RenderView')
+d = Show(reader, renderView1)
+SaveScreenshot('ml-iso.png', renderView1, ImageResolution=[480, 270])
+`).Plan, pvsim.PlanSchema())
+	if s := plan.Similarity(noContour, isoPlan(t)); s.StageF1 >= 1 || s.EdgeF1 >= 1 || s.Overall > 0.8 {
+		t.Errorf("missing Contour should lower stage and edge F1: %v", s)
+	}
+}
+
+// TestSimilarityHallucinatedAttribute: an attribute the schema does not
+// know is still recorded in the plan, so it costs property overlap but
+// no structure.
+func TestSimilarityHallucinatedAttribute(t *testing.T) {
+	halluc := isoPlan(t, "contour1.ContourBy =", "contour1.ContourScalars =")
+	s := plan.Similarity(halluc, isoPlan(t))
+	if s.PropF1 >= 1 || s.StageF1 != 1 || s.EdgeF1 != 1 {
+		t.Errorf("hallucinated attribute should lower PropF1 only: %v", s)
+	}
+}
+
+// TestCompileResolvesPositionalInput: a reader opened by file name and
+// passed positionally is typed through dataflow, not by variable name.
+func TestCompileResolvesPositionalInput(t *testing.T) {
+	p := mustCompile(t, `from paraview.simple import *
+reader = OpenDataFile('ml-100.vtk')
+contour1 = Contour(reader)
+contour1.Isosurfaces = [0.5]
+renderView1 = GetActiveViewOrCreate('RenderView')
+d = Show(contour1, renderView1)
+`).Plan
+	ci := p.FindClass("Contour")
+	if in := p.Stages[ci].Inputs; len(in) != 1 || p.Stage(in[0]).Class != "LegacyVTKReader" {
+		t.Errorf("positional contour inputs = %v in %+v", in, p.Stages)
+	}
+	if in := p.Stages[p.FindClass(plan.DisplayClass)].Inputs; len(in) == 0 || in[0] != ci {
+		t.Errorf("Show target unresolved: display inputs = %v, contour = %d", in, ci)
 	}
 }

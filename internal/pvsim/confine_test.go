@@ -15,6 +15,24 @@ import (
 	"chatvis/internal/vtkio"
 )
 
+// executionPaths runs a script on an engine through the interpreter or
+// as its compiled plan, keyed by path name.
+func executionPaths(t *testing.T, script string) map[string]func(e *Engine) error {
+	return map[string]func(e *Engine) error{
+		"interpreter": func(e *Engine) error {
+			interp := pypy.NewInterp(io.Discard)
+			simple := e.BuildSimpleModule()
+			interp.RegisterModule(simple)
+			simple.Attrs["paraview"] = interp.Modules["paraview"]
+			return interp.Run(script)
+		},
+		"plan": func(e *Engine) error {
+			_, err := e.ExecPlan(context.Background(), compilePlan(t, script))
+			return err
+		},
+	}
+}
+
 // TestEscapingFileNamesAreRefused: screenshot and reader file names
 // taken from a script stay inside their directories on both execution
 // paths. An escaping name fails with a RuntimeError naming the call, and
@@ -44,20 +62,7 @@ func TestEscapingFileNamesAreRefused(t *testing.T) {
 		if script == planIsoScript {
 			t.Fatalf("%s: substitution did not apply", tc.name)
 		}
-		paths := map[string]func(e *Engine) error{
-			"interpreter": func(e *Engine) error {
-				interp := pypy.NewInterp(io.Discard)
-				simple := e.BuildSimpleModule()
-				interp.RegisterModule(simple)
-				simple.Attrs["paraview"] = interp.Modules["paraview"]
-				return interp.Run(script)
-			},
-			"plan": func(e *Engine) error {
-				_, err := e.ExecPlan(context.Background(), compilePlan(t, script))
-				return err
-			},
-		}
-		for path, run := range paths {
+		for path, run := range executionPaths(t, script) {
 			// The engine reads under root/data and writes under
 			// root/a/out, so a name leaving either lands inside root.
 			root := t.TempDir()
@@ -115,5 +120,46 @@ func TestLocalNamesStayUsable(t *testing.T) {
 	}
 	if _, err := os.Stat(shots[0]); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOversizedRenderIsRefused: a render size taken from a script that
+// would exhaust memory fails with a RuntimeError naming the size, on
+// both execution paths, before any framebuffer is allocated. 2^32 a
+// side would overflow the pixel count.
+func TestOversizedRenderIsRefused(t *testing.T) {
+	const res = "ImageResolution=[120, 80]"
+	cases := []struct {
+		name, size string
+		edits      [][2]string // old, new script text
+	}{
+		{"side", "100000x100000", [][2]string{{res, "ImageResolution=[100000, 100000]"}}},
+		{"area", "8192x8192", [][2]string{{res, "ImageResolution=[8192, 8192]"}}},
+		{"overflow", "4294967296x4294967296", [][2]string{{res, "ImageResolution=[4294967296, 4294967296]"}}},
+		{"view size", "9000x100", [][2]string{
+			{res + ",\n    ", ""},
+			{"ViewSize = [120, 80]", "ViewSize = [9000, 100]"},
+		}},
+	}
+	for _, tc := range cases {
+		script := planIsoScript
+		for _, ed := range tc.edits {
+			if !strings.Contains(script, ed[0]) {
+				t.Fatalf("%s: substitution %q did not apply", tc.name, ed[0])
+			}
+			script = strings.Replace(script, ed[0], ed[1], 1)
+		}
+		want := "render size " + tc.size + " exceeds the limit of 8192 pixels a side and 8294400 pixels in total"
+		for path, run := range executionPaths(t, script) {
+			e := testEngine(t)
+			err := run(e)
+			var pe *pypy.PyError
+			if !errors.As(err, &pe) || pe.Kind != "RuntimeError" || pe.Msg != want {
+				t.Errorf("%s via %s: err = %v, want RuntimeError %q", tc.name, path, err, want)
+			}
+			if len(e.Screenshots) != 0 {
+				t.Errorf("%s via %s: recorded screenshots %v", tc.name, path, e.Screenshots)
+			}
+		}
 	}
 }

@@ -234,6 +234,13 @@ func (e *Engine) surfaceOf(ug *data.UnstructuredGrid, key string) (*data.PolyDat
 	return ds.(*data.PolyData), nil
 }
 
+// Render size limits: a side of at most 8192 pixels and at most 4K UHD
+// (3840x2160) pixels in total.
+const (
+	maxRenderSide   = 8192
+	maxRenderPixels = 3840 * 2160
+)
+
 // RenderViewImage renders a view at the given resolution.
 // overridePalette handles SaveScreenshot's OverrideColorPalette option
 // ("WhiteBackground", "BlackBackground" or empty).
@@ -246,6 +253,27 @@ func (e *Engine) RenderViewImage(view *Proxy, w, h int, overridePalette string) 
 	defer span.End()
 	span.SetAttr("width", w)
 	span.SetAttr("height", h)
+	if w <= 0 || h <= 0 {
+		size := propFloats(view, "ViewSize")
+		if len(size) >= 2 {
+			w, h = int(size[0]), int(size[1])
+		}
+	}
+	if w <= 0 {
+		w = 844
+	}
+	if h <= 0 {
+		h = 539
+	}
+	// The framebuffer costs 32 bytes a pixel, and the size comes from
+	// the script: refuse one that would exhaust memory. The side check
+	// comes first so the product cannot overflow.
+	if w > maxRenderSide || h > maxRenderSide || w*h > maxRenderPixels {
+		err := raiseRT("render size %dx%d exceeds the limit of %d pixels a side and %d pixels in total",
+			w, h, maxRenderSide, maxRenderPixels)
+		span.SetError(err)
+		return nil, err
+	}
 	// Sweep observer: the renderer's geometry/raster/volume sweeps
 	// report into agg, and the aggregate lands as span attributes.
 	var agg par.SweepAgg
@@ -327,18 +355,6 @@ func (e *Engine) RenderViewImage(view *Proxy, w, h int, overridePalette string) 
 			a.LUT = e.lutFor(colorArray, ds)
 		}
 		r.AddActor(a)
-	}
-	if w <= 0 || h <= 0 {
-		size := propFloats(view, "ViewSize")
-		if len(size) >= 2 {
-			w, h = int(size[0]), int(size[1])
-		}
-	}
-	if w <= 0 {
-		w = 844
-	}
-	if h <= 0 {
-		h = 539
 	}
 	fb, err := r.RenderFBContext(ctx, w, h)
 	if sum := agg.Summary(); sum.Sweeps > 0 {

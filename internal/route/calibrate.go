@@ -312,19 +312,14 @@ func (cfg CalibrateConfig) probePlanRepair(ctx context.Context, client llm.Clien
 	return 1, nil
 }
 
-// referencePlan resolves a scenario's normalized ground-truth plan: the
-// native IR when one exists, the compiled reference script otherwise.
+// referencePlan resolves a scenario's normalized ground-truth plan at
+// the probe size.
 func referencePlan(cfg eval.Config, scn eval.Scenario) (*plan.Plan, error) {
 	w, h := probeSize(cfg)
-	schema := pvsim.PlanSchema()
-	if p := scn.PlanIR(w, h); p != nil {
-		return plan.Normalize(p, schema), nil
+	if ref := scn.ReferencePlan(w, h); ref != nil {
+		return ref, nil
 	}
-	compiled, err := plan.Compile(scn.GroundTruthScript(w, h), schema)
-	if err != nil {
-		return nil, fmt.Errorf("compiling reference plan for %s: %w", scn.ID, err)
-	}
-	return plan.Normalize(compiled.Plan, schema), nil
+	return nil, fmt.Errorf("compiling reference plan for %s failed", scn.ID)
 }
 
 func probeSize(cfg eval.Config) (int, int) {

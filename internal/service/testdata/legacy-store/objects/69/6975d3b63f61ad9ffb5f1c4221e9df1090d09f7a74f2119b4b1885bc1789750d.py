@@ -34,4 +34,4 @@ renderView1.CameraViewUp = [0, 0, 1]
 
 # Save a screenshot of the result
 SaveScreenshot('stream-glyph-screenshot.png', renderView1,
-    ImageResolution=[1920, 1080])
+    ImageResolution=[320, 180])
