@@ -26,6 +26,13 @@ const sparseContourAllocCeiling = 50_000
 // same grid.
 const extractSurfaceAllocCeiling = 1_000
 
+// volumeClipAllocCeiling gates the tetrahedral cell walk: a warm
+// Substrate_VolumeClip op reads the image's voxels in place and
+// allocates about 50 times (plane distances, chunk closures, the
+// output); clipping through a materialized voxel grid and tet list made
+// about 104k.
+const volumeClipAllocCeiling = 1_000
+
 // encodePNGAllocCeiling gates the screenshot encoder: a warm
 // Substrate_EncodePNG op takes its deflate writer and buffers from a
 // pool and allocates ~5 times. The runtime.GC before the measured op
@@ -56,6 +63,10 @@ func TestBenchSmokeAllocs(t *testing.T) {
 		if name == "Substrate_ExtractSurface" && allocs > extractSurfaceAllocCeiling {
 			t.Errorf("%s allocated %d times in one warm op; ceiling is %d — the map-free face kernel regressed",
 				name, allocs, extractSurfaceAllocCeiling)
+		}
+		if name == "Substrate_VolumeClip" && allocs > volumeClipAllocCeiling {
+			t.Errorf("%s allocated %d times in one warm op; ceiling is %d — the volume cell walk regressed",
+				name, allocs, volumeClipAllocCeiling)
 		}
 		if name == "Substrate_EncodePNG" && allocs > encodePNGAllocCeiling {
 			t.Errorf("%s allocated %d times in one warm op; ceiling is %d — the pooled encoder regressed",

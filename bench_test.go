@@ -420,6 +420,10 @@ func BenchmarkSubstrate_EncodePNG(b *testing.B) {
 	benchkernels.Bench(b, "Substrate_EncodePNG")
 }
 
+func BenchmarkSubstrate_VolumeClip(b *testing.B) {
+	benchkernels.Bench(b, "Substrate_VolumeClip")
+}
+
 func BenchmarkSubstrate_SessionEditTurn(b *testing.B) {
 	benchkernels.Bench(b, "Substrate_SessionEditTurn")
 }

@@ -21,6 +21,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"syscall"
 	"time"
 
@@ -30,6 +31,15 @@ import (
 	"chatvis/internal/route"
 )
 
+// scenarioIDs lists every scenario -task accepts.
+func scenarioIDs() string {
+	var ids []string
+	for _, s := range eval.Scenarios() {
+		ids = append(ids, s.ID)
+	}
+	return strings.Join(ids, ", ")
+}
+
 func main() {
 	var (
 		dataDir = flag.String("data", "data", "dataset directory (populated on demand)")
@@ -37,7 +47,7 @@ func main() {
 		width   = flag.Int("width", 480, "render width")
 		height  = flag.Int("height", 270, "render height")
 		full    = flag.Bool("full", false, "paper-scale datasets")
-		task    = flag.String("task", "", "run a single scenario: iso, slice, volume, delaunay, stream, clip, threshold, glyph")
+		task    = flag.String("task", "", "run a single scenario: "+scenarioIDs())
 		table2  = flag.Bool("table2", false, "run only the Table II grid")
 		table1  = flag.Bool("table1", false, "run only the Table I script pair")
 		multi   = flag.Bool("multiturn", false, "run only the multi-turn conversation track")

@@ -39,13 +39,18 @@ var Order = []string{
 	"Substrate_SkewedClip",
 	"Substrate_ExtractSurface",
 	"Substrate_EncodePNG",
+	"Substrate_VolumeClip",
 	"Substrate_SessionEditTurn",
 }
 
 // ComputeOrder is Order restricted to the pure compute kernels — the
 // ones bench-smoke measures (the session kernel drags in temp dirs and
 // the whole session engine, which is not an allocation story).
-var ComputeOrder = Order[:9]
+var ComputeOrder = Order[:10]
+
+// volumeClipPlane keeps the x <= 0 half of a volume: the clip that
+// Substrate_VolumeClip times and Substrate_ExtractSurface's input.
+var volumeClipPlane = vmath.NewPlane(vmath.V(0, 0, 0), vmath.V(-1, 0, 0))
 
 // Kernel is one substrate micro-benchmark: Setup builds the input
 // state (outside any timing) and returns the op to measure.
@@ -190,13 +195,24 @@ var Substrate = map[string]Kernel{
 	// that is not already in the dataset cache.
 	"Substrate_ExtractSurface": {
 		Setup: func(tb testing.TB) func() {
-			plane := vmath.NewPlane(vmath.V(0, 0, 0), vmath.V(-1, 0, 0))
-			clip, err := filters.ClipUnstructured(filters.ImageToGrid(datagen.MarschnerLobb(48)), plane)
+			clip, err := filters.ClipVolume(context.Background(), datagen.MarschnerLobb(48), volumeClipPlane)
 			if err != nil {
 				tb.Fatal(err)
 			}
 			return func() {
 				filters.ExtractSurface(clip)
+			}
+		},
+	},
+	// Substrate_VolumeClip clips a 48³ volume at x=0: the tetrahedral
+	// cell walk every Clip of an image or unstructured grid runs.
+	"Substrate_VolumeClip": {
+		Setup: func(tb testing.TB) func() {
+			vol := datagen.MarschnerLobb(48)
+			return func() {
+				if _, err := filters.ClipVolume(context.Background(), vol, volumeClipPlane); err != nil {
+					tb.Fatal(err)
+				}
 			}
 		},
 	},

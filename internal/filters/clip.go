@@ -20,7 +20,7 @@ import (
 // is arena-pooled: checked out per chunk (and once for the global merge
 // set), recycled when the filter returns.
 type clipSet struct {
-	srcPts    []vmath.Vec3
+	src       data.Dataset
 	srcFields []*data.Field
 	plane     vmath.Plane
 
@@ -36,12 +36,15 @@ type clipSet struct {
 	lens  []int32
 	cells []int32
 
+	tets   [][4]int // volume sweep scratch: the current cell's tetrahedra
+	sawTet bool     // the volume sweep decomposed at least one tet
+
 	remapBuf []int32 // absorb scratch (used on the global set only)
 }
 
 // Reset implements par.Resetter: empty every slab, keep every capacity.
 func (cp *clipSet) Reset() {
-	cp.srcPts = nil
+	cp.src = nil
 	cp.srcFields = cp.srcFields[:0]
 	cp.pts = cp.pts[:0]
 	cp.keys = cp.keys[:0]
@@ -53,12 +56,15 @@ func (cp *clipSet) Reset() {
 	cp.conn = cp.conn[:0]
 	cp.lens = cp.lens[:0]
 	cp.cells = cp.cells[:0]
+	cp.tets = cp.tets[:0]
+	cp.sawTet = false
 	cp.remapBuf = cp.remapBuf[:0]
 }
 
-func (cp *clipSet) bind(srcPts []vmath.Vec3, fs *data.FieldSet, plane vmath.Plane) {
-	cp.srcPts = srcPts
+func (cp *clipSet) bind(src data.Dataset, plane vmath.Plane) {
+	cp.src = src
 	cp.plane = plane
+	fs := src.PointData()
 	n := fs.Len()
 	for i := 0; i < n; i++ {
 		cp.srcFields = append(cp.srcFields, fs.At(i))
@@ -83,7 +89,7 @@ func (cp *clipSet) keep(i int) int32 {
 	if !added {
 		return id
 	}
-	cp.pts = append(cp.pts, cp.srcPts[i])
+	cp.pts = append(cp.pts, cp.src.Point(i))
 	cp.keys = append(cp.keys, key)
 	for fi, f := range cp.srcFields {
 		d := cp.fdata[fi]
@@ -104,13 +110,14 @@ func (cp *clipSet) cut(i, j int) int32 {
 		return id
 	}
 	lo, hi := data.UnpackPair(key)
-	di := cp.plane.Eval(cp.srcPts[lo])
-	dj := cp.plane.Eval(cp.srcPts[hi])
+	plo, phi := cp.src.Point(lo), cp.src.Point(hi)
+	di := cp.plane.Eval(plo)
+	dj := cp.plane.Eval(phi)
 	t := 0.5
 	if di != dj {
 		t = di / (di - dj)
 	}
-	cp.pts = append(cp.pts, cp.srcPts[lo].Lerp(cp.srcPts[hi], t))
+	cp.pts = append(cp.pts, plo.Lerp(phi, t))
 	cp.keys = append(cp.keys, key)
 	for fi, f := range cp.srcFields {
 		d := cp.fdata[fi]
@@ -158,11 +165,11 @@ func (cp *clipSet) copyOutPoints(setPts *[]vmath.Vec3, fs *data.FieldSet) {
 }
 
 // planeDistances evaluates the plane at every point, in parallel.
-func planeDistances(ctx context.Context, pts []vmath.Vec3, plane vmath.Plane) ([]float64, error) {
-	dist := make([]float64, len(pts))
-	err := par.For(ctx, len(pts), func(start, end int) {
+func planeDistances(ctx context.Context, ds data.Dataset, plane vmath.Plane) ([]float64, error) {
+	dist := make([]float64, ds.NumPoints())
+	err := par.For(ctx, len(dist), func(start, end int) {
 		for i := start; i < end; i++ {
-			dist[i] = plane.Eval(pts[i])
+			dist[i] = plane.Eval(ds.Point(i))
 		}
 	})
 	if err != nil {
@@ -183,14 +190,14 @@ func ClipPolyData(pd *data.PolyData, plane vmath.Plane) *data.PolyData {
 // ClipPolyDataContext is ClipPolyData with cancellation; the triangle
 // sweep runs in parallel chunks with a deterministic merge.
 func ClipPolyDataContext(ctx context.Context, pd *data.PolyData, plane vmath.Plane) (*data.PolyData, error) {
-	dist, err := planeDistances(ctx, pd.Pts, plane)
+	dist, err := planeDistances(ctx, pd, plane)
 	if err != nil {
 		return nil, err
 	}
 
 	global := clipArena.Get()
 	defer clipArena.Put(global)
-	global.bind(pd.Pts, pd.Points, plane)
+	global.bind(pd, plane)
 
 	// Triangles: Sutherland–Hodgman against a single plane yields a
 	// triangle or quad. Chunks cover disjoint polygon ranges (fan
@@ -199,7 +206,7 @@ func ClipPolyDataContext(ctx context.Context, pd *data.PolyData, plane vmath.Pla
 	// merge absorbs completed chunks into the global set in sweep order
 	// while later chunks still run.
 	err = par.OrderedSweep(ctx, len(pd.Polys), clipArena, func(set *clipSet, start, end int) {
-		set.bind(pd.Pts, pd.Points, plane)
+		set.bind(pd, plane)
 		var poly [4]int32 // one plane cuts a triangle into at most a quad
 		for _, pg := range pd.Polys[start:end] {
 			for ti := 2; ti < len(pg); ti++ {
@@ -283,109 +290,46 @@ func ClipPolyDataContext(ctx context.Context, pd *data.PolyData, plane vmath.Pla
 	return out, nil
 }
 
-// ImageToGrid converts an ImageData to an unstructured grid of voxel
-// cells over the same points and point data (Clip's input for images).
-func ImageToGrid(im *data.ImageData) *data.UnstructuredGrid {
-	ug := data.NewUnstructuredGrid()
-	for i := 0; i < im.NumPoints(); i++ {
-		ug.AddPoint(im.Point(i))
+// ClipVolume clips a volume — an unstructured grid or an image's voxels —
+// with a plane, keeping the side the plane normal points to. Every cell
+// is decomposed into tetrahedra and each straddling tet is cut into
+// sub-tetrahedra, as VTK's Clip does with its tetrahedral path. Point
+// data is interpolated. The sweep runs in parallel chunks of cells with a
+// deterministic merge and aborts when ctx is canceled.
+func ClipVolume(ctx context.Context, ds data.Dataset, plane vmath.Plane) (*data.UnstructuredGrid, error) {
+	nCells, ok := cellCount(ds)
+	if !ok {
+		return nil, fmt.Errorf("filters: clip: unsupported dataset type %s", ds.TypeName())
 	}
-	ug.Points = im.Points.Clone()
-	nx, ny, nz := im.Dims[0], im.Dims[1], im.Dims[2]
-	for k := 0; k < nz-1; k++ {
-		for j := 0; j < ny-1; j++ {
-			for i := 0; i < nx-1; i++ {
-				ug.AddCell(data.CellVoxel,
-					im.Index(i, j, k), im.Index(i+1, j, k),
-					im.Index(i, j+1, k), im.Index(i+1, j+1, k),
-					im.Index(i, j, k+1), im.Index(i+1, j, k+1),
-					im.Index(i, j+1, k+1), im.Index(i+1, j+1, k+1))
-			}
-		}
-	}
-	return ug
-}
-
-// ClipUnstructured clips a volumetric mesh with a plane, keeping the side
-// the plane normal points to. All cells are decomposed into tetrahedra and
-// each straddling tet is cut into sub-tetrahedra, as VTK's Clip does with
-// its tetrahedral path. Point data is interpolated.
-func ClipUnstructured(ug *data.UnstructuredGrid, plane vmath.Plane) (*data.UnstructuredGrid, error) {
-	return ClipUnstructuredContext(context.Background(), ug, plane)
-}
-
-// ClipUnstructuredContext is ClipUnstructured with cancellation; the tet
-// sweep runs in parallel chunks with a deterministic merge.
-func ClipUnstructuredContext(ctx context.Context, ug *data.UnstructuredGrid, plane vmath.Plane) (*data.UnstructuredGrid, error) {
-	tets := GridTets(ug)
-	if len(tets) == 0 && len(ug.Cells) > 0 {
-		return nil, fmt.Errorf("filters: clip: no volumetric cells to clip")
-	}
-	dist, err := planeDistances(ctx, ug.Pts, plane)
+	dist, err := planeDistances(ctx, ds, plane)
 	if err != nil {
 		return nil, err
 	}
 	global := clipArena.Get()
 	defer clipArena.Put(global)
-	global.bind(ug.Pts, ug.Points, plane)
+	global.bind(ds, plane)
 
-	err = par.OrderedSweep(ctx, len(tets), clipArena, func(set *clipSet, start, end int) {
-		set.bind(ug.Pts, ug.Points, plane)
-		addTet := func(a, b, c, d int32) { set.cells = append(set.cells, a, b, c, d) }
-		for _, t := range tets[start:end] {
-			var in, outv [4]int // source ids on keep / discard side
-			nIn, nOut := 0, 0
-			for _, id := range t {
-				if dist[id] >= 0 {
-					in[nIn] = id
-					nIn++
-				} else {
-					outv[nOut] = id
-					nOut++
-				}
+	err = par.OrderedSweep(ctx, nCells, clipArena, func(set *clipSet, start, end int) {
+		set.bind(ds, plane)
+		forCells(ds, start, end, func(c data.Cell) {
+			set.tets = CellTets(c, set.tets[:0])
+			for _, t := range set.tets {
+				set.clipTet(t, dist)
 			}
-			switch nIn {
-			case 0:
-				// fully discarded
-			case 4:
-				addTet(set.keep(t[0]), set.keep(t[1]), set.keep(t[2]), set.keep(t[3]))
-			case 1:
-				// Tip tet: kept vertex plus three cut points.
-				a := set.keep(in[0])
-				p0 := set.cut(in[0], outv[0])
-				p1 := set.cut(in[0], outv[1])
-				p2 := set.cut(in[0], outv[2])
-				addTet(a, p0, p1, p2)
-			case 3:
-				// Frustum: prism with kept triangle (b0,b1,b2) and cut triangle
-				// (c0,c1,c2); split into three tets.
-				b0, b1, b2 := set.keep(in[0]), set.keep(in[1]), set.keep(in[2])
-				c0 := set.cut(in[0], outv[0])
-				c1 := set.cut(in[1], outv[0])
-				c2 := set.cut(in[2], outv[0])
-				addTet(b0, b1, b2, c0)
-				addTet(b1, b2, c0, c1)
-				addTet(b2, c0, c1, c2)
-			case 2:
-				// Wedge with two kept vertices and four cut points.
-				a0, a1 := set.keep(in[0]), set.keep(in[1])
-				c00 := set.cut(in[0], outv[0])
-				c01 := set.cut(in[0], outv[1])
-				c10 := set.cut(in[1], outv[0])
-				c11 := set.cut(in[1], outv[1])
-				addTet(a0, a1, c00, c01)
-				addTet(a1, c00, c01, c11)
-				addTet(a1, c00, c10, c11)
-			}
-		}
+			set.sawTet = set.sawTet || len(set.tets) > 0
+		})
 	}, func(ch *clipSet) {
 		remap := global.absorb(ch)
 		for _, id := range ch.cells {
 			global.cells = append(global.cells, remap[id])
 		}
+		global.sawTet = global.sawTet || ch.sawTet
 	})
 	if err != nil {
 		return nil, err
+	}
+	if nCells > 0 && !global.sawTet {
+		return nil, fmt.Errorf("filters: clip: no volumetric cells to clip")
 	}
 
 	out := data.NewUnstructuredGrid()
@@ -400,6 +344,56 @@ func ClipUnstructuredContext(ctx context.Context, ug *data.UnstructuredGrid, pla
 	}
 	global.copyOutPoints(&out.Pts, out.Points)
 	return out, nil
+}
+
+// clipTet appends the part of tet t on the kept side (dist >= 0) to the
+// set's cells as tetrahedra.
+func (set *clipSet) clipTet(t [4]int, dist []float64) {
+	addTet := func(a, b, c, d int32) { set.cells = append(set.cells, a, b, c, d) }
+	var in, outv [4]int // source ids on keep / discard side
+	nIn, nOut := 0, 0
+	for _, id := range t {
+		if dist[id] >= 0 {
+			in[nIn] = id
+			nIn++
+		} else {
+			outv[nOut] = id
+			nOut++
+		}
+	}
+	switch nIn {
+	case 0:
+		// fully discarded
+	case 4:
+		addTet(set.keep(t[0]), set.keep(t[1]), set.keep(t[2]), set.keep(t[3]))
+	case 1:
+		// Tip tet: kept vertex plus three cut points.
+		a := set.keep(in[0])
+		p0 := set.cut(in[0], outv[0])
+		p1 := set.cut(in[0], outv[1])
+		p2 := set.cut(in[0], outv[2])
+		addTet(a, p0, p1, p2)
+	case 3:
+		// Frustum: prism with kept triangle (b0,b1,b2) and cut triangle
+		// (c0,c1,c2); split into three tets.
+		b0, b1, b2 := set.keep(in[0]), set.keep(in[1]), set.keep(in[2])
+		c0 := set.cut(in[0], outv[0])
+		c1 := set.cut(in[1], outv[0])
+		c2 := set.cut(in[2], outv[0])
+		addTet(b0, b1, b2, c0)
+		addTet(b1, b2, c0, c1)
+		addTet(b2, c0, c1, c2)
+	case 2:
+		// Wedge with two kept vertices and four cut points.
+		a0, a1 := set.keep(in[0]), set.keep(in[1])
+		c00 := set.cut(in[0], outv[0])
+		c01 := set.cut(in[0], outv[1])
+		c10 := set.cut(in[1], outv[0])
+		c11 := set.cut(in[1], outv[1])
+		addTet(a0, a1, c00, c01)
+		addTet(a1, c00, c01, c11)
+		addTet(a1, c00, c10, c11)
+	}
 }
 
 // ComputePointNormals adds (or replaces) a "Normals" point array on the

@@ -1,6 +1,7 @@
 package filters
 
 import (
+	"context"
 	"math"
 	"slices"
 	"sort"
@@ -119,7 +120,7 @@ func TestClipUnstructuredVolumeConservation(t *testing.T) {
 
 	totalVol := func(g *data.UnstructuredGrid) float64 {
 		v := 0.0
-		for _, tt := range GridTets(g) {
+		for _, tt := range walkTets(g) {
 			v += math.Abs(TetVolume(g.Pts[tt[0]], g.Pts[tt[1]], g.Pts[tt[2]], g.Pts[tt[3]]))
 		}
 		return v
@@ -127,7 +128,7 @@ func TestClipUnstructuredVolumeConservation(t *testing.T) {
 	prop := func(raw float64) bool {
 		cut := 0.1 + math.Mod(math.Abs(raw), 0.8)
 		plane := vmath.NewPlane(vmath.V(cut, 0, 0), vmath.V(-1, 0, 0)) // keep x < cut
-		clipped, err := ClipUnstructured(ug, plane)
+		clipped, err := ClipVolume(context.Background(), ug, plane)
 		if err != nil {
 			return false
 		}
@@ -144,7 +145,7 @@ func TestClipUnstructuredVolumeConservation(t *testing.T) {
 	// Field interpolation on the cut plane: s == x everywhere, so cut
 	// points must carry s == cut value.
 	plane := vmath.NewPlane(vmath.V(0.5, 0, 0), vmath.V(-1, 0, 0))
-	clipped, err := ClipUnstructured(ug, plane)
+	clipped, err := ClipVolume(context.Background(), ug, plane)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +161,17 @@ func TestClipUnstructuredRejectsNonVolumetric(t *testing.T) {
 	ug := data.NewUnstructuredGrid()
 	ug.AddPoint(vmath.V(0, 0, 0))
 	ug.AddCell(data.CellVertex, 0)
-	if _, err := ClipUnstructured(ug, vmath.NewPlane(vmath.V(0, 0, 0), vmath.V(1, 0, 0))); err == nil {
+	plane := vmath.NewPlane(vmath.V(0, 0, 0), vmath.V(1, 0, 0))
+	if _, err := ClipVolume(context.Background(), ug, plane); err == nil {
 		t.Error("expected error for non-volumetric input")
+	}
+	if _, err := ClipVolume(context.Background(), data.NewPolyData(), plane); err == nil {
+		t.Error("expected error for polygonal input")
+	}
+	// No cells at all is an empty clip, not an error.
+	ug.Cells = nil
+	if out, err := ClipVolume(context.Background(), ug, plane); err != nil || out.NumCells() != 0 {
+		t.Errorf("clip of a grid without cells = %v, %v; want an empty grid", out, err)
 	}
 }
 
@@ -211,7 +221,7 @@ func TestExtractSurfacePreservesVertices(t *testing.T) {
 // counted in a map keyed by sorted ids, and the faces seen once are
 // sorted by winding.
 func referenceExtractSurface(ug *data.UnstructuredGrid) *data.PolyData {
-	tets := GridTets(ug)
+	tets := walkTets(ug)
 	type face struct{ a, b, c int }
 	canon := func(a, b, c int) face {
 		v := []int{a, b, c}
@@ -377,7 +387,7 @@ func TestExtractSurfaceMatchesReference(t *testing.T) {
 		"empty":           data.NewUnstructuredGrid(),
 		"can points":      datagen.CanPoints(16, 8),
 	}
-	clip, err := ClipUnstructured(ImageToGrid(datagen.MarschnerLobb(24)),
+	clip, err := ClipVolume(context.Background(), datagen.MarschnerLobb(24),
 		vmath.NewPlane(vmath.V(0, 0, 0), vmath.V(-1, 0, 0)))
 	if err != nil {
 		t.Fatal(err)

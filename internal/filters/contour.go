@@ -30,7 +30,8 @@ type surfaceBuilder struct {
 	fdata [][]float64  // interpolated attributes, parallel to srcFields
 	tris  []int32      // triangle connectivity, 3 builder-local ids per tri
 	edges *data.PairTable
-	remap []int32 // absorb scratch: chunk-local id -> accumulator id
+	remap []int32  // absorb scratch: chunk-local id -> accumulator id
+	tets  [][4]int // sweep scratch: the current cell's tetrahedra
 }
 
 // Reset implements par.Resetter: empty every slab, keep every capacity.
@@ -46,6 +47,7 @@ func (b *surfaceBuilder) Reset() {
 	b.fdata = b.fdata[:0]
 	b.edges.Reset()
 	b.remap = b.remap[:0]
+	b.tets = b.tets[:0]
 }
 
 // bind points a clean builder at a source dataset, recycling the
@@ -243,35 +245,29 @@ func (g *surfaceBuilder) materialize(src data.Dataset) *data.PolyData {
 	return out
 }
 
-// marchSurface runs the marching-tetrahedra sweep over the dataset as a
-// pipelined ordered sweep: chunks fill arena-pooled builders in
-// parallel while a single consumer absorbs them into an accumulator in
-// chunk index order as they complete — the merge overlaps the sweep
-// instead of waiting for a barrier, with identical output.
-func marchSurface(ctx context.Context, ds data.Dataset, level func(int) float64, iso float64) (*data.PolyData, error) {
+// marchSurface runs the marching-tetrahedra sweep over the dataset's
+// cells as a pipelined ordered sweep: chunks of cells, each decomposed
+// into tets, fill arena-pooled builders in parallel while a single
+// consumer absorbs them into an accumulator in chunk index order as they
+// complete — the merge overlaps the sweep instead of waiting for a
+// barrier, with identical output. op names the filter in errors.
+func marchSurface(ctx context.Context, op string, ds data.Dataset, level func(int) float64, iso float64) (*data.PolyData, error) {
+	nCells, ok := cellCount(ds)
+	if !ok {
+		return nil, fmt.Errorf("filters: %s: unsupported dataset type %s", op, ds.TypeName())
+	}
 	gb := surfaceArena.Get()
 	defer surfaceArena.Put(gb)
 	gb.bind(ds)
-	consume := func(b *surfaceBuilder) { gb.absorb(b) }
-	var err error
-	switch d := ds.(type) {
-	case *data.ImageData:
-		nCubes := imageCubeCount(d)
-		err = par.OrderedSweep(ctx, nCubes, surfaceArena, func(b *surfaceBuilder, start, end int) {
-			b.bind(ds)
-			imageTetsRange(d, start, end, func(t [4]int) { b.marchTet(t, level, iso) })
-		}, consume)
-	case *data.UnstructuredGrid:
-		tets := GridTets(d)
-		err = par.OrderedSweep(ctx, len(tets), surfaceArena, func(b *surfaceBuilder, start, end int) {
-			b.bind(ds)
-			for _, t := range tets[start:end] {
+	err := par.OrderedSweep(ctx, nCells, surfaceArena, func(b *surfaceBuilder, start, end int) {
+		b.bind(ds)
+		forCells(ds, start, end, func(c data.Cell) {
+			b.tets = CellTets(c, b.tets[:0])
+			for _, t := range b.tets {
 				b.marchTet(t, level, iso)
 			}
-		}, consume)
-	default:
-		return nil, fmt.Errorf("filters: marching tetrahedra: unsupported dataset type %s", ds.TypeName())
-	}
+		})
+	}, func(b *surfaceBuilder) { gb.absorb(b) })
 	if err != nil {
 		return nil, err
 	}
@@ -297,19 +293,7 @@ func ContourContext(ctx context.Context, ds data.Dataset, fieldName string, valu
 	if f.NumComponents != 1 {
 		return nil, fmt.Errorf("filters: contour: array %q is not a scalar", fieldName)
 	}
-	if !marchable(ds) {
-		return nil, fmt.Errorf("filters: contour: unsupported dataset type %s", ds.TypeName())
-	}
-	return marchSurface(ctx, ds, func(i int) float64 { return f.Scalar(i) }, value)
-}
-
-// marchable reports whether the dataset type has a tetrahedral sweep.
-func marchable(ds data.Dataset) bool {
-	switch ds.(type) {
-	case *data.ImageData, *data.UnstructuredGrid:
-		return true
-	}
-	return false
+	return marchSurface(ctx, "contour", ds, func(i int) float64 { return f.Scalar(i) }, value)
 }
 
 // ContourLines extracts iso-lines of a scalar field on a triangulated
@@ -405,8 +389,5 @@ func Slice(ds data.Dataset, plane vmath.Plane) (*data.PolyData, error) {
 // SliceContext is Slice with cancellation; the marching sweep runs in
 // parallel chunks on the par worker pool.
 func SliceContext(ctx context.Context, ds data.Dataset, plane vmath.Plane) (*data.PolyData, error) {
-	if !marchable(ds) {
-		return nil, fmt.Errorf("filters: slice: unsupported dataset type %s", ds.TypeName())
-	}
-	return marchSurface(ctx, ds, func(i int) float64 { return plane.Eval(ds.Point(i)) }, 0)
+	return marchSurface(ctx, "slice", ds, func(i int) float64 { return plane.Eval(ds.Point(i)) }, 0)
 }

@@ -302,7 +302,7 @@ func TestCellTetsDecomposition(t *testing.T) {
 		ug.AddPoint(vmath.V(corners[i][0], corners[i][1], corners[i][2]))
 	}
 	ug.AddCell(data.CellHexahedron, 0, 1, 2, 3, 4, 5, 6, 7)
-	tets := GridTets(ug)
+	tets := walkTets(ug)
 	if len(tets) != 6 {
 		t.Fatalf("hex -> %d tets, want 6", len(tets))
 	}
@@ -325,7 +325,7 @@ func TestCellTetsWedgePyramid(t *testing.T) {
 		ug.AddPoint(vmath.V(c[0], c[1], c[2]))
 	}
 	ug.AddCell(data.CellWedge, 0, 1, 2, 3, 4, 5)
-	tets := GridTets(ug)
+	tets := walkTets(ug)
 	if len(tets) != 3 {
 		t.Fatalf("wedge -> %d tets", len(tets))
 	}
@@ -344,7 +344,7 @@ func TestCellTetsWedgePyramid(t *testing.T) {
 		ug2.AddPoint(vmath.V(c[0], c[1], c[2]))
 	}
 	ug2.AddCell(data.CellPyramid, 0, 1, 2, 3, 4)
-	tets = GridTets(ug2)
+	tets = walkTets(ug2)
 	if len(tets) != 2 {
 		t.Fatalf("pyramid -> %d tets", len(tets))
 	}

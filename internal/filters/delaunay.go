@@ -104,10 +104,13 @@ func Delaunay3D(ds data.Dataset) (*data.UnstructuredGrid, error) {
 		return face{v[0], v[1], v[2]}
 	}
 
+	faceCount := make(map[face]int)
+	var faces []face // cavity faces in the order first counted
 	for pi := 0; pi < n; pi++ {
 		p := all[pi]
 		// Find all alive tets whose circumsphere contains p.
-		faceCount := make(map[face]int)
+		clear(faceCount)
+		faces = faces[:0]
 		found := false
 		for ti := range tets {
 			t := &tets[ti]
@@ -122,16 +125,21 @@ func Delaunay3D(ds data.Dataset) (*data.UnstructuredGrid, error) {
 					{v[0], v[1], v[2]}, {v[0], v[1], v[3]},
 					{v[0], v[2], v[3]}, {v[1], v[2], v[3]},
 				} {
-					faceCount[canon(f[0], f[1], f[2])]++
+					cf := canon(f[0], f[1], f[2])
+					if faceCount[cf] == 0 {
+						faces = append(faces, cf)
+					}
+					faceCount[cf]++
 				}
 			}
 		}
 		if !found {
 			return nil, fmt.Errorf("filters: delaunay3d: point %d not inside any circumsphere (numerical failure)", pi)
 		}
-		// Cavity boundary = faces used exactly once; connect p to each.
-		for f, cnt := range faceCount {
-			if cnt == 1 {
+		// Cavity boundary = faces used exactly once; connect p to each,
+		// in a fixed order so the output does not depend on map order.
+		for _, f := range faces {
+			if faceCount[f] == 1 {
 				if err := addTet(f.a, f.b, f.c, pi); err != nil {
 					return nil, err
 				}

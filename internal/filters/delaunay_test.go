@@ -1,6 +1,7 @@
 package filters
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -161,5 +162,23 @@ func TestDelaunay3DCanPoints(t *testing.T) {
 	surf := ExtractSurface(out)
 	if surf.NumTriangles() < 100 {
 		t.Errorf("hull surface too small: %d triangles", surf.NumTriangles())
+	}
+}
+
+// TestDelaunay3DDeterministic: repeated triangulations of the same
+// points are identical, cell for cell, so everything downstream (a clip,
+// a rendered surface) is reproducible.
+func TestDelaunay3DDeterministic(t *testing.T) {
+	pts := datagen.CanPoints(24, 10)
+	ref, err := Delaunay3D(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 4; run++ {
+		got, err := Delaunay3D(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameGrid(t, fmt.Sprintf("run %d", run+2), got, ref)
 	}
 }

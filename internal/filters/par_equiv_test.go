@@ -2,6 +2,7 @@ package filters
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -137,30 +138,40 @@ func TestClipPolyDataParallelEquivalence(t *testing.T) {
 	})
 }
 
+// TestClipUnstructuredParallelEquivalence: volume clips — of an
+// unstructured grid, of an image's voxels and of a Delaunay
+// tetrahedralization — are byte-identical at every worker count.
 func TestClipUnstructuredParallelEquivalence(t *testing.T) {
-	disk := datagen.DiskFlow(5, 16, 5)
-	plane := vmath.NewPlane(vmath.V(0, 0, 0), vmath.V(1, 0, 0))
-	withEquivalenceRun(t)
-	ref, err := ClipUnstructured(disk, plane)
+	delaunay, err := Delaunay3D(datagen.CanPoints(24, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range equivalenceWorkers {
-		par.SetWorkers(w)
-		got, err := ClipUnstructured(disk, plane)
+	inputs := []struct {
+		name  string
+		ds    data.Dataset
+		plane vmath.Plane
+	}{
+		{"clip-grid", datagen.DiskFlow(5, 16, 5), vmath.NewPlane(vmath.V(0, 0, 0), vmath.V(1, 0, 0))},
+		{"clip-image", datagen.MarschnerLobb(24), vmath.NewPlane(vmath.V(0.05, 0, 0), vmath.V(-1, 0, 0.3))},
+		{"clip-delaunay", delaunay, vmath.NewPlane(delaunay.Bounds().Center(), vmath.V(1, 0.5, 0))},
+	}
+	withEquivalenceRun(t)
+	for _, in := range inputs {
+		par.SetWorkers(1)
+		ref, err := ClipVolume(context.Background(), in.ds, in.plane)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(ref.Pts, got.Pts) {
-			t.Fatalf("workers=%d: points differ", w)
+		if ref.NumCells() == 0 {
+			t.Fatalf("%s: empty clip", in.name)
 		}
-		if !reflect.DeepEqual(ref.Cells, got.Cells) {
-			t.Fatalf("workers=%d: cells differ", w)
-		}
-		for i := 0; i < ref.Points.Len(); i++ {
-			if !reflect.DeepEqual(ref.Points.At(i).Data, got.Points.At(i).Data) {
-				t.Fatalf("workers=%d: field %q differs", w, ref.Points.At(i).Name)
+		for _, w := range equivalenceWorkers {
+			par.SetWorkers(w)
+			got, err := ClipVolume(context.Background(), in.ds, in.plane)
+			if err != nil {
+				t.Fatal(err)
 			}
+			sameGrid(t, fmt.Sprintf("%s workers=%d", in.name, w), got, ref)
 		}
 	}
 }
@@ -257,6 +268,9 @@ func TestContourCancellation(t *testing.T) {
 	cancel()
 	if _, err := ContourContext(ctx, vol, "var0", 0.5); err == nil {
 		t.Fatal("canceled contour should error")
+	}
+	if _, err := ClipVolume(ctx, vol, vmath.NewPlane(vmath.V(0, 0, 0), vmath.V(1, 0, 0))); err == nil {
+		t.Fatal("canceled clip should error")
 	}
 	if _, err := StreamTracerContext(ctx, mustSampler(t, vol), []vmath.Vec3{{}}, StreamTracerOptions{}); err == nil {
 		t.Fatal("canceled stream trace should error")

@@ -121,7 +121,8 @@ func NewGridSampler(ug *data.UnstructuredGrid, vectorName string) (*GridSampler,
 	if f.NumComponents != 3 {
 		return nil, fmt.Errorf("filters: array %q is not a vector", vectorName)
 	}
-	tets := GridTets(ug)
+	var tets [][4]int
+	forCells(ug, 0, len(ug.Cells), func(c data.Cell) { tets = CellTets(c, tets) })
 	if len(tets) == 0 {
 		return nil, fmt.Errorf("filters: dataset has no volumetric cells to trace through")
 	}

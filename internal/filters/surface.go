@@ -49,14 +49,14 @@ func faceWinding(lo int, key uint64) [3]int {
 // tetra decomposition, in cell order.
 func eachTetFace(ug *data.UnstructuredGrid, fn func(a, b, c int)) {
 	var tets [][4]int
-	for _, c := range ug.Cells {
+	forCells(ug, 0, len(ug.Cells), func(c data.Cell) {
 		tets = CellTets(c, tets[:0])
 		for _, t := range tets {
 			for _, f := range tetFaces {
 				fn(t[f[0]], t[f[1]], t[f[2]])
 			}
 		}
-	}
+	})
 }
 
 // ExtractSurface returns the boundary surface of a volumetric mesh: the

@@ -70,42 +70,46 @@ func CellTets(c data.Cell, dst [][4]int) [][4]int {
 	return dst
 }
 
-// GridTets returns the tetra decomposition of every volumetric cell of ug.
-func GridTets(ug *data.UnstructuredGrid) [][4]int {
-	var out [][4]int
-	for _, c := range ug.Cells {
-		out = CellTets(c, out)
-	}
-	return out
-}
-
-// imageCubeCount returns the number of cells (cubes) of an ImageData —
-// the unit the parallel marching sweep chunks over.
-func imageCubeCount(im *data.ImageData) int {
-	nx, ny, nz := im.Dims[0], im.Dims[1], im.Dims[2]
-	if nx < 2 || ny < 2 || nz < 2 {
-		return 0
-	}
-	return (nx - 1) * (ny - 1) * (nz - 1)
-}
-
-// imageTetsRange enumerates, without materializing them, the Kuhn
-// tetrahedra of the cubes with flat cube index in [start, end): fn is
-// called with the 4 flat point indices of each tet, cubes in i-fastest
-// order, so concatenating ranges in order enumerates the whole grid.
-func imageTetsRange(im *data.ImageData, start, end int, fn func(t [4]int)) {
-	nx, ny := im.Dims[0], im.Dims[1]
-	cx, cy := nx-1, ny-1
-	var corner [8]int
-	for c := start; c < end; c++ {
-		i := c % cx
-		j := (c / cx) % cy
-		k := c / (cx * cy)
-		for b := 0; b < 8; b++ {
-			corner[b] = im.Index(i+b&1, j+(b>>1)&1, k+(b>>2)&1)
+// cellCount returns the number of cells forCells walks on ds: an
+// unstructured grid's own cells or an image's voxels. ok is false for a
+// dataset type without volumetric cells (PolyData).
+func cellCount(ds data.Dataset) (n int, ok bool) {
+	switch d := ds.(type) {
+	case *data.UnstructuredGrid:
+		return len(d.Cells), true
+	case *data.ImageData:
+		nx, ny, nz := d.Dims[0]-1, d.Dims[1]-1, d.Dims[2]-1
+		if nx < 1 || ny < 1 || nz < 1 {
+			return 0, true
 		}
-		for _, t := range kuhnTets {
-			fn([4]int{corner[t[0]], corner[t[1]], corner[t[2]], corner[t[3]]})
+		return nx * ny * nz, true
+	}
+	return 0, false
+}
+
+// forCells calls fn with cells [start, end) of ds, in cell order, so
+// walking consecutive ranges walks the whole dataset. An image's cells
+// are its voxels, i-fastest, with corners in bitmask order (bit0→+x,
+// bit1→+y, bit2→+z); their IDs buffer is reused between calls, so fn
+// must copy the ids of a cell it keeps. Every volume filter reads its
+// cells here; the tetrahedral ones decompose them with CellTets.
+func forCells(ds data.Dataset, start, end int, fn func(data.Cell)) {
+	switch d := ds.(type) {
+	case *data.UnstructuredGrid:
+		for _, c := range d.Cells[start:end] {
+			fn(c)
+		}
+	case *data.ImageData:
+		cx, cy := d.Dims[0]-1, d.Dims[1]-1
+		ids := make([]int, 8)
+		for c := start; c < end; c++ {
+			i := c % cx
+			j := (c / cx) % cy
+			k := c / (cx * cy)
+			for b := range ids {
+				ids[b] = d.Index(i+b&1, j+(b>>1)&1, k+(b>>2)&1)
+			}
+			fn(data.Cell{Type: data.CellVoxel, IDs: ids})
 		}
 	}
 }

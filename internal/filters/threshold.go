@@ -20,8 +20,8 @@ const (
 
 // Threshold keeps the cells whose point scalars fall inside [lo, hi],
 // like ParaView's Threshold filter. The output is an unstructured grid
-// with compacted points and all point data carried over. ImageData input
-// is converted to voxel cells first.
+// with compacted points and all point data carried over. An image's
+// cells are its voxels.
 func Threshold(ds data.Dataset, array string, lo, hi float64, method ThresholdMethod) (*data.UnstructuredGrid, error) {
 	f := ds.PointData().Get(array)
 	if f == nil {
@@ -30,28 +30,8 @@ func Threshold(ds data.Dataset, array string, lo, hi float64, method ThresholdMe
 	if f.NumComponents != 1 {
 		return nil, fmt.Errorf("filters: threshold: array %q is not a scalar", array)
 	}
-	var cells []data.Cell
-	var points func(i int) vmath.Vec3
-	switch t := ds.(type) {
-	case *data.UnstructuredGrid:
-		cells = t.Cells
-		points = t.Point
-	case *data.ImageData:
-		nx, ny, nz := t.Dims[0], t.Dims[1], t.Dims[2]
-		for k := 0; k < nz-1; k++ {
-			for j := 0; j < ny-1; j++ {
-				for i := 0; i < nx-1; i++ {
-					cells = append(cells, data.Cell{Type: data.CellVoxel, IDs: []int{
-						t.Index(i, j, k), t.Index(i+1, j, k),
-						t.Index(i, j+1, k), t.Index(i+1, j+1, k),
-						t.Index(i, j, k+1), t.Index(i+1, j, k+1),
-						t.Index(i, j+1, k+1), t.Index(i+1, j+1, k+1),
-					}})
-				}
-			}
-		}
-		points = t.Point
-	default:
+	nCells, ok := cellCount(ds)
+	if !ok {
 		return nil, fmt.Errorf("filters: threshold: unsupported dataset type %s", ds.TypeName())
 	}
 
@@ -69,46 +49,39 @@ func Threshold(ds data.Dataset, array string, lo, hi float64, method ThresholdMe
 		outFields = append(outFields, nf)
 		out.Points.Add(nf)
 	}
-	remap := map[int]int{}
+	remap := make([]int, ds.NumPoints()) // output id + 1; 0 = not yet copied
 	mapPoint := func(id int) int {
-		if nid, ok := remap[id]; ok {
-			return nid
+		if nid := remap[id]; nid > 0 {
+			return nid - 1
 		}
-		nid := out.AddPoint(points(id))
+		nid := out.AddPoint(ds.Point(id))
 		for fi, sf := range srcFields {
 			nf := outFields[fi]
 			for c := 0; c < sf.NumComponents; c++ {
 				nf.Data = append(nf.Data, sf.Value(id, c))
 			}
 		}
-		remap[id] = nid
+		remap[id] = nid + 1
 		return nid
 	}
-	for _, c := range cells {
+	forCells(ds, 0, nCells, func(c data.Cell) {
+		// All points must pass, or any one: the first point that
+		// disagrees with the method's default decides.
 		keep := method == ThresholdAllPoints
 		for _, id := range c.IDs {
-			p := pass(id)
-			if method == ThresholdAllPoints && !p {
-				keep = false
+			if pass(id) != keep {
+				keep = !keep
 				break
-			}
-			if method == ThresholdAnyPoint && p {
-				keep = true
-				break
-			}
-			if method == ThresholdAllPoints {
-				keep = true
 			}
 		}
 		if !keep {
-			continue
+			return
 		}
-		ids := make([]int, len(c.IDs))
+		ids := out.NewCell(c.Type, len(c.IDs))
 		for i, id := range c.IDs {
 			ids[i] = mapPoint(id)
 		}
-		out.AddCell(c.Type, ids...)
-	}
+	})
 	return out, nil
 }
 

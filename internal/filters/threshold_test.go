@@ -129,7 +129,7 @@ func TestTransformGridPreservesVolumeUnderRotation(t *testing.T) {
 	m := TransformFromTRS(vmath.V(5, -3, 2), vmath.V(30, 45, 60), vmath.V(1, 1, 1))
 	out := TransformGrid(ug, m)
 	vol := 0.0
-	for _, tt := range GridTets(out) {
+	for _, tt := range walkTets(out) {
 		vol += math.Abs(TetVolume(out.Pts[tt[0]], out.Pts[tt[1]], out.Pts[tt[2]], out.Pts[tt[3]]))
 	}
 	if math.Abs(vol-1) > 1e-9 {

@@ -126,19 +126,36 @@ func TestLocalNamesStayUsable(t *testing.T) {
 // TestOversizedRenderIsRefused: a render size taken from a script that
 // would exhaust memory fails with a RuntimeError naming the size, on
 // both execution paths, before any framebuffer is allocated. 2^32 a
-// side would overflow the pixel count.
+// side would overflow the pixel count. Sizes whose conversion to int
+// would wrap (1e300) and negative sides fail the same way instead of
+// rendering at the default size.
 func TestOversizedRenderIsRefused(t *testing.T) {
 	const res = "ImageResolution=[120, 80]"
+	limit := func(size string) string {
+		return "render size " + size + " exceeds the limit of 8192 pixels a side and 8294400 pixels in total"
+	}
+	negative := func(size string) string { return "render size " + size + " is negative or not a number" }
+	noResolution := [2]string{res + ",\n    ", ""}
 	cases := []struct {
-		name, size string
+		name, want string
 		edits      [][2]string // old, new script text
 	}{
-		{"side", "100000x100000", [][2]string{{res, "ImageResolution=[100000, 100000]"}}},
-		{"area", "8192x8192", [][2]string{{res, "ImageResolution=[8192, 8192]"}}},
-		{"overflow", "4294967296x4294967296", [][2]string{{res, "ImageResolution=[4294967296, 4294967296]"}}},
-		{"view size", "9000x100", [][2]string{
-			{res + ",\n    ", ""},
+		{"side", limit("100000x100000"), [][2]string{{res, "ImageResolution=[100000, 100000]"}}},
+		{"area", limit("8192x8192"), [][2]string{{res, "ImageResolution=[8192, 8192]"}}},
+		{"overflow", limit("4294967296x4294967296"), [][2]string{{res, "ImageResolution=[4294967296, 4294967296]"}}},
+		{"wrapping", limit("1e+300x1e+300"), [][2]string{{res, "ImageResolution=[1e300, 1e300]"}}},
+		{"negative", negative("-5x40"), [][2]string{{res, "ImageResolution=[-5, 40]"}}},
+		{"view size", limit("9000x100"), [][2]string{
+			noResolution,
 			{"ViewSize = [120, 80]", "ViewSize = [9000, 100]"},
+		}},
+		{"wrapping view size", limit("1e+300x100"), [][2]string{
+			noResolution,
+			{"ViewSize = [120, 80]", "ViewSize = [1e300, 100]"},
+		}},
+		{"negative view size", negative("120x-80"), [][2]string{
+			noResolution,
+			{"ViewSize = [120, 80]", "ViewSize = [120, -80]"},
 		}},
 	}
 	for _, tc := range cases {
@@ -149,13 +166,12 @@ func TestOversizedRenderIsRefused(t *testing.T) {
 			}
 			script = strings.Replace(script, ed[0], ed[1], 1)
 		}
-		want := "render size " + tc.size + " exceeds the limit of 8192 pixels a side and 8294400 pixels in total"
 		for path, run := range executionPaths(t, script) {
 			e := testEngine(t)
 			err := run(e)
 			var pe *pypy.PyError
-			if !errors.As(err, &pe) || pe.Kind != "RuntimeError" || pe.Msg != want {
-				t.Errorf("%s via %s: err = %v, want RuntimeError %q", tc.name, path, err, want)
+			if !errors.As(err, &pe) || pe.Kind != "RuntimeError" || pe.Msg != tc.want {
+				t.Errorf("%s via %s: err = %v, want RuntimeError %q", tc.name, path, err, tc.want)
 			}
 			if len(e.Screenshots) != 0 {
 				t.Errorf("%s via %s: recorded screenshots %v", tc.name, path, e.Screenshots)

@@ -732,28 +732,18 @@ func (e *Engine) compute(ctx context.Context, p *Proxy) (data.Dataset, error) {
 		if propBool(p, "Invert", true) {
 			plane.Normal = plane.Normal.Neg()
 		}
-		switch t := in.(type) {
-		case *data.PolyData:
-			out, err := filters.ClipPolyDataContext(ctx, t, plane)
+		if pd, ok := in.(*data.PolyData); ok {
+			out, err := filters.ClipPolyDataContext(ctx, pd, plane)
 			if err != nil {
 				return nil, err
 			}
 			return out, nil
-		case *data.UnstructuredGrid:
-			out, err := filters.ClipUnstructuredContext(ctx, t, plane)
-			if err != nil {
-				return nil, raiseRT("Clip: %v", err)
-			}
-			return out, nil
-		case *data.ImageData:
-			ug := filters.ImageToGrid(t)
-			out, err := filters.ClipUnstructuredContext(ctx, ug, plane)
-			if err != nil {
-				return nil, raiseRT("Clip: %v", err)
-			}
-			return out, nil
 		}
-		return nil, raiseRT("Clip: unsupported input type")
+		out, err := filters.ClipVolume(ctx, in, plane)
+		if err != nil {
+			return nil, raiseRT("Clip: %v", err)
+		}
+		return out, nil
 
 	case "Delaunay3D":
 		in, err := e.inputDataset(p)

@@ -221,9 +221,13 @@ func (e *Engine) execPlanScreenshot(st *plan.Stage, proxies []*Proxy) error {
 	if len(st.Inputs) < 1 || proxies[st.Inputs[0]] == nil {
 		return raiseRT("screenshot stage %s has no resolved view", st.ID)
 	}
-	w, h := 0, 0
+	var size []float64
 	if res, ok := st.Props[plan.PropImageResolution]; ok && res.Kind == plan.KindList && len(res.List) >= 2 {
-		w, h = int(res.List[0].Num), int(res.List[1].Num)
+		size = []float64{res.List[0].Num, res.List[1].Num}
+	}
+	w, h, err := renderSize(size)
+	if err != nil {
+		return err
 	}
 	palette := ""
 	if v, ok := st.Props[plan.PropOverridePalette]; ok && v.Kind == plan.KindStr {

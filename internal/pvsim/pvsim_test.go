@@ -1,6 +1,7 @@
 package pvsim
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"strings"
@@ -320,16 +321,32 @@ func TestOutlineOf(t *testing.T) {
 	}
 }
 
+// TestImageToUGridVolume: a clip that keeps a whole image turns it into
+// an unstructured grid of its voxels' tetrahedra, with the point data.
 func TestImageToUGridVolume(t *testing.T) {
 	im := data.NewImageData(3, 3, 3, vmath.V(0, 0, 0), vmath.V(1, 1, 1))
 	f := data.NewField("s", 1, im.NumPoints())
-	im.Points.Add(f)
-	ug := filters.ImageToGrid(im)
-	if ug.NumCells() != 8 {
-		t.Fatalf("cells = %d, want 8 voxels", ug.NumCells())
+	for i := range f.Data {
+		f.Data[i] = float64(i)
 	}
-	if ug.Points.Get("s") == nil {
-		t.Error("point data lost")
+	im.Points.Add(f)
+	keepAll := vmath.NewPlane(vmath.V(-1, 0, 0), vmath.V(1, 0, 0))
+	ug, err := filters.ClipVolume(context.Background(), im, keepAll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ug.NumCells() != 8*6 || ug.NumPoints() != im.NumPoints() {
+		t.Fatalf("cells, points = %d, %d; want 48 tets (8 voxels) over %d points",
+			ug.NumCells(), ug.NumPoints(), im.NumPoints())
+	}
+	s := ug.Points.Get("s")
+	if s == nil {
+		t.Fatal("point data lost")
+	}
+	for i, p := range ug.Pts {
+		if want := float64(im.Index(int(p.X), int(p.Y), int(p.Z))); s.Data[i] != want {
+			t.Fatalf("s at %v = %v, want %v", p, s.Data[i], want)
+		}
 	}
 }
 

@@ -487,12 +487,13 @@ func (e *Engine) saveScreenshot(args []pypy.Value, kwargs map[string]pypy.Value)
 	if err != nil {
 		return nil, err
 	}
-	w, h := 0, 0
+	var size []float64
 	if res, ok := kwargs["ImageResolution"]; ok {
-		vals := valueFloats(res)
-		if len(vals) >= 2 {
-			w, h = int(vals[0]), int(vals[1])
-		}
+		size = valueFloats(res)
+	}
+	w, h, err := renderSize(size)
+	if err != nil {
+		return nil, err
 	}
 	palette := ""
 	if p, ok := kwargs["OverrideColorPalette"]; ok {

@@ -241,6 +241,32 @@ const (
 	maxRenderPixels = 3840 * 2160
 )
 
+// renderSize converts a script's [width, height] (SaveScreenshot's
+// ImageResolution or a view's ViewSize) to pixels; fewer than two values
+// is no size, 0x0. A side that is negative, not a number or over
+// maxRenderSide is refused before the conversion, which could wrap it
+// into a size that silently renders at the default.
+func renderSize(vals []float64) (w, h int, err error) {
+	if len(vals) < 2 {
+		return 0, 0, nil
+	}
+	fw, fh := vals[0], vals[1]
+	if !(fw >= 0 && fh >= 0) {
+		return 0, 0, raiseRT("render size %.10gx%.10g is negative or not a number", fw, fh)
+	}
+	if fw > maxRenderSide || fh > maxRenderSide {
+		return 0, 0, renderLimitError(fw, fh)
+	}
+	return int(fw), int(fh), nil
+}
+
+// renderLimitError refuses a render size; %.10g prints 4294967296 as
+// written but 1e300 in exponent form.
+func renderLimitError(w, h float64) error {
+	return raiseRT("render size %.10gx%.10g exceeds the limit of %d pixels a side and %d pixels in total",
+		w, h, maxRenderSide, maxRenderPixels)
+}
+
 // RenderViewImage renders a view at the given resolution.
 // overridePalette handles SaveScreenshot's OverrideColorPalette option
 // ("WhiteBackground", "BlackBackground" or empty).
@@ -254,9 +280,10 @@ func (e *Engine) RenderViewImage(view *Proxy, w, h int, overridePalette string) 
 	span.SetAttr("width", w)
 	span.SetAttr("height", h)
 	if w <= 0 || h <= 0 {
-		size := propFloats(view, "ViewSize")
-		if len(size) >= 2 {
-			w, h = int(size[0]), int(size[1])
+		var err error
+		if w, h, err = renderSize(propFloats(view, "ViewSize")); err != nil {
+			span.SetError(err)
+			return nil, err
 		}
 	}
 	if w <= 0 {
@@ -269,8 +296,7 @@ func (e *Engine) RenderViewImage(view *Proxy, w, h int, overridePalette string) 
 	// the script: refuse one that would exhaust memory. The side check
 	// comes first so the product cannot overflow.
 	if w > maxRenderSide || h > maxRenderSide || w*h > maxRenderPixels {
-		err := raiseRT("render size %dx%d exceeds the limit of %d pixels a side and %d pixels in total",
-			w, h, maxRenderSide, maxRenderPixels)
+		err := renderLimitError(float64(w), float64(h))
 		span.SetError(err)
 		return nil, err
 	}
