@@ -11,20 +11,25 @@ GO ?= go
 ci: fmt vet plan-validate lint-metrics calibrate-smoke test-race fuzz-smoke bench-e2e-test bench-smoke smoke smoke-cluster
 
 # Time-boxed native fuzzing. FuzzPlanPathImpliesInterpreter checks the
-# property one execution per turn rests on: whenever a script's plan
-# runs successfully, the interpreter runs the script successfully too
-# (seeded from every scenario corpus script; fuzzed views are capped at
-# 400 pixels a side). FuzzPlanDeltaJSON feeds arbitrary model text down
-# an edit turn's plan path (parse, validate, normalize, diff against a
+# one-path invariant: whenever a script runs cleanly, the plan it lowered
+# to, run cold by ExecPlan, writes the same screenshots (seeded from
+# every scenario corpus script and from helper-function, loop and
+# variable rewrites of the ground truths; fuzzed views are capped at 400
+# pixels a side). FuzzPlanDeltaJSON feeds arbitrary model text down an
+# edit turn's plan path (parse, validate, normalize, diff against a
 # parent, ExecPlan when it validates with views of at most 400 pixels);
 # every input must end in an error or a clean run (seeded from
 # internal/eval/testdata/plans). FuzzScriptPlanRoundTrip checks the
-# normalize ∘ compile ∘ render fixpoint: compiling, normalizing and
-# rendering any script never panics, and a fully modelled script's
-# normalized plan compiles back from its own script unchanged (seeded
-# from the corpus scripts; minimizing is capped at 1s like the VTK
-# target). FuzzExtractSurface checks the map-free surface kernel against
-# the map-based reference on arbitrary valid cells.
+# lower ∘ Script() ∘ normalize fixpoint: compiling, normalizing and
+# rendering any script never panics, and a script that runs cleanly
+# renders a script that lowers to the same plan (seeded from the corpus
+# scripts; minimizing is capped at 1s like the VTK target). FuzzInterp
+# lexes, parses and interprets arbitrary text under MaxSteps, with stub
+# paraview.simple names: no panic and no hang (seeded from the ground
+# truths and each simulated model's script for them; minimizing capped
+# at 1s). FuzzExtractSurface
+# checks the map-free surface kernel against the map-based reference on
+# arbitrary valid cells.
 # FuzzReadLegacyVTK feeds arbitrary bytes to the legacy VTK reader (no
 # panic; accepted datasets have in-range cell ids and full-length point
 # fields); its seeds are whole DataSmall datasets (up to ~280 KB), so
@@ -40,6 +45,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanPathImpliesInterpreter$$' -fuzztime 20s -parallel 2 ./internal/eval
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanDeltaJSON$$' -fuzztime 10s -parallel 2 ./internal/eval
 	$(GO) test -run '^$$' -fuzz '^FuzzScriptPlanRoundTrip$$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/eval
+	$(GO) test -run '^$$' -fuzz '^FuzzInterp$$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/pypy
 	$(GO) test -run '^$$' -fuzz '^FuzzExtractSurface$$' -fuzztime 10s -parallel 2 ./internal/filters
 	$(GO) test -run '^$$' -fuzz '^FuzzReadLegacyVTK$$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/vtkio
 	$(GO) test -run '^$$' -fuzz '^FuzzReadExodus$$' -fuzztime 10s -fuzzminimizetime 1s -parallel 2 ./internal/vtkio

@@ -1,7 +1,9 @@
 package chatvis
 
 import (
+	"bytes"
 	"context"
+	"os"
 	"strings"
 	"testing"
 
@@ -65,19 +67,18 @@ func spanNamed(spans []obs.SpanData, name string) []obs.SpanData {
 	return out
 }
 
-// TestFullyModelledScriptExecutesOnce: a script whose plan is fully
-// modelled runs once, as a plan on the session engine. The turn renders
-// one view per screenshot, executes each pipeline stage once, and leaves
-// the engine primed for the next edit.
+// TestFullyModelledScriptExecutesOnce: a script runs once, on the
+// session engine. The turn renders one view per screenshot, executes
+// each pipeline stage once, and leaves the engine primed for the next
+// edit.
 func TestFullyModelledScriptExecutesOnce(t *testing.T) {
 	turn, spans := runScriptTurn(t, strings.Replace(execPathScript, "%CRASH%", "", 1))
 	art := turn.Artifact
 	if !art.Success {
 		t.Fatalf("turn failed:\n%s", art.Iterations[0].Output)
 	}
-	execs := spanNamed(spans, "script.exec")
-	if len(execs) != 1 || execs[0].Attrs["path"] != "plan" {
-		t.Fatalf("script.exec spans = %+v, want one on the plan path", execs)
+	if execs := spanNamed(spans, "script.exec"); len(execs) != 1 || execs[0].Attrs["path"] != "" {
+		t.Fatalf("script.exec spans = %+v, want one, with no path attribute", execs)
 	}
 	if n := len(spanNamed(spans, "render.view")); n != len(art.Screenshots) || n != 1 {
 		t.Errorf("%d render.view spans for %d screenshots", n, len(art.Screenshots))
@@ -96,9 +97,10 @@ func TestFullyModelledScriptExecutesOnce(t *testing.T) {
 }
 
 // TestCompileCleanCrashesTakeInterpreterPath: statements the plan cannot
-// express compile without error diagnostics, yet crash the interpreter.
-// Each must be reported as not fully modelled, so the turn runs the
-// interpreter and the repair loop sees its traceback.
+// express, which compile without error diagnostics yet crash, fail the
+// round with the interpreter's traceback, so the repair loop sees it.
+// A failed round renders nothing and keeps the script's static compile
+// as its plan.
 func TestCompileCleanCrashesTakeInterpreterPath(t *testing.T) {
 	for crash, kind := range map[string]string{
 		"x = 1/0":                   "ZeroDivisionError",
@@ -114,23 +116,99 @@ func TestCompileCleanCrashesTakeInterpreterPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if plan.HasErrors(compiled.Diags) {
+			if len(plan.Errors(compiled.Diags)) > 0 {
 				t.Fatalf("expected a compile-clean script, got:\n%s", plan.FormatDiagnostics(compiled.Diags))
 			}
-			if plan.FullyModelled(compiled.Diags) {
-				t.Fatal("crashing statement reported as fully modelled")
-			}
 			turn, spans := runScriptTurn(t, script)
-			if turn.Artifact.Success || turn.Incremental {
-				t.Fatalf("success=%v incremental=%v, want a failed interpreter run", turn.Artifact.Success, turn.Incremental)
+			art := turn.Artifact
+			if art.Success || turn.Incremental || len(art.Screenshots) != 0 {
+				t.Fatalf("success=%v incremental=%v screenshots=%v, want a failed run", art.Success, turn.Incremental, art.Screenshots)
 			}
-			out := turn.Artifact.Iterations[0].Output
+			out := art.Iterations[0].Output
 			if !strings.Contains(out, "Traceback") || !strings.Contains(out, kind) {
 				t.Errorf("output lacks a %s traceback:\n%s", kind, out)
 			}
-			if execs := spanNamed(spans, "script.exec"); len(execs) != 1 || execs[0].Attrs["path"] != "interpreter" {
-				t.Errorf("script.exec spans = %+v, want one on the interpreter path", execs)
+			if !art.Plan.Equal(plan.Normalize(compiled.Plan, pvsim.PlanSchema())) {
+				t.Error("a failed round's plan is not its static compile")
+			}
+			if execs := spanNamed(spans, "script.exec"); len(execs) != 1 {
+				t.Errorf("script.exec spans = %+v, want one", execs)
+			}
+			if n := len(spanNamed(spans, "render.view")); n != 0 {
+				t.Errorf("a failed run rendered %d views", n)
 			}
 		})
 	}
+}
+
+// loopIsoScript builds its isovalues in a loop, which the static compile
+// drops: only the run knows the contour's values.
+const loopIsoScript = `from paraview.simple import *
+reader = LegacyVTKReader(FileNames=['ml-100.vtk'])
+contour1 = Contour(Input=reader)
+contour1.ContourBy = ['POINTS', 'var0']
+vals = []
+for i in range(2):
+    vals.append(0.3 * (i + 1))
+contour1.Isosurfaces = vals
+renderView1 = GetActiveViewOrCreate('RenderView')
+renderView1.ViewSize = [160, 90]
+contour1Display = Show(contour1, renderView1)
+renderView1.ResetCamera()
+SaveScreenshot('iso.png', renderView1, ImageResolution=[160, 90])
+`
+
+// TestEditAfterLoopWrittenFirstTurn: the session adopts the plan the
+// first script ran, loop-built isovalues included, so an edit that
+// changes nothing renders the first turn's picture byte for byte.
+func TestEditAfterLoopWrittenFirstTurn(t *testing.T) {
+	var current []byte // the plan the model proposes on an edit
+	model := &llm.ClientFunc{ModelName: "loop", Fn: func(_ context.Context, req llm.Request) (llm.Response, error) {
+		text := loopIsoScript
+		if req.Task == llm.TaskPlanDelta {
+			text = string(current)
+		}
+		return llm.Response{Text: text, Model: "loop", Attempts: 1}, nil
+	}}
+	runner := testRunner(t)
+	s, err := NewSession(model, runner, WithUnassisted(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := s.Turn(context.Background(), "Read in the file named ml-100.vtk.")
+	if err != nil || !first.Artifact.Success {
+		t.Fatalf("first turn: err=%v success=%v", err, first != nil && first.Artifact.Success)
+	}
+	firstPNG := readShot(t, first)
+	p := s.CurrentPlan()
+	contour := p.Stage(p.FindClass("Contour"))
+	if contour == nil || !contour.Props["Isosurfaces"].Equal(plan.NumsV(0.3, 0.6)) {
+		t.Fatalf("adopted contour = %+v, want Isosurfaces [0.3, 0.6]", contour)
+	}
+	if current, err = p.Encode(); err != nil {
+		t.Fatal(err)
+	}
+	edit, err := s.Turn(context.Background(), "Keep everything as it is.")
+	if err != nil || !edit.Artifact.Success {
+		t.Fatalf("edit turn: err=%v success=%v", err, edit != nil && edit.Artifact.Success)
+	}
+	if len(edit.ChangedStages) != 0 {
+		t.Errorf("edit changed stages %v", edit.ChangedStages)
+	}
+	if !bytes.Equal(readShot(t, edit), firstPNG) {
+		t.Error("the edit renders a different picture than the first turn")
+	}
+}
+
+// readShot reads a turn's only screenshot.
+func readShot(t *testing.T, turn *Turn) []byte {
+	t.Helper()
+	if len(turn.Artifact.Screenshots) != 1 {
+		t.Fatalf("turn %d saved %d screenshots", turn.Index, len(turn.Artifact.Screenshots))
+	}
+	b, err := os.ReadFile(turn.Artifact.Screenshots[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

@@ -25,10 +25,11 @@ import (
 // hash so an edit touching one stage re-executes only that stage and its
 // downstream subtree.
 //
-// Every turn executes its pipeline once per round. A first turn's script
-// that compiles to a fully modelled plan runs as that plan on the session
-// engine, so the engine's memo is primed by the run itself; other
-// scripts run through the interpreter.
+// Every turn executes its pipeline once per round, on the session
+// engine. A first turn's script runs on the interpreter, which records
+// what it does; its screenshots are rendered from the plan it lowers to,
+// and the session adopts that plan, so the engine's memo is primed by
+// the run itself.
 //
 // Assistant.Run and Unassisted are thin single-turn wrappers over this
 // type; chatvisd's /v1/sessions endpoints and the chatvis -interactive
@@ -69,9 +70,8 @@ type Turn struct {
 	// incremental re-execution (an edit of one stage costs 1, not the
 	// whole plan).
 	ExecutionsDelta int64 `json:"executions_delta"`
-	// Incremental reports whether the turn executed through the session
-	// engine's plan memo (false for first-turn scripts that ran through
-	// the interpreter).
+	// Incremental reports whether the turn's plan executed through the
+	// session engine's plan memo (false for a failed first turn).
 	Incremental bool `json:"incremental"`
 	// Artifact is the full session artifact of the turn.
 	Artifact *Artifact `json:"artifact"`
@@ -253,39 +253,28 @@ func (s *Session) complete(ctx context.Context, trace *Trace, stage string, req 
 	return resp.Text, nil
 }
 
-// exec executes one round's script once and records the round on the
-// artifact. A fully modelled plan runs through ExecPlan on the session
-// engine, whose memo later edit turns reuse; otherwise, or when ExecPlan
-// fails, the interpreter runs the script, so its traceback is what the
-// repair loop sees. compiled is the script's compile, if the caller has
-// it. exec reports whether the script ran cleanly, its screenshots, and
-// whether it ran on the session engine.
-func (s *Session) exec(ctx context.Context, art *Artifact, round int, script string, compiled *plan.Compiled) (ok bool, shots []string, onEngine bool) {
+// exec executes one round's script once, on the session engine, and
+// records the round on the artifact. The interpreter runs the script,
+// so its traceback is what the repair loop sees; the screenshots come
+// from the plan the script lowered to, which becomes art.Plan, and the
+// engine's memo keeps its stages for later edit turns. A failed round's
+// art.Plan is the script's static compile, when it has one. exec
+// reports whether the script ran cleanly and its screenshots.
+func (s *Session) exec(ctx context.Context, art *Artifact, round int, script string) (ok bool, shots []string) {
 	ctx, span := obs.Start(ctx, "script.exec")
 	span.SetAttr("round", round)
 	it := Iteration{Script: script}
 	art.Plan, art.FinalScript = nil, script
-	var err error
-	if compiled == nil {
-		compiled, err = plan.Compile(script, pvsim.PlanSchema())
+	run := s.runner.ExecOn(ctx, s.engine(), script)
+	it.Output, it.Errors = run.Output, errext.Extract(run.Output)
+	ok = run.OK() && len(it.Errors) == 0
+	if ok {
+		art.Plan, shots = run.Plan, run.Screenshots
+	} else if c, err := plan.Compile(script, pvsim.PlanSchema()); err == nil {
+		art.Plan = plan.Normalize(c.Plan, pvsim.PlanSchema())
 	}
-	if err == nil {
-		art.Plan = plan.Normalize(compiled.Plan, pvsim.PlanSchema())
+	if art.Plan != nil {
 		it.PlanHash = art.Plan.Hash()
-		if plan.FullyModelled(compiled.Diags) {
-			if shots, err = s.engine().ExecPlan(ctx, art.Plan); err != nil {
-				span.SetAttr("plan_error", err.Error())
-			}
-			ok, onEngine = err == nil, err == nil
-		}
-	}
-	if onEngine {
-		span.SetAttr("path", "plan")
-	} else {
-		span.SetAttr("path", "interpreter")
-		run := s.runner.ExecContext(ctx, script)
-		it.Output, it.Errors, shots = run.Output, errext.Extract(run.Output), run.Screenshots
-		ok = run.OK() && len(it.Errors) == 0
 	}
 	if !ok {
 		span.Fail("script execution failed")
@@ -296,7 +285,7 @@ func (s *Session) exec(ctx context.Context, art *Artifact, round int, script str
 		Duration: span.End(),
 		PlanHash: it.PlanHash,
 	})
-	return ok, shots, onEngine
+	return ok, shots
 }
 
 // planRepair is the pre-execution validation loop: compile the candidate
@@ -305,8 +294,7 @@ func (s *Session) exec(ctx context.Context, art *Artifact, round int, script str
 // an engine run. Bounded to two rounds; a model that cannot make
 // progress (or a script that does not even parse) falls through to the
 // ordinary execute-and-repair loop.
-// It also returns the compile of the script it returns, if it has one.
-func (s *Session) planRepair(ctx context.Context, trace *Trace, script string) (string, *plan.Compiled, error) {
+func (s *Session) planRepair(ctx context.Context, trace *Trace, script string) (string, error) {
 	for round := 1; round <= 2; round++ {
 		_, vspan := obs.Start(ctx, "plan.validate")
 		vspan.SetAttr("round", round)
@@ -315,7 +303,7 @@ func (s *Session) planRepair(ctx context.Context, trace *Trace, script string) (
 			// Unparsable: the execution loop's SyntaxError path owns it.
 			vspan.Fail("script does not compile to a plan")
 			vspan.End()
-			return script, nil, nil
+			return script, nil
 		}
 		diags := plan.Errors(compiled.Diags)
 		vspan.SetAttr("diagnostics", len(diags))
@@ -325,7 +313,7 @@ func (s *Session) planRepair(ctx context.Context, trace *Trace, script string) (
 			PlanHash: compiled.Plan.Hash(),
 		})
 		if len(diags) == 0 {
-			return script, compiled, nil
+			return script, nil
 		}
 		resp, err := s.complete(ctx, trace,
 			fmt.Sprintf("%s-%d", StagePlanRepair, round), llm.Request{
@@ -338,15 +326,15 @@ func (s *Session) planRepair(ctx context.Context, trace *Trace, script string) (
 				Escalation: round - 1,
 			})
 		if err != nil {
-			return "", nil, fmt.Errorf("chatvis: plan repair: %w", err)
+			return "", fmt.Errorf("chatvis: plan repair: %w", err)
 		}
 		revised := CleanScript(resp)
 		if strings.TrimSpace(revised) == strings.TrimSpace(script) {
-			return script, compiled, nil
+			return script, nil
 		}
 		script = revised
 	}
-	return script, nil, nil
+	return script, nil
 }
 
 // exampleBlock renders the (possibly truncated) example library. An empty
@@ -368,10 +356,9 @@ func (s *Session) exampleBlock() string {
 }
 
 // firstTurn runs the full generation flow (the paper's loop, or the
-// unassisted comparison condition) and adopts the resulting plan as
-// session state. When the final script ran as a plan on the session
-// engine, the engine already holds its stages, so the next edit
-// re-executes only what it changes.
+// unassisted comparison condition) and adopts the plan the final script
+// ran as session state. The session engine already holds its stages,
+// so the next edit re-executes only what it changes.
 func (s *Session) firstTurn(ctx context.Context, idx int, prompt string) (*Turn, error) {
 	run := s.runAssisted
 	if s.opt.unassisted {
@@ -379,7 +366,7 @@ func (s *Session) firstTurn(ctx context.Context, idx int, prompt string) (*Turn,
 	}
 	eng := s.engine()
 	before := eng.Executions()
-	art, onEngine, err := run(ctx, idx, prompt)
+	art, err := run(ctx, idx, prompt)
 	if err != nil {
 		return nil, err
 	}
@@ -390,7 +377,7 @@ func (s *Session) firstTurn(ctx context.Context, idx int, prompt string) (*Turn,
 		Prompt:          prompt,
 		DeltaSummary:    art.DeltaSummary,
 		ExecutionsDelta: eng.Executions() - before,
-		Incremental:     art.Success && onEngine,
+		Incremental:     art.Success,
 		Artifact:        art,
 	}
 	if art.Plan != nil {
@@ -404,9 +391,8 @@ func (s *Session) firstTurn(ctx context.Context, idx int, prompt string) (*Turn,
 
 // runAssisted is the classic ChatVis flow: prompt generation, few-shot
 // script generation, optional pre-execution plan validation, then the
-// execute / extract-errors / repair loop. It also reports whether the
-// final script ran as a plan on the session engine.
-func (s *Session) runAssisted(ctx context.Context, idx int, userPrompt string) (*Artifact, bool, error) {
+// execute / extract-errors / repair loop.
+func (s *Session) runAssisted(ctx context.Context, idx int, userPrompt string) (*Artifact, error) {
 	art := &Artifact{UserPrompt: userPrompt}
 	art.Trace.OnAdd = s.stageObserver(ctx, idx)
 
@@ -415,7 +401,7 @@ func (s *Session) runAssisted(ctx context.Context, idx int, userPrompt string) (
 	if s.opt.rewritePrompt {
 		resp, err := s.complete(ctx, &art.Trace, StageRewrite, RewriteRequest(userPrompt))
 		if err != nil {
-			return nil, false, fmt.Errorf("chatvis: prompt generation: %w", err)
+			return nil, fmt.Errorf("chatvis: prompt generation: %w", err)
 		}
 		genPrompt = resp
 	}
@@ -435,30 +421,28 @@ func (s *Session) runAssisted(ctx context.Context, idx int, userPrompt string) (
 		Task:   llm.TaskWrite,
 	})
 	if err != nil {
-		return nil, false, fmt.Errorf("chatvis: script generation: %w", err)
+		return nil, fmt.Errorf("chatvis: script generation: %w", err)
 	}
 	script := CleanScript(resp)
 
 	// Stage 2.5 (plan-aware mode): validate the compiled plan and repair
 	// diagnostics before the first engine run.
-	var compiled *plan.Compiled
 	if s.opt.planValidate {
-		script, compiled, err = s.planRepair(ctx, &art.Trace, script)
+		script, err = s.planRepair(ctx, &art.Trace, script)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 	}
 
 	// Stage 3: execute, extract errors, repair.
 	for iter := 0; iter < s.opt.maxIterations; iter++ {
 		if err := ctx.Err(); err != nil {
-			return nil, false, fmt.Errorf("chatvis: correction loop: %w", err)
+			return nil, fmt.Errorf("chatvis: correction loop: %w", err)
 		}
-		ok, shots, onEngine := s.exec(ctx, art, iter+1, script, compiled)
-		compiled = nil
+		ok, shots := s.exec(ctx, art, iter+1, script)
 		if ok {
 			art.Success, art.Screenshots = true, shots
-			return art, onEngine, nil
+			return art, nil
 		}
 		resp, err := s.complete(ctx, &art.Trace,
 			fmt.Sprintf("%s-%d", StageRepair, iter+1), llm.Request{
@@ -472,7 +456,7 @@ func (s *Session) runAssisted(ctx context.Context, idx int, userPrompt string) (
 				Escalation: iter,
 			})
 		if err != nil {
-			return nil, false, fmt.Errorf("chatvis: script repair: %w", err)
+			return nil, fmt.Errorf("chatvis: script repair: %w", err)
 		}
 		revised := CleanScript(resp)
 		if strings.TrimSpace(revised) == strings.TrimSpace(script) {
@@ -481,12 +465,12 @@ func (s *Session) runAssisted(ctx context.Context, idx int, userPrompt string) (
 		}
 		script = revised
 	}
-	return art, false, nil
+	return art, nil
 }
 
 // runUnassisted is the bare-model comparison condition: one generation,
 // one execution, no post-processing.
-func (s *Session) runUnassisted(ctx context.Context, idx int, userPrompt string) (*Artifact, bool, error) {
+func (s *Session) runUnassisted(ctx context.Context, idx int, userPrompt string) (*Artifact, error) {
 	art := &Artifact{UserPrompt: userPrompt, GeneratedPrompt: userPrompt}
 	art.Trace.OnAdd = s.stageObserver(ctx, idx)
 	// No assistant post-processing: the raw response runs as-is, which is
@@ -497,11 +481,11 @@ func (s *Session) runUnassisted(ctx context.Context, idx int, userPrompt string)
 		Task:   llm.TaskWrite,
 	})
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	ok, shots, onEngine := s.exec(ctx, art, 1, script, nil)
+	ok, shots := s.exec(ctx, art, 1, script)
 	art.Success, art.Screenshots = ok, shots
-	return art, onEngine, nil
+	return art, nil
 }
 
 // stageObserver forwards trace stages to the session observer as events,

@@ -104,16 +104,3 @@ func (q *Quotas) Admit(tenant string) (release func(), retryAfter time.Duration,
 		})
 	}, 0, true
 }
-
-// Inflight returns a tenant's current accepted-but-unfinished count.
-func (q *Quotas) Inflight(tenant string) int {
-	if q == nil {
-		return 0
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if b := q.tenants[tenant]; b != nil {
-		return b.inflight
-	}
-	return 0
-}

@@ -32,10 +32,6 @@ func TestFieldVec3(t *testing.T) {
 	if got := f.Vec3(0); got != vmath.V(0, 0, 0) {
 		t.Errorf("Vec3(0) = %v", got)
 	}
-	lo, hi := f.MagnitudeRange()
-	if lo != 0 || math.Abs(hi-math.Sqrt(14)) > 1e-12 {
-		t.Errorf("MagnitudeRange = %v..%v", lo, hi)
-	}
 }
 
 func TestFieldAppendPanicsOnWrongArity(t *testing.T) {
@@ -53,10 +49,6 @@ func TestFieldEmptyRangeDefaults(t *testing.T) {
 	lo, hi := f.Range()
 	if lo != 0 || hi != 1 {
 		t.Errorf("empty Range = %v..%v, want 0..1", lo, hi)
-	}
-	lo, hi = f.MagnitudeRange()
-	if lo != 0 || hi != 1 {
-		t.Errorf("empty MagnitudeRange = %v..%v, want 0..1", lo, hi)
 	}
 }
 
@@ -174,25 +166,6 @@ func TestImageDataSampleVector(t *testing.T) {
 	got, ok := im.SampleVector(f, vmath.V(0.5, 0.25, 0.75))
 	if !ok || !got.NearEq(vmath.V(0.5, 0.25, 0.75), 1e-12) {
 		t.Errorf("SampleVector = %v ok=%v", got, ok)
-	}
-}
-
-func TestImageDataGradient(t *testing.T) {
-	im := NewImageData(5, 5, 5, vmath.V(0, 0, 0), vmath.V(1, 1, 1))
-	f := NewField("s", 1, im.NumPoints())
-	for idx := 0; idx < im.NumPoints(); idx++ {
-		p := im.Point(idx)
-		f.SetScalar(idx, 2*p.X-3*p.Y+4*p.Z)
-	}
-	im.Points.Add(f)
-	g := im.Gradient(f, 2, 2, 2)
-	if !g.NearEq(vmath.V(2, -3, 4), 1e-12) {
-		t.Errorf("interior gradient = %v", g)
-	}
-	// One-sided difference at the boundary is still exact for linear fields.
-	g = im.Gradient(f, 0, 0, 0)
-	if !g.NearEq(vmath.V(2, -3, 4), 1e-12) {
-		t.Errorf("boundary gradient = %v", g)
 	}
 }
 

@@ -148,30 +148,6 @@ func (im *ImageData) sample(f *Field, p vmath.Vec3) ([3]float64, bool) {
 	return out, true
 }
 
-// Gradient estimates the central-difference gradient of a scalar field at
-// grid point (i,j,k). Used for volume-rendering shading and surface normals.
-func (im *ImageData) Gradient(f *Field, i, j, k int) vmath.Vec3 {
-	diff := func(axis, lo, hi int, h float64) float64 {
-		return (f.Scalar(hi) - f.Scalar(lo)) / h
-	}
-	clamp := func(v, hi int) int {
-		if v < 0 {
-			return 0
-		}
-		if v > hi {
-			return hi
-		}
-		return v
-	}
-	xi0, xi1 := clamp(i-1, im.Dims[0]-1), clamp(i+1, im.Dims[0]-1)
-	yj0, yj1 := clamp(j-1, im.Dims[1]-1), clamp(j+1, im.Dims[1]-1)
-	zk0, zk1 := clamp(k-1, im.Dims[2]-1), clamp(k+1, im.Dims[2]-1)
-	gx := diff(0, im.Index(xi0, j, k), im.Index(xi1, j, k), float64(xi1-xi0)*nonzero(im.Spacing.X))
-	gy := diff(1, im.Index(i, yj0, k), im.Index(i, yj1, k), float64(yj1-yj0)*nonzero(im.Spacing.Y))
-	gz := diff(2, im.Index(i, j, zk0), im.Index(i, j, zk1), float64(zk1-zk0)*nonzero(im.Spacing.Z))
-	return vmath.Vec3{X: gx, Y: gy, Z: gz}
-}
-
 func nonzero(v float64) float64 {
 	if v == 0 {
 		return 1
@@ -290,9 +266,6 @@ func (u *UnstructuredGrid) Bounds() vmath.AABB {
 // PointData implements Dataset.
 func (u *UnstructuredGrid) PointData() *FieldSet { return u.Points }
 
-// CellData returns the cell-centered attribute arrays.
-func (u *UnstructuredGrid) CellData() *FieldSet { return u.CellD }
-
 // AddPoint appends a point and returns its index.
 func (u *UnstructuredGrid) AddPoint(p vmath.Vec3) int {
 	u.Pts = append(u.Pts, p)
@@ -345,9 +318,6 @@ func (p *PolyData) Bounds() vmath.AABB {
 
 // PointData implements Dataset.
 func (p *PolyData) PointData() *FieldSet { return p.Points }
-
-// CellData returns the cell-centered attribute arrays.
-func (p *PolyData) CellData() *FieldSet { return p.CellD }
 
 // AddPoint appends a point and returns its index.
 func (p *PolyData) AddPoint(pt vmath.Vec3) int {

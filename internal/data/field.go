@@ -81,27 +81,6 @@ func (f *Field) Range() (lo, hi float64) {
 	return lo, hi
 }
 
-// MagnitudeRange returns the min and max tuple magnitude (the L2 norm of
-// each tuple). For scalar fields this is the range of absolute values.
-func (f *Field) MagnitudeRange() (lo, hi float64) {
-	n := f.NumTuples()
-	if n == 0 {
-		return 0, 1
-	}
-	lo, hi = math.Inf(1), math.Inf(-1)
-	for i := 0; i < n; i++ {
-		s := 0.0
-		for c := 0; c < f.NumComponents; c++ {
-			v := f.Value(i, c)
-			s += v * v
-		}
-		m := math.Sqrt(s)
-		lo = math.Min(lo, m)
-		hi = math.Max(hi, m)
-	}
-	return lo, hi
-}
-
 // Clone returns a deep copy of the field.
 func (f *Field) Clone() *Field {
 	d := make([]float64, len(f.Data))

@@ -95,9 +95,6 @@ func Extract(output string) []ErrorReport {
 	return reports
 }
 
-// HasError reports whether the output contains any extractable error.
-func HasError(output string) bool { return len(Extract(output)) > 0 }
-
 // Summarize formats the extracted errors as the prompt block ChatVis
 // sends back to the LLM for correction.
 func Summarize(reports []ErrorReport) string {

@@ -41,9 +41,6 @@ all good here
 	if reports := Extract(out); len(reports) != 0 {
 		t.Errorf("false positives: %+v", reports)
 	}
-	if HasError(out) {
-		t.Error("HasError should be false")
-	}
 }
 
 func TestExtractSyntaxError(t *testing.T) {
@@ -119,7 +116,6 @@ func TestExtractNeverPanicsOnArbitraryText(t *testing.T) {
 			}
 		}()
 		_ = Extract(s)
-		_ = HasError(s)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -136,7 +132,7 @@ func TestExtractNoFalsePositiveOnPlainLogs(t *testing.T) {
 		"the word Error appears mid sentence without colon pattern-",
 	}
 	for _, line := range benign {
-		if HasError(line + "\n") {
+		if len(Extract(line+"\n")) > 0 {
 			t.Errorf("false positive on %q", line)
 		}
 	}

@@ -144,16 +144,6 @@ func MultiTurnScenarios() []MultiTurnScenario {
 	}
 }
 
-// MultiTurnScenarioByID looks a conversational scenario up by ID.
-func MultiTurnScenarioByID(id string) (MultiTurnScenario, bool) {
-	for _, s := range MultiTurnScenarios() {
-		if s.ID == id {
-			return s, true
-		}
-	}
-	return MultiTurnScenario{}, false
-}
-
 // TurnResult scores one turn of a conversational run.
 type TurnResult struct {
 	// ErrorFree: the turn completed with a working pipeline.

@@ -46,8 +46,13 @@ func TestMultiTurnEditTurnsAreIncremental(t *testing.T) {
 	if err := EnsureData(c.DataDir, c.DataSize); err != nil {
 		t.Fatal(err)
 	}
-	mts, ok := MultiTurnScenarioByID("iso-touchup")
-	if !ok {
+	var mts MultiTurnScenario
+	for _, s := range MultiTurnScenarios() {
+		if s.ID == "iso-touchup" {
+			mts = s
+		}
+	}
+	if mts.ID == "" {
 		t.Fatal("iso-touchup scenario missing")
 	}
 	res, err := c.runMultiTurnScenario(context.Background(), mts)

@@ -18,12 +18,13 @@ import (
 	"chatvis/internal/pvsim"
 )
 
-// Sessions execute a fully modelled script as its plan (ExecPlan) and
-// everything else through the interpreter. The tests below check that
-// the two paths agree on the scripts the system actually produces.
+// A script runs in one way: the interpreter records what it does, and
+// ExecPlan renders the screenshots from the plan it lowered to
+// (pvsim.Engine.Run). The tests below check that the lowered plan is all
+// a run depends on: executed cold, it writes the same screenshots.
 
 // corpusW and corpusH size the corpus renders (the eval default width
-// class where glyph scenes once diverged between the paths).
+// class, where glyph scenes once diverged between two execution paths).
 const corpusW, corpusH = 320, 180
 
 var corpus struct {
@@ -32,10 +33,8 @@ var corpus struct {
 	err     error
 }
 
-// corpusScripts returns every distinct script of the scenario corpus:
-// the ground truths, plus every round's script of every scenario under
-// every simulated model, assisted, assisted with plan validation, and
-// unassisted.
+// corpusScripts returns the scenario corpus (buildCorpus) at the corpus
+// size, built once per test binary.
 func corpusScripts(t testing.TB) []string {
 	t.Helper()
 	corpus.once.Do(func() {
@@ -45,7 +44,7 @@ func corpusScripts(t testing.TB) []string {
 			return
 		}
 		defer os.RemoveAll(dir)
-		corpus.scripts, corpus.err = buildCorpus(dir)
+		corpus.scripts, corpus.err = buildCorpus(dir, corpusW, corpusH)
 	})
 	if corpus.err != nil {
 		t.Fatal(corpus.err)
@@ -53,7 +52,11 @@ func corpusScripts(t testing.TB) []string {
 	return corpus.scripts
 }
 
-func buildCorpus(dir string) ([]string, error) {
+// buildCorpus returns every distinct script of the scenario corpus at
+// w x h: the ground truths, plus every round's script of every scenario
+// under every simulated model, assisted, assisted with plan validation,
+// and unassisted. The sessions run on DataSmall, generated in dir.
+func buildCorpus(dir string, w, h int) ([]string, error) {
 	if err := EnsureData(dir, DataSmall); err != nil {
 		return nil, err
 	}
@@ -67,8 +70,8 @@ func buildCorpus(dir string) ([]string, error) {
 	}
 	ctx := context.Background()
 	for _, scn := range Scenarios() {
-		add(scn.GroundTruthScript(corpusW, corpusH))
-		prompt := scn.UserPrompt(corpusW, corpusH)
+		add(scn.GroundTruthScript(w, h))
+		prompt := scn.UserPrompt(w, h)
 		for _, name := range llm.ModelNames() {
 			for _, mode := range []string{"assisted", "plan-validated", "unassisted"} {
 				model, err := llm.NewModel(name)
@@ -98,15 +101,6 @@ func buildCorpus(dir string) ([]string, error) {
 	return scripts, nil
 }
 
-// pathOutcome is what one execution path produced for a script.
-type pathOutcome struct {
-	ok      bool
-	reports []errext.ErrorReport
-	// shots maps screenshot names (relative to the output directory) to
-	// their PNG bytes.
-	shots map[string][]byte
-}
-
 func readShots(t testing.TB, outDir string, paths []string) map[string][]byte {
 	t.Helper()
 	shots := map[string][]byte{}
@@ -124,98 +118,93 @@ func readShots(t testing.TB, outDir string, paths []string) map[string][]byte {
 	return shots
 }
 
-// runInterpreter runs a script through pvpython in outDir.
-func runInterpreter(t testing.TB, dataDir, outDir, script string, maxSteps int) pathOutcome {
+// runScript runs a script through pvpython in outDir and returns the
+// result with its screenshots' bytes by file name.
+func runScript(t testing.TB, dataDir, outDir, script string, maxSteps int) (*pvpython.Result, map[string][]byte) {
 	res := (&pvpython.Runner{DataDir: dataDir, OutDir: outDir, MaxSteps: maxSteps}).Exec(script)
-	reports := errext.Extract(res.Output)
-	return pathOutcome{
-		ok:      res.OK() && len(reports) == 0,
-		reports: reports,
-		shots:   readShots(t, outDir, res.Screenshots),
+	if !res.OK() {
+		return res, nil
 	}
+	return res, readShots(t, outDir, res.Screenshots)
 }
 
-// runPlan executes a normalized plan on a fresh engine in outDir.
-func runPlan(t testing.TB, dataDir, outDir string, p *plan.Plan) pathOutcome {
+// checkColdReplay runs a clean run's lowered plan on a fresh engine in
+// outDir and fails unless it writes the run's screenshots byte for byte.
+func checkColdReplay(t testing.TB, dataDir, outDir, script string, p *plan.Plan, want map[string][]byte) {
+	t.Helper()
 	shots, err := pvsim.NewEngine(dataDir, outDir).ExecPlan(context.Background(), p)
 	if err != nil {
-		return pathOutcome{}
+		t.Fatalf("the lowered plan fails on a fresh engine: %v\n%s", err, script)
 	}
-	return pathOutcome{ok: true, shots: readShots(t, outDir, shots)}
+	got := readShots(t, outDir, shots)
+	if len(got) != len(want) {
+		t.Fatalf("%d screenshots cold vs %d in the run:\n%s", len(got), len(want), script)
+	}
+	for name, b := range want {
+		if !bytes.Equal(got[name], b) {
+			t.Fatalf("%s differs between the run and its cold plan:\n%s", name, script)
+		}
+	}
 }
 
-// TestInterpreterAndPlanPathsAgree is the differential check that makes
-// single execution safe: every corpus script the interpreter runs
-// cleanly is fully modelled, and for every fully modelled script the
-// plan path and the interpreter agree on success, on the extracted
-// error reports, and on every screenshot's name and bytes.
+// TestInterpreterAndPlanPathsAgree: for every corpus script that runs
+// cleanly, the plan it lowered to, run by ExecPlan on a fresh engine,
+// writes byte-identical screenshots.
 func TestInterpreterAndPlanPathsAgree(t *testing.T) {
 	scripts := corpusScripts(t)
 	dataDir := t.TempDir()
 	if err := EnsureData(dataDir, DataSmall); err != nil {
 		t.Fatal(err)
 	}
-	schema := pvsim.PlanSchema()
 	out := t.TempDir()
-	modelled := 0
+	clean := 0
 	for i, script := range scripts {
-		interp := runInterpreter(t, dataDir, filepath.Join(out, fmt.Sprint(i), "interp"), script, 0)
-		compiled, err := plan.Compile(script, schema)
-		full := err == nil && plan.FullyModelled(compiled.Diags)
-		if interp.ok && !full {
-			diags := ""
-			if err == nil {
-				diags = plan.FormatDiagnostics(compiled.Diags)
-			}
-			t.Errorf("script %d runs cleanly but is not fully modelled:\n%s\n%s", i, diags, script)
+		res, shots := runScript(t, dataDir, filepath.Join(out, fmt.Sprint(i), "run"), script, 0)
+		if !res.OK() || len(errext.Extract(res.Output)) > 0 {
 			continue
 		}
-		if !full {
-			continue
-		}
-		modelled++
-		viaPlan := runPlan(t, dataDir, filepath.Join(out, fmt.Sprint(i), "plan"), plan.Normalize(compiled.Plan, schema))
-		if viaPlan.ok != interp.ok {
-			t.Errorf("script %d: plan path ok=%v, interpreter ok=%v (reports %v):\n%s", i, viaPlan.ok, interp.ok, interp.reports, script)
-			continue
-		}
-		if !interp.ok {
-			// The session falls back to the interpreter, so both paths
-			// report the interpreter's traceback.
-			continue
-		}
-		if len(interp.reports) != len(viaPlan.reports) {
-			t.Errorf("script %d: error reports differ: %v vs %v", i, interp.reports, viaPlan.reports)
-		}
-		if len(interp.shots) != len(viaPlan.shots) {
-			t.Errorf("script %d: %d screenshots vs %d on the plan path", i, len(interp.shots), len(viaPlan.shots))
-		}
-		for name, want := range interp.shots {
-			got, ok := viaPlan.shots[name]
-			switch {
-			case !ok:
-				t.Errorf("script %d: plan path did not write %s", i, name)
-			case !bytes.Equal(got, want):
-				t.Errorf("script %d: %s differs between the paths:\n%s", i, name, script)
-			}
-		}
+		clean++
+		checkColdReplay(t, dataDir, filepath.Join(out, fmt.Sprint(i), "cold"), script, res.Plan, shots)
 	}
-	if modelled == 0 {
-		t.Error("no corpus script is fully modelled")
+	if clean == 0 {
+		t.Error("no corpus script runs cleanly")
 	}
-	t.Logf("%d corpus scripts, %d fully modelled", len(scripts), modelled)
+	t.Logf("%d corpus scripts, %d run cleanly", len(scripts), clean)
 }
 
 // fuzzMaxPixels caps the view and image sizes a fuzzed script may ask
 // for, so every input renders quickly.
 const fuzzMaxPixels = 400
 
-// FuzzPlanPathImpliesInterpreter checks the property single execution
-// rests on, over mutated corpus scripts: whenever the plan path runs a
-// script successfully, the interpreter does too. `make fuzz-smoke` runs
-// it time-boxed.
+// wrappedScripts rewrites each scenario's ground truth the way models
+// write scripts: its statements in a helper function, in a loop, and
+// with the render size in a variable. The static compile models none of
+// these; the interpreter runs them all.
+func wrappedScripts() []string {
+	var out []string
+	for _, scn := range Scenarios() {
+		gt := scn.GroundTruthScript(corpusW, corpusH)
+		imports, body, _ := strings.Cut(gt, "\n")
+		indented := "    " + strings.ReplaceAll(strings.TrimRight(body, "\n"), "\n", "\n    ")
+		size := fmt.Sprintf("[%d, %d]", corpusW, corpusH)
+		out = append(out,
+			imports+"\ndef build():\n"+indented+"\n\nbuild()\n",
+			imports+"\nfor _ in range(1):\n"+indented+"\n",
+			imports+"\nsize = "+size+"\n"+strings.ReplaceAll(body, size, "size"))
+	}
+	return out
+}
+
+// FuzzPlanPathImpliesInterpreter checks the one-path invariant over
+// mutated corpus scripts, seeded also with helper-function, loop and
+// variable rewrites of the ground truths: whenever a script runs
+// cleanly, the plan it lowered to, run cold, writes the same
+// screenshots. `make fuzz-smoke` runs it time-boxed.
 func FuzzPlanPathImpliesInterpreter(f *testing.F) {
 	for _, s := range corpusScripts(f) {
+		f.Add(s)
+	}
+	for _, s := range wrappedScripts() {
 		f.Add(s)
 	}
 	dataDir := f.TempDir()
@@ -225,22 +214,19 @@ func FuzzPlanPathImpliesInterpreter(f *testing.F) {
 	schema := pvsim.PlanSchema()
 	f.Fuzz(func(t *testing.T, script string) {
 		// Scripts only ever name files inside the data and output
-		// directories.
+		// directories, and render small views.
 		if strings.ContainsAny(script, "/\\") {
 			return
 		}
-		compiled, err := plan.Compile(script, schema)
-		if err != nil || !plan.FullyModelled(compiled.Diags) || !smallViews(compiled.Plan) {
+		if compiled, err := plan.Compile(script, schema); err != nil || !smallViews(compiled.Plan) {
 			return
 		}
 		out := t.TempDir()
-		viaPlan := runPlan(t, dataDir, filepath.Join(out, "plan"), plan.Normalize(compiled.Plan, schema))
-		if !viaPlan.ok {
+		res, shots := runScript(t, dataDir, filepath.Join(out, "run"), script, 200000)
+		if !res.OK() || !smallViews(res.Plan) {
 			return
 		}
-		if interp := runInterpreter(t, dataDir, filepath.Join(out, "interp"), script, 200000); !interp.ok {
-			t.Fatalf("plan path succeeded, interpreter failed (%v):\n%s", interp.reports, script)
-		}
+		checkColdReplay(t, dataDir, filepath.Join(out, "cold"), script, res.Plan, shots)
 	})
 }
 

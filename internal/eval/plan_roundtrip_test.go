@@ -4,10 +4,12 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"chatvis/internal/llm"
 	"chatvis/internal/plan"
+	"chatvis/internal/pvpython"
 	"chatvis/internal/pvsim"
 )
 
@@ -33,7 +35,7 @@ func TestIntendedPlanMatchesWriterAllScenarios(t *testing.T) {
 			if err != nil {
 				t.Fatalf("writer script does not compile: %v\n%s", err, script)
 			}
-			if plan.HasErrors(compiled.Diags) {
+			if len(plan.Errors(compiled.Diags)) > 0 {
 				t.Fatalf("clean writer script has diagnostics:\n%s", plan.FormatDiagnostics(compiled.Diags))
 			}
 			got := plan.Normalize(compiled.Plan, schema)
@@ -187,15 +189,18 @@ func TestPlanNativeScenariosValidate(t *testing.T) {
 	}
 }
 
-// FuzzScriptPlanRoundTrip checks the normalize ∘ compile ∘ render
+// FuzzScriptPlanRoundTrip checks the lower ∘ Script() ∘ normalize
 // fixpoint over mutated corpus scripts: compiling, normalizing and
-// rendering any input never panics, and whenever a script compiles
-// fully modelled, its normalized plan compiles back from its own
-// script to the same normalized plan. `make fuzz-smoke` runs it
-// time-boxed.
+// rendering any input never panics, and whenever a script runs cleanly,
+// the script rendered from the plan it lowered to runs cleanly and
+// lowers to the same plan. `make fuzz-smoke` runs it time-boxed.
 func FuzzScriptPlanRoundTrip(f *testing.F) {
 	for _, s := range corpusScripts(f) {
 		f.Add(s)
+	}
+	dataDir := f.TempDir()
+	if err := EnsureData(dataDir, DataSmall); err != nil {
+		f.Fatal(err)
 	}
 	schema := pvsim.PlanSchema()
 	f.Fuzz(func(t *testing.T, script string) {
@@ -203,18 +208,23 @@ func FuzzScriptPlanRoundTrip(f *testing.F) {
 		if err != nil {
 			return
 		}
-		p := plan.Normalize(compiled.Plan, schema)
-		rendered := p.Script()
-		if !plan.FullyModelled(compiled.Diags) {
+		plan.Normalize(compiled.Plan, schema).Script()
+		if strings.ContainsAny(script, "/\\") || !smallViews(compiled.Plan) {
 			return
 		}
-		again, err := plan.Compile(rendered, schema)
-		if err != nil {
-			t.Fatalf("rendered script does not compile: %v\n--- input ---\n%s\n--- rendered ---\n%s", err, script, rendered)
+		run := &pvpython.Runner{DataDir: dataDir, OutDir: t.TempDir(), MaxSteps: 200000}
+		res := run.Exec(script)
+		if !res.OK() || !smallViews(res.Plan) {
+			return
 		}
-		if q := plan.Normalize(again.Plan, schema); !q.Equal(p) {
-			pb, _ := p.Encode()
-			qb, _ := q.Encode()
+		rendered := res.Plan.Script()
+		again := run.Exec(rendered)
+		if !again.OK() {
+			t.Fatalf("the lowered plan's script fails:\n%s\n--- input ---\n%s\n--- rendered ---\n%s", again.Output, script, rendered)
+		}
+		if !again.Plan.Equal(res.Plan) {
+			pb, _ := res.Plan.Encode()
+			qb, _ := again.Plan.Encode()
 			t.Fatalf("plan changes across a script round trip:\n--- input ---\n%s\n--- plan ---\n%s\n--- round-tripped ---\n%s", script, pb, qb)
 		}
 	})

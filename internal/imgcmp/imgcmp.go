@@ -125,30 +125,6 @@ func ssim(a, b []float64, w, h int) float64 {
 	return total / float64(count)
 }
 
-// IsBlank reports whether an image is effectively empty: at least
-// (1-tolerance) of its pixels equal the dominant corner color. It flags
-// the paper's GPT-4 volume-rendering output (no error, blank screenshot).
-func IsBlank(img image.Image, tolerance float64) bool {
-	b := img.Bounds()
-	if b.Dx() == 0 || b.Dy() == 0 {
-		return true
-	}
-	bg := img.At(b.Min.X, b.Min.Y)
-	bgR, bgG, bgB, _ := bg.RGBA()
-	n, same := 0, 0
-	const tol = 8 * 257 // 8/255 in 16-bit
-	for y := b.Min.Y; y < b.Max.Y; y++ {
-		for x := b.Min.X; x < b.Max.X; x++ {
-			n++
-			r, g, bl, _ := img.At(x, y).RGBA()
-			if absDiff(r, bgR) < tol && absDiff(g, bgG) < tol && absDiff(bl, bgB) < tol {
-				same++
-			}
-		}
-	}
-	return float64(same)/float64(n) >= 1-tolerance
-}
-
 func absDiff(a, b uint32) uint32 {
 	if a > b {
 		return a - b

@@ -92,28 +92,6 @@ func TestSizeMismatch(t *testing.T) {
 	}
 }
 
-func TestIsBlank(t *testing.T) {
-	if !IsBlank(solid(32, 32, color.RGBA{200, 200, 200, 255}), 0.02) {
-		t.Error("solid image should be blank")
-	}
-	img := solid(32, 32, color.RGBA{255, 255, 255, 255})
-	// Draw a large object (30% of pixels).
-	for y := 8; y < 26; y++ {
-		for x := 8; x < 26; x++ {
-			img.SetRGBA(x, y, color.RGBA{255, 0, 0, 255})
-		}
-	}
-	if IsBlank(img, 0.02) {
-		t.Error("image with object should not be blank")
-	}
-	// A couple of stray pixels stay within tolerance.
-	img2 := solid(32, 32, color.RGBA{255, 255, 255, 255})
-	img2.SetRGBA(5, 5, color.RGBA{0, 0, 0, 255})
-	if !IsBlank(img2, 0.02) {
-		t.Error("near-blank image should count as blank")
-	}
-}
-
 // scene draws a w x h image with background bg and a rectangle of color c.
 func scene(w, h int, bg, c color.RGBA, x0, y0, x1, y1 int) *image.RGBA {
 	img := solid(w, h, bg)

@@ -1,8 +1,6 @@
 package plan
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -16,8 +14,8 @@ type Compiled struct {
 	// normalized).
 	Plan *Plan
 	// Diags are the structured pre-execution findings: compile-shaped
-	// ones (unknown methods, ColorBy on a pipeline proxy), unmodelled
-	// statements, plus the full schema validation of the extracted plan.
+	// ones (unknown methods, ColorBy on a pipeline proxy) plus the full
+	// schema validation of the extracted plan.
 	Diags []Diagnostic
 }
 
@@ -47,7 +45,6 @@ func Compile(script string, s *Schema) (*Compiled, error) {
 		activeView: -1,
 	}
 	c.stmts(mod.Body)
-	c.checkOrderEffects()
 	diags := append(c.diags, Validate(c.plan, s)...)
 	return &Compiled{Plan: c.plan, Diags: diags}, nil
 }
@@ -63,33 +60,14 @@ type compiler struct {
 	active     int // last pipeline stage (implicit filter input)
 	activeView int // last view stage
 
-	star     bool // from paraview.simple import * ran
 	paraview bool // the name paraview is bound
-
-	resetDisabled bool  // _DisableFirstRenderCameraReset() ran
-	shots         int   // screenshots compiled so far
-	updated       []int // stages the script called UpdatePipeline on
 }
 
 func (c *compiler) diag(d Diagnostic) { c.diags = append(c.diags, d) }
 
-// partial reports a statement the plan drops or captures only in part.
-func (c *compiler) partial(line int, format string, args ...interface{}) {
-	c.diag(Diagnostic{Kind: DiagUnmodelled, Severity: SevInfo, Line: line, Message: fmt.Sprintf(format, args...)})
-}
-
 func (c *compiler) stmts(body []pypy.Stmt) {
 	for _, st := range body {
-		shots := c.shots
-		var before []byte
-		if shots > 0 {
-			before, _ = json.Marshal(c.plan)
-		}
 		c.stmt(st)
-		// The plan applies every setting before its first render.
-		if after, _ := json.Marshal(c.plan); shots > 0 && shots == c.shots && !bytes.Equal(before, after) {
-			c.partial(st.Line(), "pipeline changed after a screenshot was saved")
-		}
 	}
 }
 
@@ -102,19 +80,12 @@ func (c *compiler) stmt(st pypy.Stmt) {
 			switch t := tgt.(type) {
 			case *pypy.Name:
 				names = append(names, t.ID)
-				if _, lit := exprValue(s.Value); !lit && !isCall {
-					c.partial(s.Line(), "assignment of a computed value to '%s'", t.ID)
-				}
 				delete(c.vars, t.ID)
 				delete(c.varClass, t.ID)
 			case *pypy.Attribute:
-				if isCall {
-					c.partial(s.Line(), "attribute assigned a call result")
-				} else {
+				if !isCall {
 					c.setAttr(t, s.Value, s.Line())
 				}
-			default:
-				c.partial(s.Line(), "assignment target is not a name")
 			}
 		}
 		if isCall {
@@ -126,38 +97,24 @@ func (c *compiler) stmt(st pypy.Stmt) {
 			}
 		}
 	case *pypy.ExprStmt:
-		switch x := s.X.(type) {
-		case *pypy.Call:
+		if x, ok := s.X.(*pypy.Call); ok {
 			c.call(x, nil, s.Line())
-		case *pypy.StrLit: // docstring
-		default:
-			c.partial(s.Line(), "expression statement")
 		}
 	case *pypy.Import:
-		if s.Alias != "" || s.Module != "paraview" && s.Module != "paraview.simple" {
-			c.partial(s.Line(), "import of module '%s'", s.Module)
-			return
+		if s.Alias == "" && (s.Module == "paraview" || s.Module == "paraview.simple") {
+			c.paraview = true
 		}
-		c.paraview = true
 	case *pypy.FromImport:
-		if s.Module != "paraview.simple" || !s.Star {
-			c.partial(s.Line(), "import from module '%s'", s.Module)
-			return
+		if s.Module == "paraview.simple" && s.Star {
+			c.paraview = true
 		}
-		c.star, c.paraview = true, true
-	case *pypy.Pass:
 	case *pypy.If:
-		c.partial(s.Line(), "conditional statement")
 		c.stmts(s.Body)
 		c.stmts(s.Else)
 	case *pypy.For:
-		c.partial(s.Line(), "loop")
 		c.stmts(s.Body)
 	case *pypy.While:
-		c.partial(s.Line(), "loop")
 		c.stmts(s.Body)
-	default:
-		c.partial(st.Line(), "%T statement", st)
 	}
 }
 
@@ -264,21 +221,9 @@ func isCameraOp(name string) bool {
 	return name == "ResetCamera" || name == "ApplyIsometricView" || strings.HasPrefix(name, "ResetActiveCameraTo")
 }
 
-// moduleNoEffect are the paraview.simple functions with no effect on
-// what a script renders.
-var moduleNoEffect = map[string]bool{
-	"Interact": true, "UpdateScalarBars": true, "HideScalarBarIfNotNeeded": true,
-	"GetParaViewVersion": true, "GetLayout": true, "CreateLayout": true,
-	"GetActiveSource": true,
-}
-
 func (c *compiler) call(call *pypy.Call, targets []string, line int) {
 	switch f := call.Func.(type) {
 	case *pypy.Name:
-		// A star import binds every public paraview.simple name.
-		if !c.star || c.locals[f.ID] || strings.HasPrefix(f.ID, "_") {
-			c.partial(line, "name '%s' is not bound by a paraview.simple import", f.ID)
-		}
 		c.nameCall(f.ID, call, targets, line)
 		return
 	case *pypy.Attribute:
@@ -290,11 +235,9 @@ func (c *compiler) call(call *pypy.Call, targets []string, line int) {
 		if mod, ok := f.Value.(*pypy.Attribute); ok && mod.Attr == "simple" {
 			if root, ok := mod.Value.(*pypy.Name); ok && root.ID == "paraview" && c.paraview && !c.locals["paraview"] {
 				c.nameCall(f.Attr, call, targets, line)
-				return
 			}
 		}
 	}
-	c.partial(line, "call is not modelled")
 }
 
 func (c *compiler) nameCall(name string, call *pypy.Call, targets []string, line int) {
@@ -303,7 +246,6 @@ func (c *compiler) nameCall(name string, call *pypy.Call, targets []string, line
 		return
 	}
 	if !c.literalArgs(call) {
-		c.partial(line, "%s() argument is not a literal or a bound name", name)
 		return
 	}
 	view, viewOK := -1, len(call.Args) == 0 // the view argument, if any
@@ -320,18 +262,13 @@ func (c *compiler) nameCall(name string, call *pypy.Call, targets []string, line
 	case name == "SetActiveView" && view >= 0:
 		c.activeView = view
 	case name == "SetActiveSource" && len(call.Args) > 0:
-		var ok bool
-		if c.active, ok = c.stageArg(call.Args[0], (*Stage).IsPipeline); !ok {
-			c.partial(line, "SetActiveSource() argument is not a pipeline proxy")
-		}
+		c.active, _ = c.stageArg(call.Args[0], (*Stage).IsPipeline)
 	case name == "Show":
 		c.show(call, targets, line)
 	case name == "ColorBy":
 		c.colorBy(call, line)
 	case name == "SaveScreenshot":
 		c.screenshot(call, line)
-	case name == "_DisableFirstRenderCameraReset":
-		c.resetDisabled = true
 	case isCameraOp(name) && name != "ApplyIsometricView" && viewOK:
 		if view < 0 {
 			view = c.ensureView(line)
@@ -339,20 +276,11 @@ func (c *compiler) nameCall(name string, call *pypy.Call, targets []string, line
 		st := c.plan.Stages[view]
 		st.Camera = append(st.Camera, strings.Replace(name, "ResetActiveCameraToIsometricView", "ApplyIsometricView", 1))
 	case name == "GetColorTransferFunction":
-		c.partial(line, "transfer functions are not modelled")
 		c.bindClass(targets, "PVLookupTable")
 	case name == "GetOpacityTransferFunction":
-		c.partial(line, "transfer functions are not modelled")
 		c.bindClass(targets, "PiecewiseFunction")
 	case name == "GetDisplayProperties":
-		c.partial(line, "display properties objects are not modelled")
 		c.bindClass(targets, DisplayClass)
-	case moduleNoEffect[name]:
-	default:
-		// Hide, Render (the first-render camera reset), Delete,
-		// GetActiveView before any view (None), unknown names, and
-		// view arguments that are not views.
-		c.partial(line, "call to %s() is not modelled", name)
 	}
 }
 
@@ -377,24 +305,18 @@ func (c *compiler) construct(class string, cls *Class, call *pypy.Call, targets 
 		_, isHelper := HelperDefaults[class][kw]
 		switch {
 		case kw == "Input":
-			if input, lit = c.stageArg(val, (*Stage).IsPipeline); !lit {
-				c.partial(line, "%s Input is not a known pipeline proxy", class)
-			}
+			input, _ = c.stageArg(val, (*Stage).IsPipeline)
 		case kw == "registrationName" && isStr:
 		case isHelper && isStr:
 			st.SetProp(kw, HelperV(sl.Value), line)
 		case lit && kw != "registrationName":
 			st.SetProp(kw, v, line)
-		default:
-			c.partial(line, "%s %s is not a literal", class, kw)
 		}
 	}
 	// Positional input (Contour(reader)).
 	if len(call.Args) > 0 {
 		up, ok := c.stageArg(call.Args[0], (*Stage).IsPipeline)
-		if !ok || len(call.Args) > 1 {
-			c.partial(line, "%s positional argument is not a pipeline proxy", class)
-		} else if input < 0 && kind == StageFilter {
+		if ok && len(call.Args) == 1 && input < 0 && kind == StageFilter {
 			input = up
 		}
 	}
@@ -425,7 +347,6 @@ func (c *compiler) openDataFile(call *pypy.Call, targets []string, line int) {
 		sl, _ = call.Args[0].(*pypy.StrLit)
 	}
 	if sl == nil {
-		c.partial(line, "OpenDataFile() file name is not a string literal")
 		return
 	}
 	name := sl.Value
@@ -516,14 +437,11 @@ func (c *compiler) show(call *pypy.Call, targets []string, line int) {
 		}
 	}
 	if src < 0 {
-		c.partial(line, "Show() source is not a pipeline proxy")
 		return
 	}
 	st := &Stage{Kind: StageDisplay, Class: DisplayClass, Line: line, Inputs: []int{src}}
 	st.ID = c.plan.Stages[src].ID + "Display"
-	if !c.viewInput(st, call.Args, line) {
-		c.partial(line, "Show() view argument is not a view")
-	}
+	c.viewInput(st, call.Args, line)
 	if len(call.Args) > 2 {
 		if sl, ok := call.Args[2].(*pypy.StrLit); ok {
 			st.SetProp(PropRepresentation, StrV(sl.Value), line)
@@ -532,13 +450,6 @@ func (c *compiler) show(call *pypy.Call, targets []string, line int) {
 	for i, kw := range call.KwNames {
 		if sl, ok := call.KwValues[i].(*pypy.StrLit); ok && kw == "representationType" {
 			st.SetProp(PropRepresentation, StrV(sl.Value), line)
-		}
-	}
-	for _, other := range c.plan.Stages {
-		if other.Kind == StageDisplay && fmt.Sprint(other.Inputs) == fmt.Sprint(st.Inputs) {
-			// The interpreter reuses the representation; two plan
-			// displays would apply in plan order.
-			c.partial(line, "Show() of a source already shown in the view")
 		}
 	}
 	c.bind(targets, c.plan.Add(st))
@@ -553,7 +464,6 @@ func (c *compiler) colorBy(call *pypy.Call, line int) {
 		idx, _ = c.stageArg(call.Args[0], anyStage)
 	}
 	if idx < 0 {
-		c.partial(line, "ColorBy() argument 1 is not a representation")
 		return
 	}
 	st := c.plan.Stages[idx]
@@ -565,25 +475,18 @@ func (c *compiler) colorBy(call *pypy.Call, line int) {
 		})
 		return
 	}
-	if _, ok := st.Props[PropColorArray]; ok {
-		// The interpreter also initialized the first array's range.
-		c.partial(line, "ColorBy() on a representation that is already coloured")
-	}
 	val, lit := NoneV(), true
 	if len(call.Args) > 1 {
 		val, lit = exprValue(call.Args[1])
 	}
 	switch {
 	case !lit:
-		c.partial(line, "ColorBy() value is not a literal")
 	case val.Kind == KindNone:
 		st.SetProp(PropColorArray, ListV(StrV("POINTS"), NoneV()), line)
 	case val.Kind == KindStr:
 		st.SetProp(PropColorArray, AssocV("POINTS", val.Str), line)
 	case val.Kind == KindList && len(val.List) == 2 && val.List[0].Kind == KindStr && val.List[1].Kind == KindStr:
 		st.SetProp(PropColorArray, val, line)
-	default:
-		c.partial(line, "ColorBy() value is not None, a name or an (association, name) pair")
 	}
 }
 
@@ -598,23 +501,13 @@ func (c *compiler) screenshot(call *pypy.Call, line int) {
 	if sl != nil {
 		st.SetProp(PropFilename, StrV(sl.Value), line)
 	}
-	if !c.viewInput(st, call.Args, line) || sl == nil || len(st.Inputs) == 0 {
-		c.partial(line, "SaveScreenshot() needs a file name and a view")
-	}
+	c.viewInput(st, call.Args, line)
 	for i, kw := range call.KwNames {
 		if v, ok := exprValue(call.KwValues[i]); ok {
 			st.SetProp(kw, v, line)
-		} else {
-			c.partial(line, "SaveScreenshot() %s is not a literal", kw)
 		}
 	}
-	if c.resetDisabled && len(st.Inputs) > 0 && len(c.plan.Stages[st.Inputs[0]].Camera) == 0 {
-		// The plan renders with the first-render camera reset the
-		// script turned off.
-		c.partial(line, "screenshot without a camera reset after _DisableFirstRenderCameraReset()")
-	}
 	c.plan.Add(st)
-	c.shots++
 }
 
 // methodCall compiles obj.Method(...) calls.
@@ -623,22 +516,18 @@ func (c *compiler) methodCall(base, name string, call *pypy.Call, targets []stri
 	cls := c.schema.Class(c.varClass[base])
 	switch {
 	case bound && c.literalArgs(call):
-		c.stageMethod(c.plan.Stages[idx], idx, name, call, targets, line)
+		c.stageMethod(c.plan.Stages[idx], name, call, targets, line)
 	case bound:
-		c.partial(line, "%s() argument is not a literal or a bound name", name)
 	case cls != nil && !cls.HasMember(name):
 		c.diag(Diagnostic{
 			Kind: DiagUnknownMethod, Severity: SevError,
 			Class: cls.Name, Property: name, Line: line,
 			Message: fmt.Sprintf("'%s' object has no attribute '%s'", cls.Name, name),
 		})
-	default:
-		// Cameras, transfer functions, imported modules, loop variables.
-		c.partial(line, "method %s() on '%s' is not modelled", name, base)
 	}
 }
 
-func (c *compiler) stageMethod(st *Stage, idx int, name string, call *pypy.Call, targets []string, line int) {
+func (c *compiler) stageMethod(st *Stage, name string, call *pypy.Call, targets []string, line int) {
 	var sl *pypy.StrLit
 	if len(call.Args) > 0 {
 		sl, _ = call.Args[0].(*pypy.StrLit)
@@ -648,21 +537,17 @@ func (c *compiler) stageMethod(st *Stage, idx int, name string, call *pypy.Call,
 		st.Camera = append(st.Camera, name)
 	case st.Kind == StageView && name == "GetActiveCamera":
 		c.bindClass(targets, "Camera")
-	case st.Kind == StageView && name == "Update", st.IsPipeline() && name == "UpdatePipelineInformation":
+	case st.Kind == StageView && name == "Update", st.IsPipeline() && (name == "UpdatePipelineInformation" || name == "UpdatePipeline"):
 	case st.Kind == StageDisplay && name == "SetRepresentationType" && sl != nil:
 		st.SetProp(PropRepresentation, StrV(sl.Value), line)
 	case st.Kind == StageDisplay && name == PropRescaleTF:
 		c.rescale(st, call, line)
-	case st.IsPipeline() && name == "UpdatePipeline":
-		c.updated = append(c.updated, idx)
 	case c.schema.Class(st.Class) != nil && !c.schema.Class(st.Class).HasMember(name):
 		c.diag(Diagnostic{
 			Kind: DiagUnknownMethod, Severity: SevError, Stage: st.ID,
 			Class: st.Class, Property: name, Line: line,
 			Message: fmt.Sprintf("'%s' object has no attribute '%s'", st.Class, name),
 		})
-	default:
-		c.partial(line, "method %s() is not modelled", name)
 	}
 }
 
@@ -680,9 +565,7 @@ func (c *compiler) rescale(st *Stage, call *pypy.Call, line int) {
 		}
 	}
 	if _, colored := st.Props[PropColorArray]; !colored || extend.Kind != KindBool {
-		// Before ColorBy the interpreter rescales nothing.
-		c.partial(line, "RescaleTransferFunctionToDataRange() before ColorBy() or with a non-literal extend")
-		return
+		return // before ColorBy a rescale does nothing
 	}
 	st.SetProp(PropRescaleTF, extend, line)
 }
@@ -714,24 +597,11 @@ func (c *compiler) setAttr(attr *pypy.Attribute, valueExpr pypy.Expr, line int) 
 				Class: cls.Name, Property: chain[0], Line: line,
 				Message: fmt.Sprintf("'%s' object has no attribute '%s'", cls.Name, chain[0]),
 			})
-			return
 		}
-		c.partial(line, "assignment to '%s.%s' is not modelled", name, strings.Join(chain, "."))
 		return
 	}
 	st := c.plan.Stages[idx]
-	cls := c.schema.Class(st.Class)
-	switch {
-	case st.Kind == StageDisplay && chain[0] == PropColorArray && st.Props[PropColorArray].Kind == KindList:
-		c.partial(line, "'%s' is coloured again", name)
-	case st.IsPipeline() && c.feedsDisplay(idx):
-		// The interpreter already ran the stage for Show, and coloured
-		// from that output.
-		c.partial(line, "property of '%s' set after it was shown", name)
-	case st.Kind == StageView && strings.HasPrefix(chain[0], "Camera") && len(st.Camera) > 0:
-		// The plan applies camera ops after the view's properties.
-		c.partial(line, "camera property of '%s' set after a camera operation", name)
-	case len(chain) == 1 && cls != nil && !cls.HasProp(chain[0]) && cls.Methods[chain[0]]:
+	if cls := c.schema.Class(st.Class); len(chain) == 1 && cls != nil && !cls.HasProp(chain[0]) && cls.Methods[chain[0]] {
 		c.diag(Diagnostic{
 			Kind: DiagUnknownProperty, Severity: SevError, Stage: st.ID,
 			Class: st.Class, Property: chain[0], Line: line,
@@ -750,7 +620,6 @@ func (c *compiler) setAttr(attr *pypy.Attribute, valueExpr pypy.Expr, line int) 
 		// when the class declares a helper there.
 		helperClass, isHelper := HelperDefaults[st.Class][chain[0]]
 		if !isHelper {
-			c.partial(line, "assignment to '%s.%s' is not modelled", name, strings.Join(chain, "."))
 			return
 		}
 		hv = HelperV(helperClass)
@@ -761,45 +630,4 @@ func (c *compiler) setAttr(attr *pypy.Attribute, valueExpr pypy.Expr, line int) 
 		st.PropLines = map[string]int{}
 	}
 	st.PropLines[chain[0]+"."+chain[1]] = line
-}
-
-// feedsDisplay reports whether stage i is shown, directly or through a
-// downstream stage.
-func (c *compiler) feedsDisplay(i int) bool {
-	for _, st := range c.plan.Stages {
-		for up := st; st.Kind == StageDisplay && len(up.Inputs) > 0; up = c.plan.Stages[up.Inputs[0]] {
-			if up.Inputs[0] == i {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// checkOrderEffects reports effects whose outcome depends on statement
-// order, which Normalize does not keep.
-func (c *compiler) checkOrderEffects() {
-	for _, i := range c.updated {
-		if !c.feedsDisplay(i) {
-			// Normalize drops the unshown stage, and its update with it.
-			c.partial(c.plan.Stages[i].Line, "UpdatePipeline() on '%s', which is never shown", c.plan.Stages[i].ID)
-		}
-	}
-	// Displays colouring one array share its range. Unless each of them
-	// extends it, the range depends on the order they rescale in.
-	colored := func(st *Stage) string {
-		if ca := st.Props[PropColorArray]; st.Kind == StageDisplay && len(ca.List) == 2 && ca.List[1].Kind == KindStr {
-			return ca.List[1].Str
-		}
-		return ""
-	}
-	displays := map[string]int{}
-	for _, st := range c.plan.Stages {
-		displays[colored(st)]++
-	}
-	for _, st := range c.plan.Stages {
-		if array := colored(st); array != "" && displays[array] > 1 && !st.Props[PropRescaleTF].Bool {
-			c.partial(st.Line, "range of '%s' depends on the order of its displays", array)
-		}
-	}
 }

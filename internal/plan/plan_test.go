@@ -40,7 +40,7 @@ func mustCompile(t *testing.T, script string) *plan.Compiled {
 
 func TestCompileExtractsPipeline(t *testing.T) {
 	c := mustCompile(t, isoScript)
-	if plan.HasErrors(c.Diags) {
+	if len(plan.Errors(c.Diags)) > 0 {
 		t.Fatalf("clean script has error diagnostics:\n%s", plan.FormatDiagnostics(c.Diags))
 	}
 	p := c.Plan
@@ -208,7 +208,7 @@ SaveScreenshot('x.png', view, ImageResolution=[100, 100])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !plan.HasErrors(c2.Diags) {
+	if len(plan.Errors(c2.Diags)) == 0 {
 		t.Error("hallucinated property lost in round trip")
 	}
 	if !p1.Equal(plan.Normalize(c2.Plan, s)) {

@@ -15,7 +15,14 @@ func (p *Plan) Script() string {
 	var b strings.Builder
 	names := p.renderNames()
 	b.WriteString("from paraview.simple import *\n")
-	b.WriteString("paraview.simple._DisableFirstRenderCameraReset()\n\n")
+	// ExecPlan resets each view's camera at its first render, after its
+	// camera operations. With an operation on every view, the reset
+	// changes nothing and the script turns it off; a view without one
+	// needs it, as a plan run does.
+	if p.everyViewHasCamera() {
+		b.WriteString("paraview.simple._DisableFirstRenderCameraReset()\n")
+	}
+	b.WriteString("\n")
 
 	// Pipeline stages.
 	for i, st := range p.Stages {
@@ -139,6 +146,17 @@ func (p *Plan) Script() string {
 		b.WriteString(")\n")
 	}
 	return b.String()
+}
+
+// everyViewHasCamera reports whether every view stage has a camera
+// operation.
+func (p *Plan) everyViewHasCamera() bool {
+	for _, st := range p.Stages {
+		if st.Kind == StageView && len(st.Camera) == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // colorByArg renders a ColorArrayName value as the ColorBy argument.

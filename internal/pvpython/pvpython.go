@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"chatvis/internal/data"
+	"chatvis/internal/plan"
 	"chatvis/internal/pvsim"
 	"chatvis/internal/pypy"
 )
@@ -24,8 +25,12 @@ type Result struct {
 	// *pypy.PyError.
 	Err error
 	// Screenshots lists the saved screenshots' references (file paths
-	// without a Sink), in order.
+	// without a Sink), in the order of Plan's screenshot stages; a run
+	// that fails saves none.
 	Screenshots []string
+	// Plan is the normalized plan the script lowered to, whose execution
+	// rendered Screenshots (nil when the run failed).
+	Plan *plan.Plan
 	// Engine exposes the session for callers that inspect state (tests,
 	// the evaluation harness reading rendered pixels).
 	Engine *pvsim.Engine
@@ -54,32 +59,24 @@ type Runner struct {
 
 // Exec runs one script in a fresh simulated ParaView session.
 func (r *Runner) Exec(script string) *Result {
-	return r.ExecContext(context.Background(), script)
+	return r.ExecOn(context.Background(), r.NewEngine(), script)
 }
 
-// ExecContext is Exec with cancellation: ctx is threaded into the
-// engine's filter execution and rendering, so canceling a chatvisd job
-// aborts the compute-heavy stages mid-script.
-func (r *Runner) ExecContext(ctx context.Context, script string) *Result {
+// ExecOn runs one script on the given engine; a session passes its own,
+// whose stage memo then holds what the script computed. ctx is threaded
+// into filter execution and rendering, so canceling a chatvisd job
+// aborts the compute-heavy stages mid-script. The interpreter records
+// what the script does; the engine renders its screenshots from the
+// plan it lowers to (pvsim.Engine.Run).
+func (r *Runner) ExecOn(ctx context.Context, engine *pvsim.Engine, script string) *Result {
 	var out bytes.Buffer
-	engine := r.NewEngine()
-	engine.ExecCtx = ctx
 	interp := pypy.NewInterp(&out)
 	if r.MaxSteps > 0 {
 		interp.MaxSteps = r.MaxSteps
 	}
-	simple := engine.BuildSimpleModule()
-	interp.RegisterModule(simple)
 	interp.RegisterModule(buildParaviewRootExtras())
-	// Real paraview.simple contains `import paraview` at module top, so a
-	// star-import also binds the package name — scripts rely on it for
-	// `paraview.simple._DisableFirstRenderCameraReset()`.
-	if root, ok := interp.Modules["paraview"]; ok {
-		simple.Attrs["paraview"] = root
-	}
-
-	err := interp.Run(script)
-	res := &Result{Engine: engine}
+	p, err := engine.Run(ctx, interp, script)
+	res := &Result{Engine: engine, Plan: p}
 	if err != nil {
 		switch e := err.(type) {
 		case *pypy.SyntaxError:
@@ -90,9 +87,10 @@ func (r *Runner) ExecContext(ctx context.Context, script string) *Result {
 			fmt.Fprintf(&out, "Error: %v\n", err)
 		}
 		res.Err = err
+	} else {
+		res.Screenshots = engine.Screenshots
 	}
 	res.Output = out.String()
-	res.Screenshots = engine.Screenshots
 	return res
 }
 

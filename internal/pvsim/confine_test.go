@@ -20,11 +20,8 @@ import (
 func executionPaths(t *testing.T, script string) map[string]func(e *Engine) error {
 	return map[string]func(e *Engine) error{
 		"interpreter": func(e *Engine) error {
-			interp := pypy.NewInterp(io.Discard)
-			simple := e.BuildSimpleModule()
-			interp.RegisterModule(simple)
-			simple.Attrs["paraview"] = interp.Modules["paraview"]
-			return interp.Run(script)
+			_, err := e.Run(context.Background(), pypy.NewInterp(io.Discard), script)
+			return err
 		},
 		"plan": func(e *Engine) error {
 			_, err := e.ExecPlan(context.Background(), compilePlan(t, script))

@@ -67,9 +67,16 @@ type Engine struct {
 	firstRenderResetDisabled bool
 	renderedOnce             map[*Proxy]bool
 
-	// planProxies memoizes the proxies ExecPlan builds by content key, so
-	// a repair iteration or edit re-executing a changed plan recomputes
-	// only the stages whose key changed.
+	// shots records every screenshot the running script saved, for
+	// ExecPlan to render from the plan the script lowers to.
+	shots []shotRecord
+	// bounds memoizes dataset bounds by content key for camera resets.
+	bounds map[string]vmath.AABB
+
+	// planProxies memoizes pipeline proxies by content key: those
+	// ExecPlan builds and those a script computed before its plan ran.
+	// A repair iteration or an edit therefore recomputes only the stages
+	// whose key changed.
 	planProxies map[string]*Proxy
 
 	schemas map[string]*classSchema
@@ -100,6 +107,7 @@ func NewEngine(dataDir, outDir string) *Engine {
 		opacityTFs:   map[string]*Proxy{},
 		tfRanges:     map[string]*tfRange{},
 		renderedOnce: map[*Proxy]bool{},
+		bounds:       map[string]vmath.AABB{},
 	}
 	e.registerSchemas()
 	return e
@@ -394,7 +402,12 @@ func (e *Engine) registerSchemas() {
 				if !ok && len(args) > 0 {
 					extend, ok = args[0], true
 				}
-				e.rescaleRepTF(p, ok && pypy.Truthy(extend))
+				ext := ok && pypy.Truthy(extend)
+				if _, array := propAssoc(p, "ColorArrayName"); array != "" {
+					// Before ColorBy a rescale does nothing.
+					p.rescale = &ext
+				}
+				e.rescaleRepTF(p, ext)
 				return pypy.None, nil
 			},
 		},
@@ -552,13 +565,17 @@ func (e *Engine) keyedDataset(p *Proxy) (data.Dataset, string, error) {
 	if !p.dirty && p.dataset != nil {
 		return p.dataset, p.key, nil
 	}
-	var key string
-	if e.DataCache != nil {
-		key, _ = e.contentKey(p) // "" for an unhashable proxy: computed uncached
+	// The content key finds a stage the plan memo already holds, and
+	// names the dataset in the DataCache; "" for an unhashable proxy,
+	// which is computed uncached.
+	key, _ := e.contentKey(p)
+	if ds, ok := e.memoDataset(key, p); ok {
+		p.dataset, p.key, p.dirty = ds, key, false
+		return ds, key, nil
 	}
 	var ds data.Dataset
 	var err error
-	if key != "" {
+	if key != "" && e.DataCache != nil {
 		ds, _, err = e.DataCache.GetOrCompute(e.execCtx(), key, func() (data.Dataset, error) {
 			return e.computeCounted(p)
 		})
@@ -570,6 +587,19 @@ func (e *Engine) keyedDataset(p *Proxy) (data.Dataset, string, error) {
 	}
 	p.dataset, p.key, p.dirty = ds, key, false
 	return ds, key, nil
+}
+
+// memoDataset returns the dataset of a computed stage the plan memo
+// holds under key, so a script and the plan it lowers to, or two runs
+// on one session engine, compute each stage once.
+func (e *Engine) memoDataset(key string, p *Proxy) (data.Dataset, bool) {
+	m := e.planProxies[key]
+	if key == "" || m == nil || m == p {
+		return nil, false
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.dataset, !m.dirty && m.dataset != nil && m.key == key
 }
 
 // computeCounted is the single point every actually-executed pipeline

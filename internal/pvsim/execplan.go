@@ -5,14 +5,17 @@ import (
 	"fmt"
 	"strings"
 
+	"chatvis/internal/obs"
 	"chatvis/internal/plan"
 	"chatvis/internal/pypy"
+	"chatvis/internal/render"
 	"chatvis/internal/vmath"
 )
 
-// ExecPlan executes a compiled plan directly against the engine — no
-// interpreter pass — and returns the references of the screenshots this
-// call saved.
+// ExecPlan executes a plan against the engine and returns the
+// references of the screenshots this call saved. It renders every
+// screenshot: an edit turn's plan, and the plan each script lowers to
+// (Run).
 //
 // Execution is incremental: the engine memoizes every pipeline proxy it
 // builds across ExecPlan calls, keyed by the proxy's content key (class,
@@ -29,6 +32,13 @@ import (
 // plan.Validate or Compile — the cheap path — rather than a mid-run
 // failure).
 func (e *Engine) ExecPlan(ctx context.Context, p *plan.Plan) ([]string, error) {
+	return e.execPlan(ctx, p, nil)
+}
+
+// execPlan is ExecPlan. With saw set, the plan is one a script lowered
+// to, and each screenshot must show what the script's SaveScreenshot
+// recorded.
+func (e *Engine) execPlan(ctx context.Context, p *plan.Plan, saw []shotRecord) ([]string, error) {
 	if diags := plan.Errors(plan.Validate(p, PlanSchema())); len(diags) > 0 {
 		return nil, &pypy.PyError{
 			Kind: "RuntimeError",
@@ -99,13 +109,26 @@ func (e *Engine) ExecPlan(ctx context.Context, p *plan.Plan) ([]string, error) {
 		}
 	}
 
-	// Pass 3: screenshots.
+	// Pass 3: screenshots. Every one is checked before any is drawn.
+	var shots []*planShot
 	for _, st := range p.Stages {
 		if st.Kind != plan.StageScreenshot {
 			continue
 		}
-		if err := e.execPlanScreenshot(st, proxies); err != nil {
+		shot, err := e.planScreenshot(st, proxies)
+		if err != nil {
+			return nil, atLine(err, st.Line)
+		}
+		shots = append(shots, shot)
+	}
+	if saw != nil {
+		if err := checkShots(shots, saw); err != nil {
 			return nil, err
+		}
+	}
+	for _, shot := range shots {
+		if err := e.writeScreenshot(shot); err != nil {
+			return nil, atLine(err, shot.st.Line)
 		}
 	}
 	return e.Screenshots, nil
@@ -126,6 +149,7 @@ func (e *Engine) resetDisplayState() {
 	e.tfRanges = map[string]*tfRange{}
 	e.firstRenderResetDisabled = false
 	e.renderedOnce = map[*Proxy]bool{}
+	e.shots = nil
 }
 
 // setPlanProps converts plan properties onto a proxy, leaving out the
@@ -208,34 +232,101 @@ var cameraDirs = map[string]vmath.Vec3{
 // applyCameraOp performs one camera operation on a view: ResetCamera or
 // a cameraDirs reorientation (the module-level
 // ResetActiveCameraToIsometricView is ApplyIsometricView).
+// The view records the operation for its plan.
 func (e *Engine) applyCameraOp(view *Proxy, op string) {
+	op = strings.Replace(op, "ResetActiveCameraToIsometricView", "ApplyIsometricView", 1)
+	e.cameraMoved(view)
+	view.camera = append(view.camera, op)
 	if op == "ResetCamera" {
 		e.resetCamera(view)
-	} else if dir, ok := cameraDirs[strings.Replace(op, "ResetActiveCameraToIsometricView", "ApplyIsometricView", 1)]; ok {
+	} else if dir, ok := cameraDirs[op]; ok {
 		e.lookFrom(view, dir)
 	}
 }
 
-// execPlanScreenshot renders and saves one screenshot stage.
-func (e *Engine) execPlanScreenshot(st *plan.Stage, proxies []*Proxy) error {
+// planShot is one screenshot stage ready to draw.
+type planShot struct {
+	st   *plan.Stage
+	name string // the confined file name
+	sc   *scene
+}
+
+// planScreenshot brings a screenshot stage's view up to date and
+// resolves what it shows.
+func (e *Engine) planScreenshot(st *plan.Stage, proxies []*Proxy) (*planShot, error) {
 	if len(st.Inputs) < 1 || proxies[st.Inputs[0]] == nil {
-		return raiseRT("screenshot stage %s has no resolved view", st.ID)
+		return nil, raiseRT("screenshot stage %s has no resolved view", st.ID)
 	}
+	view := proxies[st.Inputs[0]]
 	var size []float64
 	if res, ok := st.Props[plan.PropImageResolution]; ok && res.Kind == plan.KindList && len(res.List) >= 2 {
 		size = []float64{res.List[0].Num, res.List[1].Num}
 	}
 	w, h, err := renderSize(size)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	palette := ""
 	if v, ok := st.Props[plan.PropOverridePalette]; ok && v.Kind == plan.KindStr {
 		palette = v.Str
 	}
-	filename := "screenshot.png"
-	if v, ok := st.Props[plan.PropFilename]; ok && v.Kind == plan.KindStr {
-		filename = v.Str
+	name, err := localName("SaveScreenshot", "output", shotFilename(st))
+	if err != nil {
+		return nil, err
 	}
-	return e.writeScreenshot(proxies[st.Inputs[0]], filename, w, h, palette)
+	if err := e.updateView(view); err != nil {
+		return nil, err
+	}
+	sc, err := e.viewScene(view, w, h, palette)
+	if err != nil {
+		return nil, err
+	}
+	return &planShot{st: st, name: name, sc: sc}, nil
+}
+
+// shotFilename is a screenshot stage's file name as the script gave it.
+func shotFilename(st *plan.Stage) string {
+	if v, ok := st.Props[plan.PropFilename]; ok && v.Kind == plan.KindStr {
+		return v.Str
+	}
+	return "screenshot.png"
+}
+
+// writeScreenshot renders a screenshot, encodes it as PNG and hands it
+// to the sink.
+func (e *Engine) writeScreenshot(shot *planShot) error {
+	img, err := e.renderScene(shot.sc)
+	if err != nil {
+		return err
+	}
+	// screenshot.write times the encode and the sink's write.
+	_, span := obs.Start(e.execCtx(), "screenshot.write")
+	span.SetAttr("width", img.Rect.Dx())
+	span.SetAttr("height", img.Rect.Dy())
+	var ref string
+	err = render.EncodePNG(pngWriter(func(png []byte) (err error) {
+		span.SetAttr("bytes", len(png))
+		ref, err = e.Sink.PutScreenshot(shot.name, png)
+		return err
+	}), img)
+	span.SetError(err)
+	span.End()
+	if err != nil {
+		return raiseRT("SaveScreenshot: %v", err)
+	}
+	e.Screenshots = append(e.Screenshots, ref)
+	e.Rendered[ref] = img
+	return nil
+}
+
+// atLine places a runtime error at a script line, for an error a
+// screenshot stage raised when the script ran as its plan.
+func atLine(err error, line int) error {
+	pe, ok := err.(*pypy.PyError)
+	if !ok || pe.Line != 0 || line == 0 {
+		return err
+	}
+	at := *pe
+	at.Line = line
+	return &at
 }

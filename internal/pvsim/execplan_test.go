@@ -1,14 +1,12 @@
 package pvsim
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"strings"
 	"testing"
 
 	"chatvis/internal/plan"
-	"chatvis/internal/pypy"
 )
 
 const planIsoScript = `from paraview.simple import *
@@ -37,7 +35,7 @@ func compilePlan(t *testing.T, script string) *plan.Plan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.HasErrors(c.Diags) {
+	if len(plan.Errors(c.Diags)) > 0 {
 		t.Fatalf("unexpected diagnostics:\n%s", plan.FormatDiagnostics(c.Diags))
 	}
 	return plan.Normalize(c.Plan, PlanSchema())
@@ -131,7 +129,7 @@ func TestExecPlanRefusesInvalidPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !plan.HasErrors(c.Diags) {
+	if len(plan.Errors(c.Diags)) == 0 {
 		t.Fatal("expected diagnostics for the unknown property")
 	}
 	if _, err := e.ExecPlan(context.Background(), c.Plan); err == nil {
@@ -163,15 +161,8 @@ func TestExecPlanRefusesInvalidPlans(t *testing.T) {
 // in-package tests (importing pvpython here would be a cycle).
 func runScript(t *testing.T, e *Engine, script string) {
 	t.Helper()
-	var out bytes.Buffer
-	interp := pypy.NewInterp(&out)
-	simple := e.BuildSimpleModule()
-	interp.RegisterModule(simple)
-	if root, ok := interp.Modules["paraview"]; ok {
-		simple.Attrs["paraview"] = root
-	}
-	if err := interp.Run(script); err != nil {
-		t.Fatalf("script failed: %v\n%s", err, out.String())
+	if err := execScript(e, script); err != nil {
+		t.Fatalf("script failed: %v", err)
 	}
 }
 

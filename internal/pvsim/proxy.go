@@ -12,7 +12,6 @@ package pvsim
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"chatvis/internal/data"
@@ -65,12 +64,21 @@ type Proxy struct {
 	Input   *Proxy
 	mu      sync.Mutex
 	dataset data.Dataset
-	key     string // DataCache key of dataset; "" when uncached
+	key     string // content key of dataset; "" when unhashable
 	dirty   bool
 
 	// Representation state.
 	repOf   *Proxy // the pipeline proxy this representation displays
 	repView *Proxy // the view it belongs to
+
+	// What a script did that its plan keeps apart from properties: a
+	// view's camera operations in order, with its camera properties as
+	// they stood before the first of them or before its first render
+	// (camBase); a display's last RescaleTransferFunctionToDataRange
+	// extend argument.
+	camera  []string
+	camBase map[string]pypy.Value
+	rescale *bool
 }
 
 // Type implements pypy.Value (the Python type name of the proxy).
@@ -117,28 +125,28 @@ func (p *Proxy) SetAttr(name string, v pypy.Value) error {
 }
 
 // markDirty invalidates this proxy's computed dataset and every dependent
-// filter's.
+// filter's; a helper (a Slice's Plane) invalidates the filters that hold
+// it.
 func (p *Proxy) markDirty() {
 	p.dirty = true
 	if p.Engine == nil {
 		return
 	}
 	for _, other := range p.Engine.Pipeline {
-		if other.Input == p {
+		if other.Input == p || p.Class.kind == kindHelper && other.holds(p) {
 			other.markDirty()
 		}
 	}
 }
 
-// PropNames lists the proxy's property names, sorted (used by help-style
-// output and tests).
-func (p *Proxy) PropNames() []string {
-	names := make([]string, 0, len(p.Class.props))
-	for k := range p.Class.props {
-		names = append(names, k)
+// holds reports whether one of p's properties is the helper h.
+func (p *Proxy) holds(h *Proxy) bool {
+	for _, v := range p.Props {
+		if v == pypy.Value(h) {
+			return true
+		}
 	}
-	sort.Strings(names)
-	return names
+	return false
 }
 
 // newProxy instantiates a class with default property values.

@@ -5,10 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 
-	"chatvis/internal/obs"
 	"chatvis/internal/plan"
 	"chatvis/internal/pypy"
-	"chatvis/internal/render"
 )
 
 // BuildSimpleModule assembles the paraview.simple module namespace bound
@@ -120,7 +118,7 @@ func (e *Engine) BuildSimpleModule() *pypy.ModuleVal {
 		if err != nil {
 			return nil, err
 		}
-		return pypy.None, e.renderPass(view)
+		return pypy.None, e.updateView(view)
 	})
 	nf("GetDisplayProperties", func(args []pypy.Value, kwargs map[string]pypy.Value) (pypy.Value, error) {
 		src, view, err := e.proxyAndView(args)
@@ -161,9 +159,9 @@ func (e *Engine) BuildSimpleModule() *pypy.ModuleVal {
 		e.opacityTFs[name] = tf
 		return tf, nil
 	})
-	nf("SaveScreenshot", func(args []pypy.Value, kwargs map[string]pypy.Value) (pypy.Value, error) {
-		return e.saveScreenshot(args, kwargs)
-	})
+	mod.Attrs["SaveScreenshot"] = &pypy.NativeFunc{Name: "SaveScreenshot", Fn: func(in *pypy.Interp, args []pypy.Value, kwargs map[string]pypy.Value) (pypy.Value, error) {
+		return e.saveScreenshot(in.CallLine(), args, kwargs)
+	}}
 
 	// Active-object helpers.
 	nf("GetActiveSource", func(args []pypy.Value, kwargs map[string]pypy.Value) (pypy.Value, error) {
@@ -443,35 +441,13 @@ func (e *Engine) colorBy(args []pypy.Value) (pypy.Value, error) {
 	return pypy.None, nil
 }
 
-// renderPass executes pipelines of everything visible (errors surface to
-// the script like a failed Render) and applies the first-render camera
-// reset.
-func (e *Engine) renderPass(view *Proxy) error {
-	// Execute the dirty DAG of everything shown in the view; independent
-	// branches run concurrently. Hidden representations still execute
-	// (as before): a Show()n-then-Hidden filter keeps failing a Render
-	// the way real ParaView surfaces execution errors.
-	var srcs []*Proxy
-	for key := range e.Reps {
-		if key.view == view {
-			srcs = append(srcs, key.src)
-		}
-	}
-	if err := e.requireDataset(sortByPipelineOrder(e, srcs)); err != nil {
-		return err
-	}
-	if !e.firstRenderResetDisabled && !e.renderedOnce[view] {
-		e.resetCamera(view)
-	}
-	if e.renderedOnce == nil {
-		e.renderedOnce = map[*Proxy]bool{}
-	}
-	e.renderedOnce[view] = true
-	return nil
-}
-
-// saveScreenshot implements simple.SaveScreenshot.
-func (e *Engine) saveScreenshot(args []pypy.Value, kwargs map[string]pypy.Value) (pypy.Value, error) {
+// saveScreenshot implements simple.SaveScreenshot, called from script
+// line line. It runs every check that can refuse the screenshot — the
+// render size, the file name, every dataset in the view, volume
+// rendering of non-image data — and records what the view shows.
+// Nothing is drawn here: ExecPlan renders the screenshot from the plan
+// the script lowers to.
+func (e *Engine) saveScreenshot(line int, args []pypy.Value, kwargs map[string]pypy.Value) (pypy.Value, error) {
 	if len(args) == 0 {
 		return nil, &pypy.PyError{Kind: "TypeError", Msg: "SaveScreenshot() missing required argument: 'filename'"}
 	}
@@ -501,42 +477,22 @@ func (e *Engine) saveScreenshot(args []pypy.Value, kwargs map[string]pypy.Value)
 			palette = string(s)
 		}
 	}
-	if err := e.writeScreenshot(view, filename, w, h, palette); err != nil {
+	if _, err := localName("SaveScreenshot", "output", filename); err != nil {
 		return nil, err
 	}
+	if err := e.updateView(view); err != nil {
+		return nil, err
+	}
+	sc, err := e.viewScene(view, w, h, palette)
+	if err != nil {
+		return nil, err
+	}
+	props := map[string]plan.Value{plan.PropFilename: plan.StrV(filename)}
+	for name, v := range kwargs {
+		if pv, ok := pyToPlanValue(v); ok {
+			props[name] = pv
+		}
+	}
+	e.shots = append(e.shots, shotRecord{line: line, view: view, props: props, saw: sc.digest()})
 	return pypy.Bool(true), nil
-}
-
-// writeScreenshot renders a view (a render pass first, as
-// SaveScreenshot does), encodes it as PNG and hands it to the sink.
-func (e *Engine) writeScreenshot(view *Proxy, filename string, w, h int, palette string) error {
-	name, err := localName("SaveScreenshot", "output", filename)
-	if err != nil {
-		return err
-	}
-	if err := e.renderPass(view); err != nil {
-		return err
-	}
-	img, err := e.RenderViewImage(view, w, h, palette)
-	if err != nil {
-		return err
-	}
-	// screenshot.write times the encode and the sink's write.
-	_, span := obs.Start(e.execCtx(), "screenshot.write")
-	span.SetAttr("width", img.Rect.Dx())
-	span.SetAttr("height", img.Rect.Dy())
-	var ref string
-	err = render.EncodePNG(pngWriter(func(png []byte) (err error) {
-		span.SetAttr("bytes", len(png))
-		ref, err = e.Sink.PutScreenshot(name, png)
-		return err
-	}), img)
-	span.SetError(err)
-	span.End()
-	if err != nil {
-		return raiseRT("SaveScreenshot: %v", err)
-	}
-	e.Screenshots = append(e.Screenshots, ref)
-	e.Rendered[ref] = img
-	return nil
 }

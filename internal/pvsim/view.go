@@ -1,9 +1,11 @@
 package pvsim
 
 import (
+	"fmt"
 	"image"
 	"math"
 	"sort"
+	"strings"
 
 	"chatvis/internal/data"
 	"chatvis/internal/filters"
@@ -77,9 +79,20 @@ func (e *Engine) viewBounds(view *Proxy) vmath.AABB {
 		if key.view != view || !propBool(rep, "Visibility", true) {
 			continue
 		}
-		if ds, err := e.Dataset(key.src); err == nil {
-			b.Union(ds.Bounds())
+		ds, dsKey, err := e.keyedDataset(key.src)
+		if err != nil {
+			continue
 		}
+		// A script and the plan it lowers to reset their cameras over the
+		// same datasets: each one's bounds are computed once per engine.
+		bb, ok := e.bounds[dsKey]
+		if !ok {
+			bb = ds.Bounds()
+			if dsKey != "" {
+				e.bounds[dsKey] = bb
+			}
+		}
+		b.Union(bb)
 	}
 	return b
 }
@@ -109,6 +122,44 @@ func (e *Engine) lookFrom(view *Proxy, dir vmath.Vec3) {
 	}
 	c.LookFrom(dir, up, b)
 	e.cameraToView(c, view)
+}
+
+// updateView brings a view up to date for a render: it executes the
+// pipeline of every display in the view (a Show()n then Hidden filter
+// still fails a render, as in ParaView) and applies the first-render
+// camera reset.
+func (e *Engine) updateView(view *Proxy) error {
+	var srcs []*Proxy
+	for key := range e.Reps {
+		if key.view == view {
+			srcs = append(srcs, key.src)
+		}
+	}
+	if err := e.requireDataset(sortByPipelineOrder(e, srcs)); err != nil {
+		return err
+	}
+	if !e.firstRenderResetDisabled && !e.renderedOnce[view] {
+		e.cameraMoved(view)
+		e.resetCamera(view)
+	}
+	e.renderedOnce[view] = true
+	return nil
+}
+
+// cameraProps are the view properties a camera operation rewrites.
+var cameraProps = []string{"CameraPosition", "CameraFocalPoint", "CameraViewUp", "CameraParallelScale"}
+
+// cameraMoved keeps a view's camera properties as they stand before its
+// first camera operation or render: a plan sets them when it builds the
+// view, and applies its camera operations afterwards.
+func (e *Engine) cameraMoved(view *Proxy) {
+	if view.camBase != nil {
+		return
+	}
+	view.camBase = map[string]pypy.Value{}
+	for _, name := range cameraProps {
+		view.camBase[name] = view.Props[name]
+	}
 }
 
 // rescaleRepTF rescales the transfer function of a representation's color
@@ -216,8 +267,8 @@ func pick(cond bool, a, b float64) float64 {
 const surfaceKeySuffix = "|surface"
 
 // surfaceOf returns the boundary surface the renderer draws for an
-// unstructured grid. When the grid is cached under key, the surface is
-// memoized in the DataCache beside it, so each distinct grid is
+// unstructured grid. With a DataCache, the surface is memoized beside
+// the grid's key, so each distinct grid is
 // extracted once by all engines sharing the cache: a camera, colour or
 // resolution edit re-renders without re-extracting. A lookup is not a
 // pipeline stage: it opens no stage span and counts no execution.
@@ -267,22 +318,43 @@ func renderLimitError(w, h float64) error {
 		w, h, maxRenderSide, maxRenderPixels)
 }
 
-// RenderViewImage renders a view at the given resolution.
+// scene is everything a render of one view reads from the engine: the
+// resolved frame, the camera and background, and the visible actors in
+// pipeline order. A script's SaveScreenshot records it, and ExecPlan
+// renders it.
+type scene struct {
+	w, h   int
+	camera *render.Camera
+	bg     render.Color
+	actors []sceneActor
+}
+
+// sceneActor is one visible display as the renderer draws it.
+type sceneActor struct {
+	ds  data.Dataset
+	key string // the dataset's content key
+	// volume marks a volume-rendered image; field is its array, or
+	// the colour array of a surface ("" for a solid colour).
+	volume bool
+	field  string
+	lut    *render.LookupTable
+	otf    *render.OpacityFunction
+
+	rep                           string
+	solid                         *render.Color
+	opacity, lineWidth, pointSize float64
+}
+
+// viewScene resolves what a view shows at the given resolution.
 // overridePalette handles SaveScreenshot's OverrideColorPalette option
-// ("WhiteBackground", "BlackBackground" or empty).
-//
-// The dirty upstream DAG is executed first, with independent branches
-// in parallel (requireDataset); the serial actor-assembly loop below
-// then finds every dataset already computed.
-func (e *Engine) RenderViewImage(view *Proxy, w, h int, overridePalette string) (*image.RGBA, error) {
-	ctx, span := obs.Start(e.execCtx(), "render.view")
-	defer span.End()
-	span.SetAttr("width", w)
-	span.SetAttr("height", h)
+// ("WhiteBackground", "BlackBackground" or empty). Every check that can
+// refuse a render runs here, before any pixel: the render size, every
+// visible dataset (independent branches execute in parallel through
+// requireDataset) and volume rendering of non-image data.
+func (e *Engine) viewScene(view *Proxy, w, h int, overridePalette string) (*scene, error) {
 	if w <= 0 || h <= 0 {
 		var err error
 		if w, h, err = renderSize(propFloats(view, "ViewSize")); err != nil {
-			span.SetError(err)
 			return nil, err
 		}
 	}
@@ -296,69 +368,92 @@ func (e *Engine) RenderViewImage(view *Proxy, w, h int, overridePalette string) 
 	// the script: refuse one that would exhaust memory. The side check
 	// comes first so the product cannot overflow.
 	if w > maxRenderSide || h > maxRenderSide || w*h > maxRenderPixels {
-		err := renderLimitError(float64(w), float64(h))
-		span.SetError(err)
-		return nil, err
+		return nil, renderLimitError(float64(w), float64(h))
 	}
-	// Sweep observer: the renderer's geometry/raster/volume sweeps
-	// report into agg, and the aggregate lands as span attributes.
-	var agg par.SweepAgg
-	ctx = par.WithSweepObserver(ctx, agg.Observe)
 	srcs := e.visibleSources(view)
 	if err := e.requireDataset(srcs); err != nil {
-		span.SetError(err)
 		return nil, err
 	}
-	r := render.NewRenderer()
-	r.Camera = e.cameraFromView(view)
+	sc := &scene{w: w, h: h, camera: e.cameraFromView(view), bg: render.DefaultBackground}
 	if bg := propFloats(view, "Background"); len(bg) >= 3 && !propBool(view, "UseColorPaletteForBackground", true) {
-		r.Background = render.Color{R: bg[0], G: bg[1], B: bg[2]}
+		sc.bg = render.Color{R: bg[0], G: bg[1], B: bg[2]}
 	}
 	switch overridePalette {
 	case "WhiteBackground":
-		r.Background = render.White
+		sc.bg = render.White
 	case "BlackBackground":
-		r.Background = render.Black
+		sc.bg = render.Black
 	}
-	// Actors are added in pipeline order: translucent displays blend in
-	// the order they are drawn.
 	for _, src := range srcs {
 		rep := e.Reps[repKey{src: src, view: view}]
-		ds, dsKey, err := e.keyedDataset(src)
+		ds, key, err := e.keyedDataset(src)
 		if err != nil {
 			return nil, err
 		}
-		repType := propStr(rep, "Representation")
-		_, colorArray := propAssoc(rep, "ColorArrayName")
-
-		if repType == "Volume" {
+		a := sceneActor{ds: ds, key: key, rep: propStr(rep, "Representation")}
+		_, a.field = propAssoc(rep, "ColorArrayName")
+		if a.rep == "Volume" {
 			im, ok := ds.(*data.ImageData)
 			if !ok {
 				// Volume rendering of non-image data is unsupported, as in
 				// ParaView without a resampling step.
 				return nil, raiseRT("volume rendering requires uniform grid data")
 			}
-			field := colorArray
-			if field == "" {
+			if a.field == "" {
 				if f := im.Points.FirstScalar(); f != nil {
-					field = f.Name
+					a.field = f.Name
 				}
 			}
-			va := &render.VolumeActor{
-				Image: im, Field: field,
-				CTF: e.lutFor(field, im), OTF: e.otfFor(field, im),
-				Visible: true,
-			}
-			r.AddVolume(va)
+			a.volume = true
+			a.lut, a.otf = e.lutFor(a.field, im), e.otfFor(a.field, im)
+			sc.actors = append(sc.actors, a)
 			continue
 		}
+		if dc := propFloats(rep, "DiffuseColor"); len(dc) >= 3 {
+			a.solid = &render.Color{R: dc[0], G: dc[1], B: dc[2]}
+		}
+		a.opacity = propFloat(rep, "Opacity", 1)
+		a.lineWidth = propFloat(rep, "LineWidth", 1)
+		a.pointSize = propFloat(rep, "PointSize", 2)
+		if a.field != "" {
+			a.lut = e.lutFor(a.field, ds)
+		}
+		sc.actors = append(sc.actors, a)
+	}
+	return sc, nil
+}
 
+// renderScene rasterizes a resolved scene.
+func (e *Engine) renderScene(sc *scene) (*image.RGBA, error) {
+	ctx, span := obs.Start(e.execCtx(), "render.view")
+	defer span.End()
+	span.SetAttr("width", sc.w)
+	span.SetAttr("height", sc.h)
+	// Sweep observer: the renderer's geometry/raster/volume sweeps
+	// report into agg, and the aggregate lands as span attributes.
+	var agg par.SweepAgg
+	ctx = par.WithSweepObserver(ctx, agg.Observe)
+	r := render.NewRenderer()
+	r.Camera = sc.camera
+	r.Background = sc.bg
+	// Actors are added in pipeline order: translucent displays blend in
+	// the order they are drawn.
+	for _, sa := range sc.actors {
+		if sa.volume {
+			r.AddVolume(&render.VolumeActor{
+				Image: sa.ds.(*data.ImageData), Field: sa.field,
+				CTF: sa.lut, OTF: sa.otf, Visible: true,
+			})
+			continue
+		}
 		var mesh *data.PolyData
-		switch t := ds.(type) {
+		switch t := sa.ds.(type) {
 		case *data.PolyData:
 			mesh = t
 		case *data.UnstructuredGrid:
-			if mesh, err = e.surfaceOf(t, dsKey); err != nil {
+			var err error
+			if mesh, err = e.surfaceOf(t, sa.key); err != nil {
+				span.SetError(err)
 				return nil, err
 			}
 		case *data.ImageData:
@@ -369,20 +464,17 @@ func (e *Engine) RenderViewImage(view *Proxy, w, h int, overridePalette string) 
 			continue
 		}
 		a := render.NewActor(mesh)
-		a.Rep = render.ParseRepresentation(repType)
-		if dc := propFloats(rep, "DiffuseColor"); len(dc) >= 3 {
-			a.SolidColor = render.Color{R: dc[0], G: dc[1], B: dc[2]}
+		a.Rep = render.ParseRepresentation(sa.rep)
+		if sa.solid != nil {
+			a.SolidColor = *sa.solid
 		}
-		a.Opacity = propFloat(rep, "Opacity", 1)
-		a.LineWidth = propFloat(rep, "LineWidth", 1)
-		a.PointSize = propFloat(rep, "PointSize", 2)
-		if colorArray != "" {
-			a.ColorField = colorArray
-			a.LUT = e.lutFor(colorArray, ds)
+		a.Opacity, a.LineWidth, a.PointSize = sa.opacity, sa.lineWidth, sa.pointSize
+		if sa.field != "" {
+			a.ColorField, a.LUT = sa.field, sa.lut
 		}
 		r.AddActor(a)
 	}
-	fb, err := r.RenderFBContext(ctx, w, h)
+	fb, err := r.RenderFBContext(ctx, sc.w, sc.h)
 	if sum := agg.Summary(); sum.Sweeps > 0 {
 		span.SetAttr("par_sweeps", sum.Sweeps)
 		span.SetAttr("par_chunks", sum.Chunks)
@@ -395,4 +487,32 @@ func (e *Engine) RenderViewImage(view *Proxy, w, h int, overridePalette string) 
 		return nil, err
 	}
 	return fb.Image(), nil
+}
+
+// digest renders a scene as the three parts a screenshot check compares:
+// the frame, the camera, and the actors. The actors are sorted, because
+// a plan orders its stages canonically rather than in script order.
+func (sc *scene) digest() [3]string {
+	actors := make([]string, len(sc.actors))
+	for i, a := range sc.actors {
+		key := a.key
+		if key == "" {
+			// An unkeyed dataset cannot be shown to be the same one.
+			key = fmt.Sprintf("%p", a.ds)
+		}
+		// %v prints what a pointer to a struct points at.
+		actors[i] = fmt.Sprintf("%s %v %q %q %v %v %v %v %v %v", key, a.volume, a.field, a.rep,
+			a.solid, a.opacity, a.lineWidth, a.pointSize, a.lut, a.otf)
+	}
+	sort.Strings(actors)
+	// A camera reached by other operations in the same place can differ
+	// in the last bits; 12 digits keep far finer than a pixel.
+	c := sc.camera
+	return [3]string{
+		fmt.Sprintf("%dx%d %v", sc.w, sc.h, sc.bg),
+		fmt.Sprintf("%.12g %.12g %.12g %.12g %.12g %.12g %.12g %.12g %.12g %.12g %v %.12g",
+			c.Position.X, c.Position.Y, c.Position.Z, c.FocalPoint.X, c.FocalPoint.Y, c.FocalPoint.Z,
+			c.ViewUp.X, c.ViewUp.Y, c.ViewUp.Z, c.ViewAngle, c.ParallelProjection, c.ParallelScale),
+		strings.Join(actors, "\n"),
+	}
 }

@@ -2,7 +2,9 @@ package pvsim
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"image"
 	"strings"
 	"sync"
 	"testing"
@@ -15,16 +17,19 @@ import (
 // of ending the test, so it can run off the test goroutine.
 func execScript(e *Engine, script string) error {
 	var out bytes.Buffer
-	interp := pypy.NewInterp(&out)
-	simple := e.BuildSimpleModule()
-	interp.RegisterModule(simple)
-	if root, ok := interp.Modules["paraview"]; ok {
-		simple.Attrs["paraview"] = root
-	}
-	if err := interp.Run(script); err != nil {
+	if _, err := e.Run(context.Background(), pypy.NewInterp(&out), script); err != nil {
 		return fmt.Errorf("%v\n%s", err, out.String())
 	}
 	return nil
+}
+
+// renderView renders a view at the given resolution and palette.
+func renderView(e *Engine, view *Proxy, w, h int, palette string) (*image.RGBA, error) {
+	sc, err := e.viewScene(view, w, h, palette)
+	if err != nil {
+		return nil, err
+	}
+	return e.renderScene(sc)
 }
 
 // TestTranslucentActorsRenderInPipelineOrder: two overlapping
@@ -106,7 +111,7 @@ func TestSurfaceMemoSharedAcrossEngines(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			img, err := e.RenderViewImage(e.Views[0], 80, 60, "")
+			img, err := renderView(e, e.Views[0], 80, 60, "")
 			errs[i] = err
 			if err == nil {
 				images[i] = img.Pix
@@ -127,5 +132,30 @@ func TestSurfaceMemoSharedAcrossEngines(t *testing.T) {
 	}
 	if got := cache.Stats().Hits - hits; got != int64(len(engines)) {
 		t.Errorf("re-rendering made %d cache hits, want %d (one surface lookup per engine)", got, len(engines))
+	}
+}
+
+// TestHelperSetAfterShowRecomputes: setting a helper's property (the
+// slice plane's normal) after the filter was shown recomputes the
+// filter, so the screenshot equals the one of a script that set it
+// first.
+func TestHelperSetAfterShowRecomputes(t *testing.T) {
+	const before = `from paraview.simple import *
+reader = LegacyVTKReader(FileNames=['ml-100.vtk'])
+slice1 = Slice(Input=reader)
+renderView1 = GetActiveViewOrCreate('RenderView')
+slice1.SliceType.Normal = [0.0, 0.0, 1.0]
+d = Show(slice1, renderView1)
+renderView1.ResetCamera()
+SaveScreenshot('s.png', renderView1, ImageResolution=[80, 60])
+`
+	after := strings.Replace(before, "slice1.SliceType.Normal = [0.0, 0.0, 1.0]\nd = Show(slice1, renderView1)\n",
+		"d = Show(slice1, renderView1)\nslice1.SliceType.Normal = [0.0, 0.0, 1.0]\n", 1)
+	want := testEngine(t)
+	runScript(t, want, before)
+	got := NewEngine(want.DataDir, t.TempDir())
+	runScript(t, got, after)
+	if !bytes.Equal(onlyShot(t, got, got.Screenshots), onlyShot(t, want, want.Screenshots)) {
+		t.Error("a plane normal set after Show is not in the screenshot")
 	}
 }

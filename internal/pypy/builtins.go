@@ -36,7 +36,7 @@ func registerBuiltins(env *Env) {
 		}
 		return nil, &PyError{Kind: "TypeError", Msg: fmt.Sprintf("object of type '%s' has no len()", args[0].Type())}
 	})
-	nf("range", func(_ *Interp, args []Value, _ map[string]Value) (Value, error) {
+	nf("range", func(in *Interp, args []Value, _ map[string]Value) (Value, error) {
 		var start, stop, step int64 = 0, 0, 1
 		get := func(v Value) (int64, error) {
 			n, ok := AsInt(v)
@@ -68,7 +68,18 @@ func registerBuiltins(env *Env) {
 		if step == 0 {
 			return nil, &PyError{Kind: "ValueError", Msg: "range() arg 3 must not be zero"}
 		}
-		var items []Value
+		// The element count, in unsigned arithmetic so that no bound
+		// overflows; every element counts against MaxSteps.
+		var n uint64
+		if step > 0 && start < stop {
+			n = (uint64(stop)-uint64(start)-1)/uint64(step) + 1
+		} else if step < 0 && start > stop {
+			n = (uint64(start)-uint64(stop)-1)/uint64(-step) + 1
+		}
+		if err := in.charge(in.callLine, n); err != nil {
+			return nil, err
+		}
+		items := make([]Value, 0, n)
 		if step > 0 {
 			for i := start; i < stop; i += step {
 				items = append(items, Int(i))

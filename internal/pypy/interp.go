@@ -100,6 +100,8 @@ type Interp struct {
 
 	steps int
 	lines []string
+	// callLine is the line of the innermost native call in progress.
+	callLine int
 }
 
 // NewInterp builds an interpreter writing print output to stdout.
@@ -145,6 +147,10 @@ func (in *Interp) Run(src string) error {
 	in.steps = 0
 	return in.execBlock(mod.Body, in.Globals)
 }
+
+// CallLine returns the script line of the native function call in
+// progress, for host functions that record where they were called.
+func (in *Interp) CallLine() int { return in.callLine }
 
 // SourceLine returns the 1-based source line text for tracebacks.
 func (in *Interp) SourceLine(n int) string {
@@ -748,6 +754,7 @@ func (in *Interp) getItem(obj, idx Value, line int) (Value, error) {
 func (in *Interp) call(fn Value, args []Value, kwargs map[string]Value, line int) (Value, error) {
 	switch f := fn.(type) {
 	case *NativeFunc:
+		in.callLine = line
 		v, err := f.Fn(in, args, kwargs)
 		if err != nil {
 			return nil, attachLine(err, line)
@@ -792,11 +799,36 @@ func (in *Interp) call(fn Value, args []Value, kwargs map[string]Value, line int
 	return nil, in.raise(line, "TypeError", "'%s' object is not callable", fn.Type())
 }
 
+// charge counts n elements a builtin or operator is about to build
+// against MaxSteps, as statements count: a loop cannot get round the
+// bound by growing a list or string in a few statements.
+func (in *Interp) charge(line int, n uint64) error {
+	if n > uint64(max(in.MaxSteps-in.steps, 0)) {
+		return in.raise(line, "RuntimeError", "maximum execution steps exceeded")
+	}
+	in.steps += int(n)
+	return nil
+}
+
+// repeatCost is the element count of n copies of size elements.
+func repeatCost(size int, n int64) uint64 {
+	if size == 0 || n <= 0 {
+		return 0
+	}
+	if uint64(n) > math.MaxUint64/uint64(size) {
+		return math.MaxUint64
+	}
+	return uint64(size) * uint64(n)
+}
+
 func (in *Interp) binop(line int, op string, l, r Value) (Value, error) {
 	// String concatenation and repetition.
 	if op == "+" {
 		if ls, ok := l.(Str); ok {
 			if rs, ok := r.(Str); ok {
+				if err := in.charge(line, uint64(len(ls)+len(rs))); err != nil {
+					return nil, err
+				}
 				return Str(string(ls) + string(rs)), nil
 			}
 			return nil, in.raise(line, "TypeError",
@@ -804,6 +836,9 @@ func (in *Interp) binop(line int, op string, l, r Value) (Value, error) {
 		}
 		if ll, ok := l.(*List); ok {
 			if rl, ok := r.(*List); ok {
+				if err := in.charge(line, uint64(len(ll.Items)+len(rl.Items))); err != nil {
+					return nil, err
+				}
 				items := append(append([]Value{}, ll.Items...), rl.Items...)
 				return &List{Items: items}, nil
 			}
@@ -812,13 +847,19 @@ func (in *Interp) binop(line int, op string, l, r Value) (Value, error) {
 	if op == "*" {
 		if ls, ok := l.(Str); ok {
 			if n, ok := AsInt(r); ok {
+				if err := in.charge(line, repeatCost(len(ls), n)); err != nil {
+					return nil, err
+				}
 				return Str(strings.Repeat(string(ls), int(max64(0, n)))), nil
 			}
 		}
 		if ll, ok := l.(*List); ok {
 			if n, ok := AsInt(r); ok {
+				if err := in.charge(line, repeatCost(len(ll.Items), n)); err != nil {
+					return nil, err
+				}
 				var items []Value
-				for i := int64(0); i < n; i++ {
+				for i := int64(0); i < n && len(ll.Items) > 0; i++ {
 					items = append(items, ll.Items...)
 				}
 				return &List{Items: items}, nil
@@ -974,7 +1015,21 @@ func (in *Interp) compare(line int, op string, l, r Value) (bool, error) {
 	return false, in.raise(line, "RuntimeError", "unknown comparison %q", op)
 }
 
+// eqLimit bounds the element comparisons one == makes: two lists can
+// hold themselves, or one sublist many times over at every level.
+const eqLimit = 1 << 20
+
 func valueEq(l, r Value) bool {
+	budget := eqLimit
+	return valueEqWithin(l, r, &budget)
+}
+
+// valueEqWithin is valueEq spending *budget comparisons; when it runs
+// out, the values compare unequal.
+func valueEqWithin(l, r Value, budget *int) bool {
+	if *budget--; *budget < 0 {
+		return false
+	}
 	if lf, ok := AsFloat(l); ok {
 		if rf, ok := AsFloat(r); ok {
 			return lf == rf
@@ -990,28 +1045,24 @@ func valueEq(l, r Value) bool {
 		return ok
 	case *List:
 		b, ok := r.(*List)
-		if !ok || len(a.Items) != len(b.Items) {
-			return false
-		}
-		for i := range a.Items {
-			if !valueEq(a.Items[i], b.Items[i]) {
-				return false
-			}
-		}
-		return true
+		return ok && (a == b || itemsEq(a.Items, b.Items, budget))
 	case *Tuple:
 		b, ok := r.(*Tuple)
-		if !ok || len(a.Items) != len(b.Items) {
-			return false
-		}
-		for i := range a.Items {
-			if !valueEq(a.Items[i], b.Items[i]) {
-				return false
-			}
-		}
-		return true
+		return ok && (a == b || itemsEq(a.Items, b.Items, budget))
 	}
 	return l == r
+}
+
+func itemsEq(a, b []Value, budget *int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !valueEqWithin(a[i], b[i], budget) {
+			return false
+		}
+	}
+	return true
 }
 
 // pyFormat implements a useful subset of %-formatting.

@@ -82,13 +82,7 @@ type List struct{ Items []Value }
 func (*List) Type() string { return "list" }
 
 // Repr implements Value.
-func (l *List) Repr() string {
-	parts := make([]string, len(l.Items))
-	for i, v := range l.Items {
-		parts[i] = v.Repr()
-	}
-	return "[" + strings.Join(parts, ", ") + "]"
-}
+func (l *List) Repr() string { return reprOf(l) }
 
 // Tuple is a Python tuple.
 type Tuple struct{ Items []Value }
@@ -97,16 +91,7 @@ type Tuple struct{ Items []Value }
 func (*Tuple) Type() string { return "tuple" }
 
 // Repr implements Value.
-func (t *Tuple) Repr() string {
-	parts := make([]string, len(t.Items))
-	for i, v := range t.Items {
-		parts[i] = v.Repr()
-	}
-	if len(parts) == 1 {
-		return "(" + parts[0] + ",)"
-	}
-	return "(" + strings.Join(parts, ", ") + ")"
-}
+func (t *Tuple) Repr() string { return reprOf(t) }
 
 // Dict is a Python dict with string-convertible keys.
 type Dict struct {
@@ -121,12 +106,63 @@ func NewDict() *Dict { return &Dict{values: map[string]Value{}} }
 func (*Dict) Type() string { return "dict" }
 
 // Repr implements Value.
-func (d *Dict) Repr() string {
-	parts := make([]string, 0, len(d.keys))
-	for _, k := range d.keys {
-		parts = append(parts, Str(k).Repr()+": "+d.values[k].Repr())
+func (d *Dict) Repr() string { return reprOf(d) }
+
+// reprLimit bounds the text one repr writes: a list can hold itself, or
+// hold one sublist many times over at every level.
+const reprLimit = 1 << 20
+
+// reprOf renders a container as Python does: one that holds itself
+// shows as [...], and the text stops with ... past reprLimit.
+func reprOf(v Value) string {
+	var b strings.Builder
+	writeRepr(&b, v, nil)
+	return b.String()
+}
+
+// writeRepr writes v's repr; open lists the containers being written.
+func writeRepr(b *strings.Builder, v Value, open []Value) {
+	var keys []string
+	var items []Value
+	brackets := "[]"
+	switch t := v.(type) {
+	case *List:
+		items = t.Items
+	case *Tuple:
+		items, brackets = t.Items, "()"
+	case *Dict:
+		keys, brackets = t.keys, "{}"
+		for _, k := range keys {
+			items = append(items, t.values[k])
+		}
+	default:
+		b.WriteString(v.Repr())
+		return
 	}
-	return "{" + strings.Join(parts, ", ") + "}"
+	for _, o := range open {
+		if o == v {
+			b.WriteString(brackets[:1] + "..." + brackets[1:])
+			return
+		}
+	}
+	b.WriteString(brackets[:1])
+	for i, it := range items {
+		if b.Len() > reprLimit {
+			b.WriteString("...")
+			break
+		}
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		if keys != nil {
+			b.WriteString(Str(keys[i]).Repr() + ": ")
+		}
+		writeRepr(b, it, append(open, v))
+	}
+	if len(items) == 1 && brackets == "()" {
+		b.WriteString(",")
+	}
+	b.WriteString(brackets[1:])
 }
 
 // Set stores a key.

@@ -27,9 +27,6 @@ func (a Vec3) Sub(b Vec3) Vec3 { return Vec3{a.X - b.X, a.Y - b.Y, a.Z - b.Z} }
 // Mul returns the component-wise scaling of a by s.
 func (a Vec3) Mul(s float64) Vec3 { return Vec3{a.X * s, a.Y * s, a.Z * s} }
 
-// Hadamard returns the component-wise product a*b.
-func (a Vec3) Hadamard(b Vec3) Vec3 { return Vec3{a.X * b.X, a.Y * b.Y, a.Z * b.Z} }
-
 // Dot returns the dot product a·b.
 func (a Vec3) Dot(b Vec3) float64 { return a.X*b.X + a.Y*b.Y + a.Z*b.Z }
 
@@ -95,21 +92,6 @@ func (a Vec3) Comp(i int) float64 {
 	panic(fmt.Sprintf("vmath: component index %d out of range", i))
 }
 
-// SetComp returns a copy of a with component i replaced by v.
-func (a Vec3) SetComp(i int, v float64) Vec3 {
-	switch i {
-	case 0:
-		a.X = v
-	case 1:
-		a.Y = v
-	case 2:
-		a.Z = v
-	default:
-		panic(fmt.Sprintf("vmath: component index %d out of range", i))
-	}
-	return a
-}
-
 // Array returns the components as a [3]float64.
 func (a Vec3) Array() [3]float64 { return [3]float64{a.X, a.Y, a.Z} }
 
@@ -140,9 +122,6 @@ func (a Vec3) String() string { return fmt.Sprintf("(%g, %g, %g)", a.X, a.Y, a.Z
 
 // Radians converts degrees to radians.
 func Radians(deg float64) float64 { return deg * math.Pi / 180 }
-
-// Degrees converts radians to degrees.
-func Degrees(rad float64) float64 { return rad * 180 / math.Pi }
 
 // Clamp limits v to [lo, hi].
 func Clamp(v, lo, hi float64) float64 {
@@ -276,17 +255,6 @@ func Ortho(left, right, bottom, top, near, far float64) Mat4 {
 		0, 0, -2 / (far - near), -(far + near) / (far - near),
 		0, 0, 0, 1,
 	}
-}
-
-// Transpose returns the transpose of m.
-func (m Mat4) Transpose() Mat4 {
-	var r Mat4
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			r[j*4+i] = m[i*4+j]
-		}
-	}
-	return r
 }
 
 // Plane is an oriented plane following VTK's origin+normal convention.

@@ -23,9 +23,6 @@ func TestVecBasics(t *testing.T) {
 	if got := a.Dot(b); got != 1*4+2*-5+3*6 {
 		t.Errorf("Dot = %v", got)
 	}
-	if got := a.Hadamard(b); got != V(4, -10, 18) {
-		t.Errorf("Hadamard = %v", got)
-	}
 	if got := V(3, 4, 0).Len(); got != 5 {
 		t.Errorf("Len = %v", got)
 	}
@@ -88,9 +85,6 @@ func TestCompAccessors(t *testing.T) {
 		if got := v.Comp(i); got != want {
 			t.Errorf("Comp(%d) = %v, want %v", i, got, want)
 		}
-	}
-	if got := v.SetComp(1, 42); got != V(7, 42, 9) {
-		t.Errorf("SetComp = %v", got)
 	}
 	defer func() {
 		if recover() == nil {
@@ -200,23 +194,6 @@ func TestOrthoMapsBoxToNDC(t *testing.T) {
 	}
 }
 
-func TestTranspose(t *testing.T) {
-	m := Mat4{
-		1, 2, 3, 4,
-		5, 6, 7, 8,
-		9, 10, 11, 12,
-		13, 14, 15, 16,
-	}
-	tt := m.Transpose()
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			if tt[i*4+j] != m[j*4+i] {
-				t.Fatalf("transpose mismatch at %d,%d", i, j)
-			}
-		}
-	}
-}
-
 func TestPlaneEval(t *testing.T) {
 	pl := NewPlane(V(0, 0, 0), V(0, 0, 2)) // normal normalized internally
 	if got := pl.Eval(V(0, 0, 3)); !almostEq(got, 3, 1e-12) {
@@ -275,7 +252,7 @@ func TestDegreesRadiansRoundTrip(t *testing.T) {
 		if math.Abs(d) > 1e9 {
 			return true
 		}
-		return almostEq(Degrees(Radians(d)), d, 1e-9*(1+math.Abs(d)))
+		return almostEq(Radians(d)*180/math.Pi, d, 1e-9*(1+math.Abs(d)))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
