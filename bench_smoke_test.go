@@ -41,6 +41,17 @@ const volumeClipAllocCeiling = 1_000
 // per-row allocation: the 320x180 frame has 180 rows.
 const encodePNGAllocCeiling = 100
 
+// surfaceRenderAllocCeiling and surfaceRenderBytesCeiling gate the
+// pooled framebuffer: a warm Substrate_SurfaceRender op (640x360) draws
+// into a recycled float framebuffer and allocates about 25 times and
+// 0.93 MB, nearly all of it the returned 8-bit image (921,600 bytes).
+// A fresh framebuffer per frame read 8.3 MB/op: the float planes are 32
+// bytes a pixel, so its return crosses the bytes ceiling.
+const (
+	surfaceRenderAllocCeiling = 200
+	surfaceRenderBytesCeiling = 2_000_000
+)
+
 // TestBenchSmokeAllocs runs each compute kernel once (after a warm-up
 // op) and reports its allocation profile, failing if Isosurface64
 // climbs back over the ceiling — the cheap `make bench-smoke` gate
@@ -71,6 +82,10 @@ func TestBenchSmokeAllocs(t *testing.T) {
 		if name == "Substrate_EncodePNG" && allocs > encodePNGAllocCeiling {
 			t.Errorf("%s allocated %d times in one warm op; ceiling is %d — the pooled encoder regressed",
 				name, allocs, encodePNGAllocCeiling)
+		}
+		if name == "Substrate_SurfaceRender" && (allocs > surfaceRenderAllocCeiling || bytes > surfaceRenderBytesCeiling) {
+			t.Errorf("%s allocated %d times and %d bytes in one warm op; ceilings are %d and %d — the pooled framebuffer regressed",
+				name, allocs, bytes, surfaceRenderAllocCeiling, surfaceRenderBytesCeiling)
 		}
 		if name == "Substrate_SparseContour64" && allocs > sparseContourAllocCeiling {
 			t.Errorf("%s allocated %d times in one warm op; ceiling is %d — the sparse-sweep arena path regressed",

@@ -474,7 +474,7 @@ func (e *Engine) renderScene(sc *scene) (*image.RGBA, error) {
 		}
 		r.AddActor(a)
 	}
-	fb, err := r.RenderFBContext(ctx, sc.w, sc.h)
+	img, err := r.RenderContext(ctx, sc.w, sc.h)
 	if sum := agg.Summary(); sum.Sweeps > 0 {
 		span.SetAttr("par_sweeps", sum.Sweeps)
 		span.SetAttr("par_chunks", sum.Chunks)
@@ -486,7 +486,7 @@ func (e *Engine) renderScene(sc *scene) (*image.RGBA, error) {
 		span.SetError(err)
 		return nil, err
 	}
-	return fb.Image(), nil
+	return img, nil
 }
 
 // digest renders a scene as the three parts a screenshot check compares:

@@ -19,8 +19,21 @@ func (c Color) Lerp(o Color, t float64) Color {
 
 // Scale multiplies all components by s, clamped to [0,1].
 func (c Color) Scale(s float64) Color {
-	cl := func(v float64) float64 { return math.Max(0, math.Min(1, v)) }
-	return Color{cl(c.R * s), cl(c.G * s), cl(c.B * s)}
+	return Color{clamp01(c.R * s), clamp01(c.G * s), clamp01(c.B * s)}
+}
+
+// clamp01 is math.Max(0, math.Min(1, v)) in plain comparisons, with the
+// same bits: a negative zero becomes +0 and any NaN math.NaN().
+func clamp01(v float64) float64 {
+	switch {
+	case v >= 1:
+		return 1
+	case v > 0:
+		return v
+	case v <= 0:
+		return 0
+	}
+	return math.NaN()
 }
 
 // Well-known colors used by the ParaView layer.

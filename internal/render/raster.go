@@ -3,16 +3,18 @@ package render
 import (
 	"image"
 	"math"
+
+	"chatvis/internal/par"
 )
 
 // Framebuffer is a color + depth target. Depth is in NDC units ([-1,1],
 // smaller is closer); pixels start at +Inf so anything drawn wins.
 //
 // The *Band primitive variants restrict writes to the pixel rows
-// [y0, y1): the tile-parallel rasterizer partitions the framebuffer
-// into disjoint row bands and replays the frame's draw commands per
-// band, so every pixel is written by exactly one goroutine in command
-// order — the bytes are identical to a serial replay.
+// [y0, y1): the rasterizer partitions the framebuffer into disjoint
+// fixed-height row bands, and each band replays the draw commands
+// binned to it, so every pixel is written by exactly one goroutine in
+// command order — the bytes are identical to a serial replay.
 type Framebuffer struct {
 	W, H  int
 	Color []Color
@@ -21,16 +23,54 @@ type Framebuffer struct {
 
 // NewFramebuffer allocates a buffer cleared to the given background.
 func NewFramebuffer(w, h int, bg Color) *Framebuffer {
-	fb := &Framebuffer{
-		W: w, H: h,
-		Color: make([]Color, w*h),
-		Depth: make([]float64, w*h),
+	fb := &Framebuffer{}
+	fb.reset(w, h, bg)
+	return fb
+}
+
+// reset sizes the buffer to w x h, reusing its planes' capacity, and
+// clears it to the background at infinite depth.
+func (fb *Framebuffer) reset(w, h int, bg Color) {
+	n := w * h
+	if cap(fb.Color) < n || cap(fb.Depth) < n {
+		fb.Color = make([]Color, n)
+		fb.Depth = make([]float64, n)
 	}
+	fb.W, fb.H = w, h
+	fb.Color, fb.Depth = fb.Color[:n], fb.Depth[:n]
+	inf := math.Inf(1)
 	for i := range fb.Color {
 		fb.Color[i] = bg
-		fb.Depth[i] = math.Inf(1)
+		fb.Depth[i] = inf
 	}
-	return fb
+}
+
+// pooledFrame is a framebuffer kept in framePool, for renders that
+// return only the 8-bit image (Render, RenderContext): the float planes
+// are 32 bytes a pixel, most of a frame's allocation.
+type pooledFrame struct{ fb Framebuffer }
+
+// Reset implements par.Resetter: an empty frame that keeps its planes'
+// capacity for the next reset.
+func (p *pooledFrame) Reset() {
+	p.fb.W, p.fb.H = 0, 0
+	p.fb.Color, p.fb.Depth = p.fb.Color[:0], p.fb.Depth[:0]
+}
+
+var framePool = par.NewArena(func() *pooledFrame { return &pooledFrame{} })
+
+// maxPooledPixels bounds the frame framePool keeps. The planes of a
+// larger frame (up to the 3840x2160 render limit, 265 MB) go to the
+// collector instead of staying pinned for the next render.
+const maxPooledPixels = 1920 * 1080
+
+// release returns the frame to framePool, without its planes when they
+// are larger than maxPooledPixels.
+func (p *pooledFrame) release() {
+	if cap(p.fb.Depth) > maxPooledPixels {
+		p.fb = Framebuffer{}
+	}
+	framePool.Put(p)
 }
 
 // At returns the color at (x, y).
@@ -48,18 +88,6 @@ func (fb *Framebuffer) set(x, y int, z float64, c Color) {
 	}
 }
 
-// blend writes a depth-tested alpha-blended pixel without updating depth
-// (used for translucent fragments).
-func (fb *Framebuffer) blend(x, y int, z float64, c Color, alpha float64) {
-	if x < 0 || y < 0 || x >= fb.W || y >= fb.H {
-		return
-	}
-	i := y*fb.W + x
-	if z <= fb.Depth[i] {
-		fb.Color[i] = fb.Color[i].Lerp(c, alpha)
-	}
-}
-
 // vert is a projected vertex ready for rasterization: screen x/y, NDC z,
 // and a shaded color.
 type vert struct {
@@ -67,89 +95,61 @@ type vert struct {
 	c       Color
 }
 
-// triangleBand rasterizes the triangle restricted to rows [y0, y1).
-func (fb *Framebuffer) triangleBand(v0, v1, v2 vert, y0, y1 int) {
-	minX := int(math.Floor(min3(v0.x, v1.x, v2.x)))
-	maxX := int(math.Ceil(max3(v0.x, v1.x, v2.x)))
-	minY := int(math.Floor(min3(v0.y, v1.y, v2.y)))
-	maxY := int(math.Ceil(max3(v0.y, v1.y, v2.y)))
-	if minX < 0 {
-		minX = 0
-	}
+// triangleBand rasterizes a triangle command restricted to rows
+// [y0, y1): opaque triangles write colour and depth, translucent ones
+// blend their colour by the command's opacity without writing depth.
+// The edge deltas are per triangle and the edge terms in py per row; each
+// pixel's barycentric weights, depth and colour come from the same
+// float64 operations, in the same order, as evaluating the three edge
+// functions from scratch.
+func (fb *Framebuffer) triangleBand(c *rasterCmd, y0, y1 int) {
+	v0, v1, v2 := &c.v0, &c.v1, &c.v2
+	minY, maxY := c.yMin, c.yMax
 	if minY < y0 {
 		minY = y0
-	}
-	if maxX >= fb.W {
-		maxX = fb.W - 1
 	}
 	if maxY >= y1 {
 		maxY = y1 - 1
 	}
-	area := edge(v0, v1, v2.x, v2.y)
-	if area == 0 {
-		return
-	}
-	inv := 1 / area
+	blend, alpha, inv := c.kind == cmdBlendTriangle, c.param, c.inv
+	// w0 is edge(v1, v2), w1 edge(v2, v0), w2 edge(v0, v1).
+	e0x, e0y := v2.x-v1.x, v2.y-v1.y
+	e1x, e1y := v0.x-v2.x, v0.y-v2.y
+	e2x, e2y := v1.x-v0.x, v1.y-v0.y
 	for y := minY; y <= maxY; y++ {
-		for x := minX; x <= maxX; x++ {
-			px, py := float64(x)+0.5, float64(y)+0.5
-			w0 := edge(v1, v2, px, py) * inv
-			w1 := edge(v2, v0, px, py) * inv
-			w2 := edge(v0, v1, px, py) * inv
-			if w0 < 0 || w1 < 0 || w2 < 0 {
+		py := float64(y) + 0.5
+		r0, r1, r2 := e0x*(py-v1.y), e1x*(py-v2.y), e2x*(py-v0.y)
+		row := y * fb.W
+		for x := c.xMin; x <= c.xMax; x++ {
+			px := float64(x) + 0.5
+			w0 := (r0 - e0y*(px-v1.x)) * inv
+			if w0 < 0 {
+				continue
+			}
+			w1 := (r1 - e1y*(px-v2.x)) * inv
+			if w1 < 0 {
+				continue
+			}
+			w2 := (r2 - e2y*(px-v0.x)) * inv
+			if w2 < 0 {
 				continue
 			}
 			z := w0*v0.z + w1*v1.z + w2*v2.z
-			c := Color{
+			i := row + x
+			if !(z <= fb.Depth[i]) {
+				continue
+			}
+			col := Color{
 				R: w0*v0.c.R + w1*v1.c.R + w2*v2.c.R,
 				G: w0*v0.c.G + w1*v1.c.G + w2*v2.c.G,
 				B: w0*v0.c.B + w1*v1.c.B + w2*v2.c.B,
 			}
-			fb.set(x, y, z, c)
-		}
-	}
-}
-
-// blendTriangleBand is the translucent variant of triangleBand: blended
-// color at full-coverage pixels without writing depth.
-func (fb *Framebuffer) blendTriangleBand(v0, v1, v2 vert, alpha float64, y0, y1 int) {
-	minX := int(math.Floor(min3(v0.x, v1.x, v2.x)))
-	maxX := int(math.Ceil(max3(v0.x, v1.x, v2.x)))
-	minY := int(math.Floor(min3(v0.y, v1.y, v2.y)))
-	maxY := int(math.Ceil(max3(v0.y, v1.y, v2.y)))
-	if minX < 0 {
-		minX = 0
-	}
-	if minY < y0 {
-		minY = y0
-	}
-	if maxX >= fb.W {
-		maxX = fb.W - 1
-	}
-	if maxY >= y1 {
-		maxY = y1 - 1
-	}
-	area := edge(v0, v1, v2.x, v2.y)
-	if area == 0 {
-		return
-	}
-	inv := 1 / area
-	for y := minY; y <= maxY; y++ {
-		for x := minX; x <= maxX; x++ {
-			px, py := float64(x)+0.5, float64(y)+0.5
-			w0 := edge(v1, v2, px, py) * inv
-			w1 := edge(v2, v0, px, py) * inv
-			w2 := edge(v0, v1, px, py) * inv
-			if w0 < 0 || w1 < 0 || w2 < 0 {
-				continue
+			if blend {
+				fb.Color[i] = fb.Color[i].Lerp(col, alpha)
+			} else {
+				fb.Depth[i] = z
+				fb.Color[i] = col
 			}
-			z := w0*v0.z + w1*v1.z + w2*v2.z
-			c := Color{
-				R: w0*v0.c.R + w1*v1.c.R + w2*v2.c.R,
-				G: w0*v0.c.G + w1*v1.c.G + w2*v2.c.G,
-				B: w0*v0.c.B + w1*v1.c.B + w2*v2.c.B,
-			}
-			fb.blend(x, y, z, c, alpha)
 		}
 	}
 }
@@ -239,5 +239,26 @@ func to8(v float64) uint8 {
 	return uint8(v*255 + 0.5)
 }
 
-func min3(a, b, c float64) float64 { return math.Min(a, math.Min(b, c)) }
-func max3(a, b, c float64) float64 { return math.Max(a, math.Max(b, c)) }
+// min3 and max3 see no NaN: appendTriCmd drops a triangle with a NaN
+// screen coordinate before taking its bounding box. On numbers they
+// agree with math.Min and math.Max up to the sign of a zero, which
+// flooring to an int erases.
+func min3(a, b, c float64) float64 {
+	if b < a {
+		a = b
+	}
+	if c < a {
+		a = c
+	}
+	return a
+}
+
+func max3(a, b, c float64) float64 {
+	if b > a {
+		a = b
+	}
+	if c > a {
+		a = c
+	}
+	return a
+}

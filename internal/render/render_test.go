@@ -440,7 +440,6 @@ func TestFramebufferPrimitives(t *testing.T) {
 	// Out-of-bounds writes must not panic.
 	fb.set(-1, -1, 0, White)
 	fb.set(100, 100, 0, White)
-	fb.blend(-5, 2, 0, White, 0.5)
 }
 
 // TestRenderFaceOnPlaneNotClipped: a planar quad seen face-on has no
@@ -467,6 +466,37 @@ func TestRenderFaceOnPlaneNotClipped(t *testing.T) {
 		if n := countColored(r.RenderFB(64, 48), White); n == 0 {
 			t.Fatalf("face-on quad at z=%v, x=[%v,%v], y=[%v,%v], view %+v rendered blank",
 				z, x0, x1, y0, y1, dir)
+		}
+	}
+}
+
+// TestClamp01MatchesMathMinMax pins Color.Scale's clamp to the
+// math.Max(0, math.Min(1, v)) it replaced, bit for bit.
+func TestClamp01MatchesMathMinMax(t *testing.T) {
+	for _, v := range []float64{math.NaN(), -math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0,
+		math.SmallestNonzeroFloat64, 0.5, math.Nextafter(1, 0), 1, math.Nextafter(1, 2), 7, -1e-300, -3} {
+		want := math.Max(0, math.Min(1, v))
+		if got := clamp01(v); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("clamp01(%v) = %v (%#x), want %v (%#x)", v, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
+// TestMinMax3MatchMath pins the triangle bounding box's min3 and max3 to
+// math.Min and math.Max on the values they see (no NaN): after flooring
+// or ceiling to an int, the results agree.
+func TestMinMax3MatchMath(t *testing.T) {
+	vals := []float64{math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, -0.5, 0.5, 3.25, -7.75, 1e300}
+	for _, a := range vals {
+		for _, b := range vals {
+			for _, c := range vals {
+				if got, want := int(math.Floor(min3(a, b, c))), int(math.Floor(math.Min(a, math.Min(b, c)))); got != want {
+					t.Errorf("min3(%v, %v, %v) floors to %d, math.Min to %d", a, b, c, got, want)
+				}
+				if got, want := int(math.Ceil(max3(a, b, c))), int(math.Ceil(math.Max(a, math.Max(b, c)))); got != want {
+					t.Errorf("max3(%v, %v, %v) ceils to %d, math.Max to %d", a, b, c, got, want)
+				}
+			}
 		}
 	}
 }

@@ -111,13 +111,23 @@ func NewVolumeActor(im *data.ImageData, field string) *VolumeActor {
 
 // Renderer is a scene: actors, volumes, a camera and a background.
 //
-// RenderFB executes in two phases: a geometry phase that transforms,
-// shades and clips every visible actor into an ordered list of raster
-// commands (parallel over vertices and triangles, deterministic command
-// order), and a rasterization phase that replays the command list over
-// disjoint framebuffer row bands in parallel. Each pixel is owned by
-// exactly one band and commands replay in emission order, so the frame
-// is byte-identical for any worker count.
+// A frame renders in three phases. The geometry phase makes one pass
+// over each visible actor's points: the camera-space position, the base
+// colour, the headlight-shaded colour when the mesh has normals, and the
+// projected screen vertex with its state (projected, behind the near
+// plane, or not projectable). Triangles whose three corners are
+// projected reuse those vertices; a triangle with a corner behind the
+// near plane is clipped. Emission appends raster commands in mesh order,
+// each triangle with its pixel bounding box. The commands are then
+// binned by fixed-height row band, and the raster phase runs the bands
+// in parallel, each replaying only its own commands in emission order.
+// Every pixel belongs to exactly one band, so the frame is
+// byte-identical for any worker count. Volumes are ray-cast last,
+// depth-tested against the geometry.
+//
+// Render and RenderContext draw into a pooled framebuffer and return
+// only the 8-bit image; RenderFB and RenderFBContext return a fresh
+// framebuffer the caller owns.
 type Renderer struct {
 	Camera     *Camera
 	Background Color
@@ -187,8 +197,22 @@ func (r *Renderer) ResetCamera() {
 
 // Render draws the scene into a w x h image.
 func (r *Renderer) Render(w, h int) *image.RGBA {
-	fb := r.RenderFB(w, h)
-	return fb.Image()
+	img, _ := r.RenderContext(context.Background(), w, h)
+	return img
+}
+
+// RenderContext is Render with cancellation. The float framebuffer it
+// draws into comes from a pool and goes back once the image is made.
+func (r *Renderer) RenderContext(ctx context.Context, w, h int) (*image.RGBA, error) {
+	w, h = frameSize(w, h)
+	p := framePool.Get()
+	defer p.release()
+	fb := &p.fb
+	fb.reset(w, h, r.Background)
+	if err := r.renderInto(ctx, fb); err != nil {
+		return nil, err
+	}
+	return fb.Image(), nil
 }
 
 // RenderFB draws the scene and returns the raw framebuffer (tests inspect
@@ -198,74 +222,84 @@ func (r *Renderer) RenderFB(w, h int) *Framebuffer {
 	return fb
 }
 
-// frameScratch is the arena-pooled geometry-phase scratch of one frame:
-// camera-space positions and base colors (resized per actor), the
-// accumulated raster command list, and the wireframe seen-edge table.
-// Pooling it makes the steady-state geometry phase allocation-free.
-type frameScratch struct {
-	cam   []vmath.Vec3
-	base  []Color
-	cmds  []rasterCmd
-	edges *data.PairTable
-}
-
-// Reset implements par.Resetter.
-func (s *frameScratch) Reset() {
-	s.cam = s.cam[:0]
-	s.base = s.base[:0]
-	s.cmds = s.cmds[:0]
-	s.edges.Reset()
-}
-
-// camBuf returns the camera-space position buffer sized for n points.
-func (s *frameScratch) camBuf(n int) []vmath.Vec3 {
-	if cap(s.cam) < n {
-		s.cam = make([]vmath.Vec3, n)
-	}
-	s.cam = s.cam[:n]
-	return s.cam
-}
-
-// baseBuf returns the base color buffer sized for n points.
-func (s *frameScratch) baseBuf(n int) []Color {
-	if cap(s.base) < n {
-		s.base = make([]Color, n)
-	}
-	s.base = s.base[:n]
-	return s.base
-}
-
-var frameArena = par.NewArena(func() *frameScratch {
-	return &frameScratch{edges: data.NewPairTable()}
-})
-
-// cmdChunk is the pooled per-chunk command buffer of the parallel
-// triangle emission phase.
-type cmdChunk struct{ cmds []rasterCmd }
-
-// Reset implements par.Resetter.
-func (c *cmdChunk) Reset() { c.cmds = c.cmds[:0] }
-
-var cmdArena = par.NewArena(func() *cmdChunk { return &cmdChunk{} })
-
 // RenderFBContext is RenderFB with cancellation: geometry and raster
 // phases run on the par worker pool and abort early (returning the
 // partial framebuffer and ctx's error) when the context is canceled.
 func (r *Renderer) RenderFBContext(ctx context.Context, w, h int) (*Framebuffer, error) {
+	w, h = frameSize(w, h)
+	fb := NewFramebuffer(w, h, r.Background)
+	return fb, r.renderInto(ctx, fb)
+}
+
+// frameSize applies the default size to a non-positive dimension.
+func frameSize(w, h int) (int, int) {
 	if w <= 0 {
 		w = 300
 	}
 	if h <= 0 {
 		h = 300
 	}
-	fb := NewFramebuffer(w, h, r.Background)
+	return w, h
+}
+
+// bandRows is the height of a raster band. It does not depend on the
+// worker count: the bands, and so each band's command list, are the same
+// for any number of workers.
+const bandRows = 16
+
+// frameScratch is the arena-pooled geometry-phase scratch of one frame:
+// the per-vertex buffers (resized per actor), the accumulated raster
+// command list, its band bins, and the wireframe seen-edge table.
+// Pooling it makes the steady-state geometry phase allocation-free.
+type frameScratch struct {
+	cam   []vmath.Vec3
+	base  []Color
+	scr   []vert
+	state []vertState
+	cmds  []rasterCmd
+	// The band bins in CSR form: band b replays the commands
+	// binCmds[binStart[b]:binStart[b+1]], in emission order.
+	binStart []int32
+	binCmds  []int32
+	spans    [][2]int32 // each command's first and last band
+	edges    *data.PairTable
+}
+
+// Reset implements par.Resetter.
+func (s *frameScratch) Reset() {
+	s.cam = s.cam[:0]
+	s.base = s.base[:0]
+	s.scr = s.scr[:0]
+	s.state = s.state[:0]
+	s.cmds = s.cmds[:0]
+	s.binStart = s.binStart[:0]
+	s.binCmds = s.binCmds[:0]
+	s.spans = s.spans[:0]
+	s.edges.Reset()
+}
+
+// resize returns buf with length n, reallocated only when its capacity
+// is short.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+var frameArena = par.NewArena(func() *frameScratch {
+	return &frameScratch{edges: data.NewPairTable()}
+})
+
+// renderInto draws the scene into fb, which holds the cleared frame.
+func (r *Renderer) renderInto(ctx context.Context, fb *Framebuffer) error {
 	bounds := r.VisibleBounds()
 	if bounds.IsEmpty() {
-		return fb, nil
+		return nil
 	}
 	near, far := r.Camera.clippingRange(bounds)
 	view := r.Camera.ViewMatrix()
-	proj := r.Camera.ProjMatrix(float64(w)/float64(h), near, far)
+	proj := r.Camera.ProjMatrix(float64(fb.W)/float64(fb.H), near, far)
 
 	// Geometry phase: every visible actor is transformed, shaded and
 	// near-clipped into raster commands, in actor order, accumulated in
@@ -275,24 +309,24 @@ func (r *Renderer) RenderFBContext(ctx context.Context, w, h int) (*Framebuffer,
 	for _, a := range r.Actors {
 		if a.Visible && a.Mesh != nil {
 			if err := r.emitActor(ctx, fb, a, view, proj, near, fs); err != nil {
-				return fb, err
+				return err
 			}
 		}
 	}
-	cmds := fs.cmds
 
-	// Raster phase: replay the command list over disjoint row bands.
-	err := par.For(ctx, h, func(y0, y1 int) {
-		for i := range cmds {
-			c := &cmds[i]
-			if c.yMax < y0 || c.yMin >= y1 {
-				continue
+	// Raster phase: each band replays the commands binned to it.
+	fs.binBands(fb.H)
+	cmds, start, idx := fs.cmds, fs.binStart, fs.binCmds
+	err := par.For(ctx, len(start)-1, func(b0, b1 int) {
+		for b := b0; b < b1; b++ {
+			y0, y1 := b*bandRows, min((b+1)*bandRows, fb.H)
+			for _, ci := range idx[start[b]:start[b+1]] {
+				cmds[ci].exec(fb, y0, y1)
 			}
-			c.exec(fb, y0, y1)
 		}
 	})
 	if err != nil {
-		return fb, err
+		return err
 	}
 
 	// Volumes composite over (and depth-test against) the rasterized
@@ -300,11 +334,50 @@ func (r *Renderer) RenderFBContext(ctx context.Context, w, h int) (*Framebuffer,
 	for _, v := range r.Volumes {
 		if v.Visible && v.Image != nil {
 			if err := r.castVolume(ctx, fb, v, view, proj, near, far); err != nil {
-				return fb, err
+				return err
 			}
 		}
 	}
-	return fb, nil
+	return nil
+}
+
+// binBands sorts the command list into the bands of a frame h rows
+// tall, in CSR form: a count per band, a prefix sum, then each command's
+// index written to every band it reaches, in emission order.
+func (s *frameScratch) binBands(h int) {
+	nb := (h + bandRows - 1) / bandRows
+	s.binStart = resize(s.binStart, nb+1)
+	s.spans = resize(s.spans, len(s.cmds))
+	start, spans := s.binStart, s.spans
+	clear(start)
+	for i := range s.cmds {
+		// The bands the command's rows [yMin, yMax] reach in the frame;
+		// none when lo > hi.
+		c := &s.cmds[i]
+		y0, y1 := max(c.yMin, 0), min(c.yMax, h-1)
+		lo, hi := int32(1), int32(0)
+		if y0 <= y1 {
+			lo, hi = int32(y0/bandRows), int32(y1/bandRows)
+		}
+		spans[i] = [2]int32{lo, hi}
+		for b := lo; b <= hi; b++ {
+			start[b+1]++
+		}
+	}
+	for b := 1; b <= nb; b++ {
+		start[b] += start[b-1]
+	}
+	s.binCmds = resize(s.binCmds, int(start[nb]))
+	// Fill each band at its start, advancing the start as a cursor: it
+	// ends at the band's end, which is the next band's start.
+	for i, sp := range spans {
+		for b := sp[0]; b <= sp[1]; b++ {
+			s.binCmds[start[b]] = int32(i)
+			start[b]++
+		}
+	}
+	copy(start[1:], start[:nb])
+	start[0] = 0
 }
 
 // cmdKind discriminates raster commands.
@@ -319,21 +392,22 @@ const (
 
 // rasterCmd is one band-replayable draw: a projected primitive with its
 // parameter (opacity, line width or point size) and the conservative
-// inclusive row span it can touch.
+// inclusive row span it can touch. A triangle also carries the inverse
+// of its doubled signed area and its pixel columns, clamped to the frame.
 type rasterCmd struct {
 	kind       cmdKind
 	v0, v1, v2 vert
 	param      float64
+	inv        float64
 	yMin, yMax int
+	xMin, xMax int
 }
 
 // exec replays the command restricted to rows [y0, y1).
 func (c *rasterCmd) exec(fb *Framebuffer, y0, y1 int) {
 	switch c.kind {
-	case cmdTriangle:
-		fb.triangleBand(c.v0, c.v1, c.v2, y0, y1)
-	case cmdBlendTriangle:
-		fb.blendTriangleBand(c.v0, c.v1, c.v2, c.param, y0, y1)
+	case cmdTriangle, cmdBlendTriangle:
+		fb.triangleBand(c, y0, y1)
 	case cmdLine:
 		fb.lineBand(c.v0, c.v1, c.param, y0, y1)
 	case cmdPoint:
@@ -341,14 +415,31 @@ func (c *rasterCmd) exec(fb *Framebuffer, y0, y1 int) {
 	}
 }
 
-func triCmd(v0, v1, v2 vert, opacity float64) rasterCmd {
+// appendTriCmd appends the command of a projected triangle in a frame w
+// pixels wide, unless the triangle can draw no pixel. A zero-area
+// triangle draws none. Neither does one with a NaN screen coordinate:
+// every barycentric weight, and so the depth, is NaN, which fails every
+// depth test. Dropping those here means min3 and max3 never see a NaN.
+func appendTriCmd(cmds []rasterCmd, w int, v0, v1, v2 vert, opacity float64) []rasterCmd {
+	if math.IsNaN(v0.x) || math.IsNaN(v0.y) || math.IsNaN(v1.x) || math.IsNaN(v1.y) ||
+		math.IsNaN(v2.x) || math.IsNaN(v2.y) {
+		return cmds
+	}
+	area := edge(v0, v1, v2.x, v2.y)
+	if area == 0 {
+		return cmds
+	}
 	kind := cmdTriangle
 	if opacity < 1 {
 		kind = cmdBlendTriangle
 	}
-	lo := int(math.Floor(min3(v0.y, v1.y, v2.y)))
-	hi := int(math.Ceil(max3(v0.y, v1.y, v2.y)))
-	return rasterCmd{kind: kind, v0: v0, v1: v1, v2: v2, param: opacity, yMin: lo, yMax: hi}
+	return append(cmds, rasterCmd{
+		kind: kind, v0: v0, v1: v1, v2: v2, param: opacity, inv: 1 / area,
+		yMin: int(math.Floor(min3(v0.y, v1.y, v2.y))),
+		yMax: int(math.Ceil(max3(v0.y, v1.y, v2.y))),
+		xMin: max(int(math.Floor(min3(v0.x, v1.x, v2.x))), 0),
+		xMax: min(int(math.Ceil(max3(v0.x, v1.x, v2.x))), w-1),
+	})
 }
 
 func lineCmd(v0, v1 vert, width float64) rasterCmd {
@@ -365,11 +456,10 @@ func pointCmd(v vert, size float64) rasterCmd {
 
 // pipeline holds per-actor projection state.
 type pipeline struct {
-	fb         *Framebuffer
-	view, proj vmath.Mat4
-	near       float64
-	camPos     vmath.Vec3
-	viewDir    vmath.Vec3
+	fb      *Framebuffer
+	proj    vmath.Mat4
+	near    float64
+	viewDir vmath.Vec3
 }
 
 // project maps a camera-space point to a screen vertex; ok is false when
@@ -392,38 +482,55 @@ func (pl *pipeline) project(cam vmath.Vec3, c Color) (vert, bool) {
 	}, true
 }
 
-// emitActor runs the geometry phase for one actor: camera-space
-// transform and vertex shading parallel over points, triangle clipping
-// parallel over polygon chunks, command list appended to fs.cmds in
-// deterministic (mesh) order. All per-actor buffers come from fs.
+// vertState is where the geometry pass left a vertex.
+type vertState uint8
+
+const (
+	// vertProjected: in front of the near plane and projected.
+	vertProjected vertState = iota
+	// vertBehind: on or behind the near plane, or at a NaN depth; a
+	// triangle with such a corner is clipped.
+	vertBehind
+	// vertUnprojectable: in front of the near plane, but its clip-space
+	// w is 0; a triangle with such a corner is dropped.
+	vertUnprojectable
+)
+
+// emitActor runs the geometry phase for one actor: one parallel pass
+// over points, then emission of the actor's commands, appended to
+// fs.cmds in mesh order. All per-actor buffers come from fs.
 func (r *Renderer) emitActor(ctx context.Context, fb *Framebuffer, a *Actor, view, proj vmath.Mat4, near float64, fs *frameScratch) error {
 	mesh := a.Mesh
 	n := mesh.NumPoints()
 	if n == 0 {
 		return nil
 	}
-	pl := &pipeline{
-		fb: fb, view: view, proj: proj, near: near,
-		camPos:  r.Camera.Position,
-		viewDir: r.Camera.Direction(),
-	}
-	// Camera-space positions.
-	cam := fs.camBuf(n)
-	if err := par.For(ctx, n, func(start, end int) {
-		for i := start; i < end; i++ {
-			cam[i] = view.MulPoint(mesh.Pts[i])
-		}
-	}); err != nil {
-		return err
-	}
-	// Base (unshaded) per-vertex colors.
-	base := fs.baseBuf(n)
+	pl := &pipeline{fb: fb, proj: proj, near: near, viewDir: r.Camera.Direction()}
 	var colorField *data.Field
 	if a.ColorField != "" && a.LUT != nil {
 		colorField = mesh.Points.Get(a.ColorField)
 	}
+	normals := mesh.Points.Get("Normals")
+	// Headlight diffuse: full intensity facing the camera.
+	shadeFactor := func(nrm vmath.Vec3) float64 {
+		return 0.25 + 0.75*math.Abs(nrm.Norm().Dot(pl.viewDir))
+	}
+
+	drawTriangles := a.Rep == RepSurface || a.Rep == RepSurfaceWithEdges
+	drawEdges := a.Rep == RepWireframe || a.Rep == RepSurfaceWithEdges
+	drawAsPoints := a.Rep == RepPoints
+
+	// The per-vertex pass: camera-space position and base (unshaded)
+	// colour; in scr, the shaded colour (the base colour when the mesh
+	// has no normals) and, for triangle representations, the projected
+	// screen vertex with its state.
+	fs.cam, fs.base = resize(fs.cam, n), resize(fs.base, n)
+	fs.scr, fs.state = resize(fs.scr, n), resize(fs.state, n)
+	cam, base, scr, state := fs.cam, fs.base, fs.scr, fs.state
+	zlim := -near
 	if err := par.For(ctx, n, func(start, end int) {
 		for i := start; i < end; i++ {
+			cam[i] = view.MulPoint(mesh.Pts[i])
 			switch {
 			case colorField == nil:
 				base[i] = a.SolidColor
@@ -433,58 +540,63 @@ func (r *Renderer) emitActor(ctx context.Context, fb *Framebuffer, a *Actor, vie
 				// Vector fields color by magnitude, ParaView's default.
 				base[i] = a.LUT.Map(colorField.Vec3(i).Len())
 			}
+			v := vert{c: base[i]}
+			if normals != nil {
+				v.c = base[i].Scale(shadeFactor(normals.Vec3(i)))
+			}
+			st := vertBehind
+			if drawTriangles && cam[i].Z <= zlim {
+				st = vertUnprojectable
+				if p, ok := pl.project(cam[i], v.c); ok {
+					v, st = p, vertProjected
+				}
+			}
+			scr[i], state[i] = v, st
 		}
 	}); err != nil {
 		return err
 	}
-	normals := mesh.Points.Get("Normals")
 
-	shade := func(i int, flat vmath.Vec3) Color {
-		var nrm vmath.Vec3
-		if normals != nil {
-			nrm = normals.Vec3(i)
-		} else {
-			nrm = flat
-		}
-		// Headlight diffuse: full intensity facing the camera.
-		d := math.Abs(nrm.Norm().Dot(pl.viewDir))
-		return base[i].Scale(0.25 + 0.75*d)
-	}
-
-	drawTriangles := a.Rep == RepSurface || a.Rep == RepSurfaceWithEdges
-	drawEdges := a.Rep == RepWireframe || a.Rep == RepSurfaceWithEdges
-	drawAsPoints := a.Rep == RepPoints
-
-	if drawTriangles {
-		// Chunks cover disjoint polygon ranges, fan-triangulated in
-		// place (the emission order matches EachTriangle), each filling
-		// an arena-pooled command buffer; the ordered conveyor
-		// concatenates completed buffers into the frame command list in
-		// chunk order while later chunks still emit.
-		err := par.OrderedSweep(ctx, len(mesh.Polys), cmdArena, func(cc *cmdChunk, start, end int) {
-			out := cc.cmds
-			for _, poly := range mesh.Polys[start:end] {
-				for ti := 2; ti < len(poly); ti++ {
-					ia, ib, ic := poly[0], poly[ti-1], poly[ti]
+	// Triangles at an opacity of zero or less draw nothing; a NaN
+	// opacity draws them opaque.
+	if drawTriangles && !(a.Opacity <= 0) {
+		// Fan-triangulated in place: the emission order matches
+		// EachTriangle. The per-vertex pass did the costly work, so this
+		// loop is serial and appends straight to the frame's list.
+		out := fs.cmds
+		for _, poly := range mesh.Polys {
+			for ti := 2; ti < len(poly); ti++ {
+				ia, ib, ic := poly[0], poly[ti-1], poly[ti]
+				v0, v1, v2 := scr[ia], scr[ib], scr[ic]
+				if normals == nil {
+					// Flat shading: one factor per triangle, from its
+					// face normal.
 					flat := mesh.Pts[ib].Sub(mesh.Pts[ia]).Cross(mesh.Pts[ic].Sub(mesh.Pts[ia]))
-					cs := [3]Color{shade(ia, flat), shade(ib, flat), shade(ic, flat)}
-					out = clipTriangleCmds(pl, [3]vmath.Vec3{cam[ia], cam[ib], cam[ic]}, cs, a.Opacity, out)
+					s := shadeFactor(flat)
+					v0.c, v1.c, v2.c = base[ia].Scale(s), base[ib].Scale(s), base[ic].Scale(s)
+				}
+				if state[ia] == vertProjected && state[ib] == vertProjected && state[ic] == vertProjected {
+					out = appendTriCmd(out, fb.W, v0, v1, v2, a.Opacity)
+				} else {
+					out = clipTriangleCmds(pl, [3]vmath.Vec3{cam[ia], cam[ib], cam[ic]},
+						[3]Color{v0.c, v1.c, v2.c}, a.Opacity, out)
 				}
 			}
-			cc.cmds = out
-		}, func(cc *cmdChunk) {
-			fs.cmds = append(fs.cmds, cc.cmds...)
-		})
-		if err != nil {
-			return err
 		}
+		fs.cmds = out
 	}
 	if drawEdges {
-		edgeColor := func(i int, flat vmath.Vec3) Color {
-			if a.Rep == RepSurfaceWithEdges {
+		// Wireframe edges are shaded per vertex, or by a zero face
+		// normal when the mesh has none.
+		edgeShade := shadeFactor(vmath.Vec3{})
+		edgeColor := func(i int) Color {
+			switch {
+			case a.Rep == RepSurfaceWithEdges:
 				return a.EdgeColor
+			case normals != nil:
+				return scr[i].c
 			}
-			return shade(i, flat)
+			return base[i].Scale(edgeShade)
 		}
 		seen := fs.edges
 		seen.Reset() // per-actor edge dedup
@@ -494,9 +606,8 @@ func (r *Renderer) emitActor(ctx context.Context, fb *Framebuffer, a *Actor, vie
 				if _, added := seen.GetOrPut(data.PackPair(p0, p1), 0); !added {
 					continue
 				}
-				flat := vmath.Vec3{}
 				fs.cmds = clipLineCmds(pl, cam[p0], cam[p1],
-					edgeColor(p0, flat), edgeColor(p1, flat), a.LineWidth, fs.cmds)
+					edgeColor(p0), edgeColor(p1), a.LineWidth, fs.cmds)
 			}
 		}
 	}
@@ -525,22 +636,14 @@ func (r *Renderer) emitActor(ctx context.Context, fb *Framebuffer, a *Actor, vie
 	return nil
 }
 
-// clipTriangleCmds clips a camera-space triangle against the near plane
-// and appends the resulting raster commands.
+// clipTriangleCmds takes a camera-space triangle with a corner the
+// per-vertex pass did not project. A triangle in front of the near plane
+// with a corner whose clip-space w is 0 draws nothing; one with a corner
+// behind the plane is clipped against it, and its pieces appended.
 func clipTriangleCmds(pl *pipeline, p [3]vmath.Vec3, c [3]Color, opacity float64, cmds []rasterCmd) []rasterCmd {
-	if opacity <= 0 {
-		return cmds
-	}
 	zlim := -pl.near
 	inside := func(v vmath.Vec3) bool { return v.Z <= zlim }
-	// Fast path: fully visible.
 	if inside(p[0]) && inside(p[1]) && inside(p[2]) {
-		v0, ok0 := pl.project(p[0], c[0])
-		v1, ok1 := pl.project(p[1], c[1])
-		v2, ok2 := pl.project(p[2], c[2])
-		if ok0 && ok1 && ok2 {
-			cmds = append(cmds, triCmd(v0, v1, v2, opacity))
-		}
 		return cmds
 	}
 	// Sutherland–Hodgman against the near plane. One plane cuts a
@@ -583,7 +686,7 @@ func clipTriangleCmds(pl *pipeline, p [3]vmath.Vec3, c [3]Color, opacity float64
 		verts[i] = v
 	}
 	for i := 2; i < no; i++ {
-		cmds = append(cmds, triCmd(verts[0], verts[i-1], verts[i], opacity))
+		cmds = appendTriCmd(cmds, pl.fb.W, verts[0], verts[i-1], verts[i], opacity)
 	}
 	return cmds
 }
